@@ -48,6 +48,49 @@ void BM_HierarchicalSelect(benchmark::State& state) {
   }
 }
 
+/// A 10^4-tuple relation over a depth-4, fanout-6 class tree (1,296 leaf
+/// classes, 8 skus each): one positive tuple per sku plus a negative tuple
+/// on every level-2 class, the shape of a product catalogue with
+/// class-level exceptions. Most tuples lie outside any selected subtree, so
+/// the select cost is dominated by the scan.
+struct CatalogSetup {
+  CatalogSetup() {
+    hierarchy = testing::BuildTreeHierarchy(db, "d", /*depth=*/4,
+                                            /*fanout=*/6,
+                                            /*instances_per_leaf=*/8);
+    relation = db.CreateRelation("stock", {{"item", "d"}}).value();
+    std::vector<NodeId> skus = hierarchy->Instances();
+    skus.resize(10'000);
+    for (NodeId sku : skus) (void)relation->Insert({sku}, Truth::kPositive);
+    for (NodeId level1 : hierarchy->Children(hierarchy->root())) {
+      for (NodeId level2 : hierarchy->Children(level1)) {
+        (void)relation->Insert({level2}, Truth::kNegative);
+      }
+    }
+    // Probes by depth below the root: a level-2 class, a level-4 (leaf)
+    // class, and a sku (depth 5).
+    NodeId node = hierarchy->root();
+    for (size_t depth = 1; depth <= 5; ++depth) {
+      node = hierarchy->Children(node)[0];
+      probe_at_depth[depth] = node;
+    }
+  }
+
+  Database db;
+  Hierarchy* hierarchy;
+  HierarchicalRelation* relation;
+  NodeId probe_at_depth[6] = {};
+};
+
+void BM_HierarchicalSelectCatalog(benchmark::State& state) {
+  CatalogSetup setup;
+  NodeId probe = setup.probe_at_depth[state.range(0)];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SelectEquals(*setup.relation, 0, probe).value().size());
+  }
+}
+
 void BM_ExplicateThenFlatSelect(benchmark::State& state) {
   OpsSetup setup(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -114,6 +157,8 @@ void BM_ExplicateThenFlatJoin(benchmark::State& state) {
 
 BENCHMARK(BM_HierarchicalSelect)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HierarchicalSelectCatalog)->ArgName("depth")->Arg(2)->Arg(4)
+    ->Arg(5)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ExplicateThenFlatSelect)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HierarchicalUnion)->Arg(8)->Arg(32)->Arg(128)

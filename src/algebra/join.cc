@@ -84,17 +84,22 @@ Result<HierarchicalRelation> JoinOn(
       [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
         for (size_t c = lo; c < hi; ++c) {
           Status chunk_status;
+          // Per-join-attribute alignment choices, reused across pairs.
+          std::vector<std::vector<NodeId>> choices(on.size());
           left.ForEachLiveInChunk(c, [&](TupleId lid) {
             if (!chunk_status.ok()) return;
             Item litem = left.ItemAt(lid);
             for (const Item& ritem : right_items) {
-              // Per-join-attribute alignment choices.
-              std::vector<std::vector<NodeId>> choices(on.size());
               bool disjoint = false;
               for (size_t k = 0; k < on.size(); ++k) {
                 const Hierarchy* h = ls.hierarchy(on[k].first);
-                choices[k] = h->MaximalCommonDescendants(
-                    litem[on[k].first], ritem[on[k].second]);
+                NodeId l = litem[on[k].first];
+                NodeId r = ritem[on[k].second];
+                if (h->LeafDisjoint(l, r)) {
+                  disjoint = true;
+                  break;
+                }
+                choices[k] = h->MaximalCommonDescendants(l, r);
                 if (choices[k].empty()) {
                   disjoint = true;
                   break;

@@ -26,10 +26,13 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
 
   // Candidates: each tuple's item clamped into the sub-hierarchy at `node`
   // (via maximal common descendants, so tuples on classes that merely
-  // overlap the selection class still contribute). The scan walks the
-  // store's fixed-size chunks in parallel; chunk boundaries and the
-  // chunk-order concatenation below depend only on the append count, so
+  // overlap the selection class still contribute). A component outside the
+  // overlap cone shares no descendant with `node`, so its MCD set is empty
+  // and the tuple is skipped before its item is materialised. The scan
+  // walks the store's fixed-size chunks in parallel; chunk boundaries and
+  // the chunk-order concatenation below depend only on the append count, so
   // the candidate list is identical at any thread count.
+  const DynamicBitset cone = h->OverlapCone(node);
   std::vector<std::vector<Item>> per_chunk(relation.num_chunks());
   ParallelOptions par;
   par.threads = options.threads;
@@ -38,6 +41,7 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
       [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
         for (size_t c = lo; c < hi; ++c) {
           relation.ForEachLiveInChunk(c, [&](TupleId id) {
+            if (!cone.Test(relation.Component(id, attr))) return;
             Item item = relation.ItemAt(id);
             for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
               Item clamped = item;

@@ -56,13 +56,15 @@ Result<HierarchicalRelation> SetOp(
   size_t initial = candidates.size();
   for (size_t i = 0; i < left_count; ++i) {
     for (size_t j = left_count; j < initial; ++j) {
-      // Copy: ItemMaximalCommonDescendants must not hold references into
-      // the vector we are appending to.
-      Item a = candidates[i];
-      Item b = candidates[j];
-      if (ItemComparable(schema, a, b)) continue;
-      for (Item& mcd : ItemMaximalCommonDescendants(schema, a, b)) {
-        candidates.push_back(std::move(mcd));
+      if (ItemComparable(schema, candidates[i], candidates[j])) continue;
+      if (!ItemLeafDisjoint(schema, candidates[i], candidates[j])) {
+        // Copy: ItemMaximalCommonDescendants must not hold references into
+        // the vector we are appending to.
+        Item a = candidates[i];
+        Item b = candidates[j];
+        for (Item& mcd : ItemMaximalCommonDescendants(schema, a, b)) {
+          candidates.push_back(std::move(mcd));
+        }
       }
       if (candidates.size() > options.max_items) {
         return Status::ResourceExhausted(

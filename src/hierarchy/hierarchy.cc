@@ -328,6 +328,29 @@ std::vector<NodeId> Hierarchy::MaximalCommonDescendants(NodeId a,
   return maximal;
 }
 
+DynamicBitset Hierarchy::OverlapCone(NodeId n) const {
+  DynamicBitset cone(dag_.capacity());
+  if (!dag_.alive(n)) return cone;
+  // Every descendant of n (n included) seeds the upward walk; the walk
+  // marks each node the first time it is reached, so both passes together
+  // visit every node and edge at most twice.
+  std::vector<NodeId> queue;
+  for (NodeId d : dag_.Descendants(n)) {
+    cone.Set(d);
+    queue.push_back(d);
+  }
+  while (!queue.empty()) {
+    NodeId cur = queue.back();
+    queue.pop_back();
+    for (NodeId p : dag_.Parents(cur)) {
+      if (cone.Test(p)) continue;
+      cone.Set(p);
+      queue.push_back(p);
+    }
+  }
+  return cone;
+}
+
 std::vector<NodeId> Hierarchy::AtomsUnder(NodeId n) const {
   std::vector<NodeId> atoms;
   for (NodeId d : dag_.Descendants(n)) {

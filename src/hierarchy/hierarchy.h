@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/result.h"
 #include "common/revision.h"
 #include "common/status.h"
@@ -189,6 +190,22 @@ class Hierarchy {
   /// comparable this is {Meet(a, b)}. An empty result is the paper's
   /// "optimistic" evidence that a and b are disjoint (Section 3.1).
   std::vector<NodeId> MaximalCommonDescendants(NodeId a, NodeId b) const;
+
+  /// The overlap cone of n: every node that shares at least one descendant
+  /// with n, i.e. the ancestors of n's descendant cone, as a bitset over
+  /// dag().capacity(). MaximalCommonDescendants(a, n) is non-empty iff a is
+  /// in the cone, so a scan can skip the MCD call for anything outside it.
+  /// Subsumption edges only; empty if n is not alive.
+  DynamicBitset OverlapCone(NodeId n) const;
+
+  /// True when a and b are incomparable and one of them has no children.
+  /// A childless node's only descendant is itself, so the two share no
+  /// descendant and MaximalCommonDescendants(a, b) is empty. Allocation-free;
+  /// false proves nothing (two incomparable classes may still overlap).
+  bool LeafDisjoint(NodeId a, NodeId b) const {
+    return (dag_.Children(a).empty() || dag_.Children(b).empty()) &&
+           !Comparable(a, b);
+  }
 
   /// All atomic instances subsumed by n (n itself if n is an instance).
   /// This is the extension of the class in the database's closed world.

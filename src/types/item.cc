@@ -85,6 +85,14 @@ std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
   }
 }
 
+bool ItemLeafDisjoint(const Schema& schema, const Item& a, const Item& b) {
+  assert(a.size() == schema.size() && b.size() == schema.size());
+  for (size_t i = 0; i < schema.size(); ++i) {
+    if (schema.hierarchy(i)->LeafDisjoint(a[i], b[i])) return true;
+  }
+  return false;
+}
+
 Status CloseUnderMaximalCommonDescendants(const Schema& schema,
                                           std::vector<Item>& items,
                                           size_t max_items) {
@@ -93,7 +101,10 @@ Status CloseUnderMaximalCommonDescendants(const Schema& schema,
   // Worklist closure: every new item must be paired against all others.
   for (size_t i = 0; i < items.size(); ++i) {
     for (size_t j = 0; j < i; ++j) {
-      if (ItemComparable(schema, items[i], items[j])) continue;
+      if (ItemComparable(schema, items[i], items[j]) ||
+          ItemLeafDisjoint(schema, items[i], items[j])) {
+        continue;
+      }
       for (Item& mcd :
            ItemMaximalCommonDescendants(schema, items[i], items[j])) {
         if (seen.insert(mcd).second) {

@@ -70,6 +70,11 @@ size_t ItemExtensionSize(const Schema& schema, const Item& item);
 std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
                                                const Item& a, const Item& b);
 
+/// True when some attribute's components pass Hierarchy::LeafDisjoint, which
+/// proves ItemMaximalCommonDescendants(a, b) empty without computing it.
+/// Allocation-free; false proves nothing.
+bool ItemLeafDisjoint(const Schema& schema, const Item& a, const Item& b);
+
 /// Closes `items` under pairwise maximal common descendants, deduplicating.
 /// A set of asserted items closed under MCDs cannot harbour an off-path
 /// conflict at an unasserted site (see conflict.h); the derived relations

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "common/random.h"
+
 namespace hirel {
 namespace {
 
@@ -223,6 +225,183 @@ TEST(HierarchyTest, ClassesAndInstancesEnumeration) {
   EXPECT_EQ(h.Classes().size(), 2u);
   EXPECT_EQ(h.Instances().size(), 1u);
   EXPECT_EQ(h.Nodes().size(), 3u);
+}
+
+
+// ----- Pruning predicates -----------------------------------------------------
+
+/// The overlap cone of n as a sorted node list.
+std::vector<NodeId> Cone(const Hierarchy& h, NodeId n) {
+  std::vector<NodeId> out;
+  for (uint32_t i : h.OverlapCone(n).ToVector()) out.push_back(i);
+  return out;
+}
+
+/// Checks both pruning predicates against the primitive they stand in for,
+/// over every ordered pair of live nodes: a is in n's overlap cone iff
+/// MCD(a, n) is non-empty, and LeafDisjoint(a, n) implies MCD(a, n) empty.
+void ExpectPredicatesMatchMcd(const Hierarchy& h) {
+  std::vector<NodeId> nodes = h.Nodes();
+  for (NodeId n : nodes) {
+    DynamicBitset cone = h.OverlapCone(n);
+    for (NodeId a : nodes) {
+      bool overlap = !h.MaximalCommonDescendants(a, n).empty();
+      EXPECT_EQ(cone.Test(a), overlap)
+          << h.NodeName(a) << " in cone of " << h.NodeName(n);
+      if (h.LeafDisjoint(a, n)) {
+        EXPECT_FALSE(overlap) << h.NodeName(a) << " vs " << h.NodeName(n);
+      }
+    }
+  }
+}
+
+TEST(HierarchyTest, OverlapConeInTreeIsAncestorsAndDescendants) {
+  Hierarchy h("animal");
+  NodeId bird = h.AddClass("bird").value();
+  NodeId fish = h.AddClass("fish").value();
+  NodeId canary = h.AddClass("canary", bird).value();
+  NodeId penguin = h.AddClass("penguin", bird).value();
+  ASSERT_TRUE(h.AddInstance(S("tweety"), canary).ok());
+  NodeId paul = h.AddInstance(S("paul"), penguin).value();
+  ASSERT_TRUE(h.AddInstance(S("nemo"), fish).ok());
+  for (NodeId n : h.Nodes()) {
+    std::vector<NodeId> expected = h.dag().Ancestors(n);
+    for (NodeId d : h.dag().Descendants(n)) expected.push_back(d);
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    EXPECT_EQ(Cone(h, n), expected) << h.NodeName(n);
+  }
+  EXPECT_EQ(Cone(h, penguin),
+            (std::vector<NodeId>{h.root(), bird, penguin, paul}));
+  ExpectPredicatesMatchMcd(h);
+}
+
+TEST(HierarchyTest, OverlapConeInDagHoldsOtherParentsOfSharedDescendants) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  NodeId c = h.AddClass("c").value();
+  NodeId m = h.AddClass("m", a).value();
+  ASSERT_TRUE(h.AddEdge(b, m).ok());
+  NodeId i = h.AddInstance(S("i"), m).value();
+  ASSERT_TRUE(h.AddInstance(S("j"), c).ok());
+  // b is neither an ancestor nor a descendant of a, but shares m with it.
+  EXPECT_EQ(Cone(h, a), (std::vector<NodeId>{h.root(), a, b, m, i}));
+  EXPECT_EQ(Cone(h, b), (std::vector<NodeId>{h.root(), a, b, m, i}));
+  EXPECT_EQ(Cone(h, i), (std::vector<NodeId>{h.root(), a, b, m, i}));
+  EXPECT_FALSE(h.OverlapCone(a).Test(c));
+  ExpectPredicatesMatchMcd(h);
+}
+
+TEST(HierarchyTest, LeafDisjointOnlyForIncomparableLeafPairs) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  NodeId m = h.AddClass("m", a).value();
+  ASSERT_TRUE(h.AddEdge(b, m).ok());
+  NodeId i = h.AddInstance(S("i"), m).value();
+  NodeId j = h.AddInstance(S("j")).value();
+  NodeId empty = h.AddClass("empty").value();  // a childless class
+  NodeId d = h.AddClass("d").value();
+  ASSERT_TRUE(h.AddInstance(S("k"), d).ok());
+  // Comparable pairs, including a node with itself.
+  EXPECT_FALSE(h.LeafDisjoint(a, m));
+  EXPECT_FALSE(h.LeafDisjoint(m, a));
+  EXPECT_FALSE(h.LeafDisjoint(a, i));
+  EXPECT_FALSE(h.LeafDisjoint(i, i));
+  // Incomparable classes that share a child.
+  EXPECT_FALSE(h.LeafDisjoint(a, b));
+  // A leaf (instance or childless class) against an incomparable class.
+  EXPECT_TRUE(h.LeafDisjoint(j, a));
+  EXPECT_TRUE(h.LeafDisjoint(a, j));
+  EXPECT_TRUE(h.LeafDisjoint(i, j));
+  EXPECT_TRUE(h.LeafDisjoint(empty, b));
+  // Disjoint but both with children: the test cannot tell.
+  EXPECT_FALSE(h.LeafDisjoint(a, d));
+  EXPECT_TRUE(h.MaximalCommonDescendants(a, d).empty());
+  ExpectPredicatesMatchMcd(h);
+}
+
+TEST(HierarchyTest, PruningPredicatesTrackEdits) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  NodeId c = h.AddClass("c").value();
+  NodeId i = h.AddInstance(S("i"), a).value();
+  EXPECT_TRUE(h.LeafDisjoint(i, b));
+  EXPECT_TRUE(h.LeafDisjoint(c, a));
+  EXPECT_FALSE(h.OverlapCone(b).Test(a));
+
+  // AddEdge: i becomes a shared child of a and b.
+  ASSERT_TRUE(h.AddEdge(b, i).ok());
+  EXPECT_FALSE(h.LeafDisjoint(i, b));
+  EXPECT_TRUE(h.OverlapCone(b).Test(a));
+  EXPECT_EQ(h.MaximalCommonDescendants(a, b), (std::vector<NodeId>{i}));
+  // A child under c ends c's leaf status.
+  NodeId k = h.AddInstance(S("k"), c).value();
+  EXPECT_FALSE(h.LeafDisjoint(c, a));
+  EXPECT_TRUE(h.LeafDisjoint(k, a));
+  ExpectPredicatesMatchMcd(h);
+
+  // EliminateNode: a's child i stays under b only.
+  ASSERT_TRUE(h.EliminateNode(a).ok());
+  EXPECT_EQ(Cone(h, b), (std::vector<NodeId>{h.root(), b, i}));
+  ExpectPredicatesMatchMcd(h);
+  // Eliminating c reconnects k to the root; c's leaf k stays a leaf.
+  ASSERT_TRUE(h.EliminateNode(c).ok());
+  EXPECT_TRUE(h.LeafDisjoint(k, b));
+  EXPECT_EQ(Cone(h, k), (std::vector<NodeId>{h.root(), k}));
+  ExpectPredicatesMatchMcd(h);
+}
+
+TEST(HierarchyTest, PruningPredicatesIgnorePreferenceEdges) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  NodeId i = h.AddInstance(S("i"), a).value();
+  NodeId j = h.AddInstance(S("j"), b).value();
+  ASSERT_TRUE(h.AddPreferenceEdge(a, b).ok());
+  ASSERT_TRUE(h.BindsBelow(a, j));
+  // MCD is subsumption-only, so a preference edge creates no overlap.
+  EXPECT_TRUE(h.MaximalCommonDescendants(a, b).empty());
+  EXPECT_FALSE(h.OverlapCone(a).Test(b));
+  EXPECT_FALSE(h.OverlapCone(b).Test(a));
+  EXPECT_TRUE(h.LeafDisjoint(j, a));
+  EXPECT_TRUE(h.LeafDisjoint(i, b));
+  ExpectPredicatesMatchMcd(h);
+}
+
+TEST(HierarchyTest, PruningPredicatesMatchMcdOnRandomDags) {
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    HierarchyOptions options;
+    options.keep_redundant_edges = seed % 3 == 0;
+    Hierarchy h("x", options);
+    Random rng(seed);
+    std::vector<NodeId> classes{h.root()};
+    auto maybe_second_parent = [&](NodeId node) {
+      if (rng.Bernoulli(0.4)) {
+        // May be redundant or cyclic; both are rejected or ignored.
+        (void)h.AddEdge(classes[rng.Index(classes.size())], node);
+      }
+    };
+    for (int c = 0; c < 14; ++c) {
+      NodeId node = h.AddClass("c" + std::to_string(c),
+                               classes[rng.Index(classes.size())])
+                        .value();
+      maybe_second_parent(node);
+      classes.push_back(node);
+    }
+    for (int i = 0; i < 20; ++i) {
+      std::string name = "i" + std::to_string(i);
+      NodeId node =
+          h.AddInstance(S(name.c_str()), classes[rng.Index(classes.size())])
+              .value();
+      maybe_second_parent(node);
+    }
+    SCOPED_TRACE(seed);
+    ExpectPredicatesMatchMcd(h);
+  }
 }
 
 }  // namespace

@@ -168,6 +168,13 @@ for preset in "${presets[@]}"; do
     exit 1
   }
   rm -f "${workload_a}" "${workload_b}"
+  # More DENYs (tuples / 50 + 1 = 9) than classes (6): the generator must
+  # draw denied classes without replacement or the script repeats a tuple.
+  "${gen}" --tuples 400 --depth 2 --fanout 2 --ops 40 --seed 1 --check \
+      > /dev/null || {
+    echo "FAIL: gen_workload --check failed with more DENYs than classes" >&2
+    exit 1
+  }
 done
 
 echo "CI passed: ${presets[*]}"

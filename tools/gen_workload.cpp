@@ -22,9 +22,11 @@
 // With --check the generated script is also executed against a fresh
 // in-process database; exit 1 if any statement fails.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
@@ -128,9 +130,14 @@ int main(int argc, char** argv) {
         << leaves[Pick(rng, leaves.size())] << ";\n";
     skus.push_back(std::move(sku));
   }
-  size_t denials = config.tuples / 50 + 1;
+  // Denied classes are drawn without replacement (a partial Fisher-Yates
+  // shuffle of the class ids), so no class is denied twice.
+  size_t denials = std::min(config.tuples / 50 + 1, next_class);
+  std::vector<size_t> class_ids(next_class);
+  std::iota(class_ids.begin(), class_ids.end(), 0);
   for (size_t i = 0; i < denials; ++i) {
-    out << "DENY stock(ALL cat" << Pick(rng, next_class) << ");\n";
+    std::swap(class_ids[i], class_ids[i + Pick(rng, next_class - i)]);
+    out << "DENY stock(ALL cat" << class_ids[i] << ");\n";
   }
   // Only positive sku facts are tracked as retractable: a positive tuple
   // with no positive predecessor is never redundant, so CONSOLIDATE cannot
