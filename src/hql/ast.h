@@ -127,19 +127,21 @@ struct ShowStmt {
     kRelations,
     kRules,
     kSubsumption,  // SHOW SUBSUMPTION rel: the Fig. 6a construction
-    kMetrics,      // SHOW METRICS [JSON|PROMETHEUS]: the metrics registry
+    // The introspection SHOWs each render sys.* relations (FormatRelation,
+    // or one JSON line per relation with JSON).
+    kMetrics,      // SHOW METRICS [JSON|PROMETHEUS]: sys.metrics
     kTrace,        // SHOW TRACE [JSON]: the last query's span tree
-    kLog,          // SHOW LOG [JSON]: the in-memory event-log ring
-    kStorage,      // SHOW STORAGE: per-relation layout and byte breakdown
-    kQueries,      // SHOW QUERIES [JSON]: the query-history ring, newest first
-    kTelemetry,    // SHOW TELEMETRY [JSON]: the sampler's history rings
-    kAlerts,       // SHOW ALERTS [JSON]: every alert rule and its state
-    kHealth,       // SHOW HEALTH [JSON]: per-component verdicts
-    kWaits,        // SHOW WAITS [JSON]: wait sites grouped by class
+    kLog,          // SHOW LOG [JSON]: sys.log
+    kStorage,      // SHOW STORAGE [JSON]: sys.relations, then sys.columns
+    kQueries,      // SHOW QUERIES [JSON]: sys.queries
+    kTelemetry,    // SHOW TELEMETRY [JSON]: sys.metrics_history
+    kAlerts,       // SHOW ALERTS [JSON]: sys.alerts
+    kHealth,       // SHOW HEALTH [JSON]: sys.health
+    kWaits,        // SHOW WAITS [JSON]: sys.waits
   };
   What what = What::kRelations;
   std::string name;
-  bool json = false;        // JSON rendering, for kMetrics / kTrace / kLog
+  bool json = false;        // JSON rendering, for kTrace and the sys.* kinds
   bool prometheus = false;  // Prometheus text exposition, for kMetrics
 };
 

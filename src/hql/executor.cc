@@ -138,22 +138,41 @@ struct TraceName {
   }
 };
 
-/// Statements whose traces are worth keeping. SHOW TRACE / SHOW METRICS /
-/// SHOW LOG / RESET METRICS / EXPORT TRACE are excluded so that inspecting
-/// or exporting the last query does not overwrite its trace.
+/// The introspection SHOWs: `SHOW <what> [JSON]` renders these sys.*
+/// relations in order, exactly as SHOW RELATION would (null = no more).
+struct SysShow {
+  ShowStmt::What what;
+  const char* relations[2];
+};
+
+constexpr SysShow kSysShows[] = {
+    {ShowStmt::What::kMetrics, {"sys.metrics"}},
+    {ShowStmt::What::kLog, {"sys.log"}},
+    {ShowStmt::What::kQueries, {"sys.queries"}},
+    {ShowStmt::What::kTelemetry, {"sys.metrics_history"}},
+    {ShowStmt::What::kAlerts, {"sys.alerts"}},
+    {ShowStmt::What::kHealth, {"sys.health"}},
+    {ShowStmt::What::kWaits, {"sys.waits"}},
+    {ShowStmt::What::kStorage, {"sys.relations", "sys.columns"}},
+};
+
+const SysShow* FindSysShow(ShowStmt::What what) {
+  for (const SysShow& show : kSysShows) {
+    if (show.what == what) return &show;
+  }
+  return nullptr;
+}
+
+/// Statements whose traces are worth keeping. SHOW TRACE, the
+/// introspection SHOWs, RESET METRICS and the exports are excluded so that
+/// inspecting or exporting the last query does not overwrite its trace.
 bool TraceWorthy(const Statement& statement) {
   if (std::holds_alternative<ResetMetricsStmt>(statement)) return false;
   if (std::holds_alternative<ExportTraceStmt>(statement)) return false;
   if (std::holds_alternative<ExportDiagnosticsStmt>(statement)) return false;
   if (const auto* show = std::get_if<ShowStmt>(&statement)) {
-    return show->what != ShowStmt::What::kMetrics &&
-           show->what != ShowStmt::What::kTrace &&
-           show->what != ShowStmt::What::kLog &&
-           show->what != ShowStmt::What::kQueries &&
-           show->what != ShowStmt::What::kTelemetry &&
-           show->what != ShowStmt::What::kAlerts &&
-           show->what != ShowStmt::What::kHealth &&
-           show->what != ShowStmt::What::kWaits;
+    return show->what != ShowStmt::What::kTrace &&
+           FindSysShow(show->what) == nullptr;
   }
   return true;
 }
@@ -305,7 +324,32 @@ void Executor::InstallSystemCatalog() {
   alerts_.Configure(&db_->metrics(), &history_);
   telemetry_.SetRegistry(&db_->metrics());
   telemetry_.SetAlertManager(&alerts_);
-  obs::RegisterSystemCatalog(*db_, &history_, &telemetry_, &alerts_);
+  obs::RegisterSystemCatalog(*db_, &history_, &telemetry_, &alerts_,
+                             [this] { return SessionSettings(); });
+  // A fresh registry carries the session gauge from the start, so
+  // sys.metrics (and `ALL exec`) resolves before any SET THREADS.
+  db_->metrics().gauge("exec.threads")
+      .Set(static_cast<int64_t>(options_.threads));
+}
+
+std::vector<obs::SessionSetting> Executor::SessionSettings() const {
+  auto num = [](auto v) { return Value::Int(static_cast<int64_t>(v)); };
+  auto on_off = [](bool on) { return Value::String(on ? "on" : "off"); };
+  std::string dir = alerts_.diagnostics_dir();
+  return {
+      {"threads", num(ThreadPool::EffectiveThreads(options_.threads))},
+      {"storage", Value::String(StorageKindToString(DefaultStorageKind()))},
+      {"incremental", on_off(incremental_)},
+      {"preemption",
+       Value::String(PreemptionModeToString(options_.preemption))},
+      {"telemetry", on_off(telemetry_.running())},
+      {"telemetry_interval_ms", num(telemetry_.interval_ms())},
+      {"telemetry_ticks", num(telemetry_.ticks())},
+      {"telemetry_ring_capacity", num(telemetry_.ring_capacity())},
+      {"slow_query_ms", num(slow_query_ms_)},
+      {"diagnostics_dir", Value::String(dir.empty() ? "off" : dir)},
+      {"watchdog_query_ms", num(alerts_.watchdog().query_budget_ms)},
+  };
 }
 
 Result<std::string> Executor::ExecuteTracked(const Statement& statement) {
@@ -340,29 +384,24 @@ Result<std::string> Executor::ExecuteTracked(const Statement& statement) {
 
 Result<std::string> Executor::WriteDiagnostics(const std::string& path,
                                                const std::string& cause) {
-  // Same pre-render sync as SHOW METRICS, so the bundle's metrics section
-  // reflects live engine structures, not just the counters.
-  obs::SyncEngineGauges(*db_);
-  db_->metrics().gauge("exec.threads")
-      .Set(static_cast<int64_t>(options_.threads));
-  obs::DiagnosticsContext ctx;
-  ctx.metrics = &db_->metrics();
-  ctx.telemetry = &telemetry_;
-  ctx.history = &history_;
-  ctx.alerts = &alerts_;
-  ctx.cause = cause;
-  ctx.config = {
-      {"threads", StrCat(ThreadPool::EffectiveThreads(options_.threads))},
-      {"storage", StorageKindToString(DefaultStorageKind())},
-      {"incremental", incremental_ ? "on" : "off"},
-      {"preemption", PreemptionModeToString(options_.preemption)},
-      {"telemetry", telemetry_.running() ? "on" : "off"},
-      {"telemetry_interval_ms", StrCat(telemetry_.interval_ms())},
-      {"slow_query_ms", StrCat(slow_query_ms_)},
-      {"diagnostics_dir", alerts_.diagnostics_dir()},
-      {"watchdog_query_ms", StrCat(alerts_.watchdog().query_budget_ms)},
-  };
-  std::string json = obs::DiagnosticsJson(ctx);
+  const uint64_t now_ms = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  std::string json =
+      StrCat("{\"format\":2,\"engine\":\"hirel\",\"captured_unix_ms\":",
+             now_ms, ",\"cause\":");
+  obs::AppendJsonString(json, cause);
+  for (const std::string& name : db_->VirtualRelationNames()) {
+    VirtualRelationProvider* provider = db_->FindVirtualRelation(name);
+    if (provider == nullptr) continue;
+    HIREL_ASSIGN_OR_RETURN(HierarchicalRelation relation,
+                           provider->Materialize());
+    json += ",";
+    obs::AppendJsonString(json, name);
+    json += StrCat(":", FormatRelationJson(relation));
+  }
+  json += "}";
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     return Status::IoError(StrCat("cannot open '", path, "' for writing"));
@@ -811,24 +850,46 @@ Result<std::string> Executor::ExecuteStatementImpl(
                                     extension.size(), " rows)"));
     }
 
+    /// A stored relation, or a sys.* provider materialized afresh, as a
+    /// text table or (json) one line of JSON rows.
+    Result<std::string> ShowRelation(const std::string& name, bool json) {
+      auto render = [json](const HierarchicalRelation& r) {
+        return json ? StrCat(FormatRelationJson(r), "\n") : FormatRelation(r);
+      };
+      Result<const HierarchicalRelation*> relation =
+          std::as_const(db).GetRelation(name);
+      if (relation.ok()) return render(**relation);
+      VirtualRelationProvider* provider = db.FindVirtualRelation(name);
+      if (provider == nullptr) return relation.status();
+      HIREL_ASSIGN_OR_RETURN(HierarchicalRelation materialized,
+                             provider->Materialize());
+      return render(materialized);
+    }
+
     Result<std::string> operator()(const ShowStmt& stmt) {
+      if (stmt.prometheus) {
+        obs::SyncEngineGauges(db);
+        return obs::PrometheusText(db.metrics(),
+                                   &obs::WaitEventRegistry::Global());
+      }
+      if (const SysShow* show = FindSysShow(stmt.what)) {
+        std::string out;
+        for (const char* name : show->relations) {
+          if (name == nullptr) break;
+          HIREL_ASSIGN_OR_RETURN(std::string part,
+                                 ShowRelation(name, stmt.json));
+          out += part;
+        }
+        return out;
+      }
       switch (stmt.what) {
         case ShowStmt::What::kHierarchy: {
           HIREL_ASSIGN_OR_RETURN(const Hierarchy* h,
                                  std::as_const(db).GetHierarchy(stmt.name));
           return FormatHierarchy(*h);
         }
-        case ShowStmt::What::kRelation: {
-          Result<const HierarchicalRelation*> relation =
-              std::as_const(db).GetRelation(stmt.name);
-          if (relation.ok()) return FormatRelation(**relation);
-          VirtualRelationProvider* provider =
-              db.FindVirtualRelation(stmt.name);
-          if (provider == nullptr) return relation.status();
-          HIREL_ASSIGN_OR_RETURN(HierarchicalRelation materialized,
-                                 provider->Materialize());
-          return FormatRelation(materialized);
-        }
+        case ShowStmt::What::kRelation:
+          return ShowRelation(stmt.name, /*json=*/false);
         case ShowStmt::What::kHierarchies: {
           std::string out = "hierarchies:\n";
           for (const std::string& name : db.HierarchyNames()) {
@@ -860,257 +921,12 @@ Result<std::string> Executor::ExecuteStatementImpl(
           }
           return out;
         }
-        case ShowStmt::What::kMetrics: {
-          // Sync engine-internal stats (cache, pool, storage, process)
-          // into gauges so one rendering covers the whole engine; the
-          // sys.metrics provider runs the same sync, so both views agree.
-          obs::SyncEngineGauges(db);
-          obs::MetricsRegistry& m = db.metrics();
-          m.gauge("exec.threads")
-              .Set(static_cast<int64_t>(self.options_.threads));
-          if (stmt.json) return StrCat(m.RenderJson(), "\n");
-          if (stmt.prometheus) {
-            return obs::PrometheusText(m, &obs::WaitEventRegistry::Global());
-          }
-          return m.Render();
-        }
         case ShowStmt::What::kTrace: {
           if (stmt.json) return StrCat(self.trace_.RenderJson(), "\n");
           return self.trace_.Render();
         }
-        case ShowStmt::What::kLog: {
-          obs::Logger& logger = obs::Logger::Global();
-          std::vector<obs::LogEvent> events = logger.ring().Snapshot();
-          if (stmt.json) {
-            std::string out = "[";
-            for (size_t i = 0; i < events.size(); ++i) {
-              if (i > 0) out += ",";
-              out += events[i].ToJson();
-            }
-            out += "]\n";
-            return out;
-          }
-          if (events.empty()) {
-            return std::string("log empty (logging disabled?)\n");
-          }
-          std::string out = StrCat("log (", events.size(), " event(s)");
-          if (logger.ring().dropped() > 0) {
-            out += StrCat(", ", logger.ring().dropped(), " dropped");
-          }
-          out += "):\n";
-          for (const obs::LogEvent& event : events) {
-            out += StrCat("  ", event.ToText(), "\n");
-          }
-          return out;
-        }
-        case ShowStmt::What::kQueries: {
-          std::vector<std::shared_ptr<const obs::QueryStats>> entries =
-              self.history_.Snapshot();
-          // Newest first: the most recent statement is the one being
-          // debugged.
-          std::reverse(entries.begin(), entries.end());
-          if (stmt.json) {
-            std::string out = "[";
-            for (size_t i = 0; i < entries.size(); ++i) {
-              const obs::QueryStats& q = *entries[i];
-              if (i > 0) out += ",";
-              out += StrCat(
-                  "{\"id\":", q.id, ",\"kind\":\"", obs::JsonEscape(q.kind),
-                  "\",\"statement\":\"", obs::JsonEscape(q.statement),
-                  "\",\"ok\":", q.ok ? "true" : "false",
-                  ",\"wall_us\":", q.wall_ns / 1000,
-                  ",\"wait_us\":", q.wait_ns / 1000,
-                  ",\"rows_in\":", q.rows_in, ",\"rows_out\":", q.rows_out,
-                  ",\"probes\":", q.subsumption_probes,
-                  ",\"peak_bytes\":", q.peak_tracked_bytes,
-                  ",\"digest\":\"", obs::JsonEscape(q.plan_digest),
-                  "\",\"storage\":\"", obs::JsonEscape(q.storage),
-                  "\",\"threads\":", q.threads, "}");
-            }
-            out += "]\n";
-            return out;
-          }
-          std::string out =
-              StrCat("queries (", entries.size(), " of ",
-                     self.history_.total_recorded(), " recorded, newest first):\n");
-          for (const std::shared_ptr<const obs::QueryStats>& entry :
-               entries) {
-            const obs::QueryStats& q = *entry;
-            out += StrCat("  #", q.id, " [", q.kind, "] ",
-                          NsToMs(q.wall_ns), "ms wait=", NsToMs(q.wait_ns),
-                          "ms rows=", q.rows_in, "->",
-                          q.rows_out, " probes=", q.subsumption_probes,
-                          " peak=", q.peak_tracked_bytes, "B");
-            if (!q.plan_digest.empty()) {
-              out += StrCat(" digest=", q.plan_digest);
-            }
-            out += StrCat(" storage=", q.storage, " threads=", q.threads);
-            if (!q.ok) out += " FAILED";
-            out += StrCat("  ", q.statement, "\n");
-          }
-          return out;
-        }
-        case ShowStmt::What::kTelemetry: {
-          obs::TelemetrySampler& t = self.telemetry_;
-          std::vector<obs::TelemetrySampler::SeriesSnapshot> series =
-              t.Snapshot();
-          // Rate over the ring's visible window: value delta per second
-          // between the oldest and newest retained samples (0 with fewer
-          // than two samples). Meaningful for counters; gauges report the
-          // same delta/dt, signed.
-          auto rate_per_s = [](const obs::TelemetrySampler::SeriesSnapshot&
-                                   s) -> double {
-            if (s.samples.size() < 2) return 0.0;
-            const auto& first = s.samples.front();
-            const auto& last = s.samples.back();
-            if (last.ts_ms <= first.ts_ms) return 0.0;
-            return (static_cast<double>(static_cast<int64_t>(last.value)) -
-                    static_cast<double>(static_cast<int64_t>(first.value))) *
-                   1000.0 /
-                   static_cast<double>(last.ts_ms - first.ts_ms);
-          };
-          auto fmt = [](double v) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.3f", v);
-            return std::string(buf);
-          };
-          if (stmt.json) {
-            std::string out = StrCat(
-                "{\"on\":", t.running() ? "true" : "false",
-                ",\"interval_ms\":", t.interval_ms(),
-                ",\"ticks\":", t.ticks(),
-                ",\"ring_capacity\":", t.ring_capacity(), ",\"metrics\":{");
-            for (size_t i = 0; i < series.size(); ++i) {
-              const auto& s = series[i];
-              if (i > 0) out += ",";
-              out += StrCat("\"", obs::JsonEscape(s.name), "\":{\"kind\":\"",
-                            s.kind, "\",\"min\":", s.min, ",\"max\":", s.max,
-                            ",\"last\":", s.last,
-                            ",\"rate_per_s\":", fmt(rate_per_s(s)),
-                            ",\"samples\":[");
-              for (size_t j = 0; j < s.samples.size(); ++j) {
-                const auto& sample = s.samples[j];
-                if (j > 0) out += ",";
-                out += StrCat("[", sample.seq, ",", sample.ts_ms, ",",
-                              sample.epoch_ms, ",", sample.value, "]");
-              }
-              out += "]}";
-            }
-            out += "}}\n";
-            return out;
-          }
-          std::string out = StrCat(
-              "telemetry: ", t.running() ? "on" : "off", " (interval ",
-              t.interval_ms(), " ms, ticks ", t.ticks(), ", ring ",
-              t.ring_capacity(), "/metric)\n");
-          for (const auto& s : series) {
-            out += StrCat("  ", std::string(1, s.kind), " ", s.name,
-                          " last=", s.last, " min=", s.min, " max=", s.max,
-                          " rate=", fmt(rate_per_s(s)), "/s (",
-                          s.samples.size(), " sample(s))\n");
-          }
-          return out;
-        }
-        case ShowStmt::What::kAlerts: {
-          std::vector<obs::AlertSnapshot> alerts = self.alerts_.Snapshot();
-          if (stmt.json) return StrCat(obs::AlertsJson(alerts), "\n");
-          std::string out =
-              StrCat("alerts (", alerts.size(), " rule(s), ",
-                     self.alerts_.FiringCount(), " firing):\n");
-          for (const obs::AlertSnapshot& a : alerts) {
-            out += StrCat("  ", a.rule.name, " [",
-                          obs::AlertSeverityName(a.rule.severity), "] ",
-                          a.rule.metric, " ", obs::AlertOpText(a.rule.op),
-                          " ", a.rule.threshold);
-            if (a.rule.for_samples > 1) {
-              out += StrCat(" FOR ", a.rule.for_samples);
-            }
-            out += StrCat(": ", obs::AlertStateName(a.state));
-            if (a.has_value) out += StrCat(" value=", a.last_value);
-            out += StrCat(" fires=", a.fires);
-            if (a.rule.builtin) out += " (builtin)";
-            out += "\n";
-          }
-          return out;
-        }
-        case ShowStmt::What::kHealth: {
-          std::vector<obs::AlertSnapshot> alerts = self.alerts_.Snapshot();
-          if (stmt.json) return StrCat(obs::HealthJson(alerts), "\n");
-          std::vector<obs::ComponentHealth> health =
-              obs::DeriveHealth(alerts);
-          obs::HealthVerdict overall = obs::HealthVerdict::kOk;
-          for (const obs::ComponentHealth& c : health) {
-            if (static_cast<int>(c.verdict) > static_cast<int>(overall)) {
-              overall = c.verdict;
-            }
-          }
-          std::string out =
-              StrCat("health: ", obs::HealthVerdictName(overall), "\n");
-          for (const obs::ComponentHealth& c : health) {
-            out += StrCat("  ", c.component, ": ",
-                          obs::HealthVerdictName(c.verdict));
-            if (c.firing > 0) {
-              out += StrCat(" (", c.firing, " firing, worst ",
-                            c.worst_alert, ")");
-            }
-            out += "\n";
-          }
-          return out;
-        }
-        case ShowStmt::What::kWaits: {
-          obs::WaitEventRegistry& waits = obs::WaitEventRegistry::Global();
-          if (stmt.json) return StrCat(obs::WaitsJson(waits), "\n");
-          std::vector<obs::WaitEventRegistry::SiteSnapshot> sites =
-              waits.Snapshot();
-          auto totals = waits.PerClass();
-          std::string out = "waits:\n";
-          for (size_t cls = 0; cls < obs::kNumWaitClasses; ++cls) {
-            out += StrCat(
-                "  ",
-                obs::WaitClassName(static_cast<obs::WaitClass>(cls)), ": ",
-                totals[cls].count, " wait(s), ", totals[cls].total_ns / 1000,
-                " us\n");
-            for (const auto& site : sites) {
-              if (static_cast<size_t>(site.cls) != cls || site.count == 0) {
-                continue;
-              }
-              out += StrCat(
-                  "    ", site.name, ": ", site.count, " wait(s) total=",
-                  site.total_ns / 1000, "us max=", site.max_ns / 1000,
-                  "us p50=",
-                  obs::WaitEventRegistry::SiteQuantileNs(site, 0.50) / 1000,
-                  "us p90=",
-                  obs::WaitEventRegistry::SiteQuantileNs(site, 0.90) / 1000,
-                  "us p99=",
-                  obs::WaitEventRegistry::SiteQuantileNs(site, 0.99) / 1000,
-                  "us\n");
-            }
-          }
-          return out;
-        }
-        case ShowStmt::What::kStorage: {
-          std::string out =
-              StrCat("storage default: ",
-                     StorageKindToString(DefaultStorageKind()),
-                     " (applies to new relations)\n");
-          for (const std::string& name : db.RelationNames()) {
-            HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
-                                   std::as_const(db).GetRelation(name));
-            out += StrCat("  ", name, " [",
-                          StorageKindToString(relation->storage_kind()),
-                          "] ", relation->size(), " live, ",
-                          relation->num_chunks(), " chunk(s), ~",
-                          relation->ApproxBytes(), " bytes\n");
-            for (const StorageColumnInfo& col : relation->ColumnInfo()) {
-              out += StrCat("    ", col.name, ": ", col.bytes, " bytes");
-              if (col.dict_entries > 0) {
-                out += StrCat(" (dict ", col.dict_entries, ")");
-              }
-              out += "\n";
-            }
-          }
-          return out;
-        }
+        default:
+          break;  // the introspection SHOWs, handled above
       }
       return Status::Internal("unhandled show kind");
     }

@@ -17,6 +17,7 @@
 #include "hql/ast.h"
 #include "obs/alerts.h"
 #include "obs/query_stats.h"
+#include "obs/sys_catalog.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
@@ -85,9 +86,13 @@ class Executor {
     std::string digest;  // last plan's digest
   };
 
-  /// Registers the sys.* virtual-relation providers on db_. Called from
-  /// both constructors and again after LOAD replaces the database.
+  /// Registers the sys.* virtual-relation providers on db_ and publishes
+  /// the exec.threads gauge into its registry. Called from both
+  /// constructors and again after LOAD replaces the database.
   void InstallSystemCatalog();
+
+  /// The sys.session rows: current settings and sampler state.
+  std::vector<obs::SessionSetting> SessionSettings() const;
 
   /// Runs one statement with per-query resource accounting: times it,
   /// tracks peak kernel allocations, and appends a QueryStats record to
@@ -97,9 +102,10 @@ class Executor {
 
   Result<std::string> ExecuteStatementImpl(const Statement& statement);
 
-  /// Assembles and writes a diagnostics bundle (EXPORT DIAGNOSTICS and
-  /// alert auto-capture share it). Runs on the executor thread only: the
-  /// bundle renders registries whose accessors are not sampler-safe.
+  /// Writes a diagnostics bundle: the JSON rows of every sys.* relation
+  /// under its name, plus the capture time and cause (EXPORT DIAGNOSTICS
+  /// and alert auto-capture share it). Runs on the executor thread only:
+  /// the providers read registries whose accessors are not sampler-safe.
   Result<std::string> WriteDiagnostics(const std::string& path,
                                        const std::string& cause);
 

@@ -436,6 +436,7 @@ class Parser {
         stmt.json = AcceptKeyword("JSON");
       } else if (AcceptKeyword("STORAGE")) {
         stmt.what = ShowStmt::What::kStorage;
+        stmt.json = AcceptKeyword("JSON");
       } else if (AcceptKeyword("QUERIES")) {
         stmt.what = ShowStmt::What::kQueries;
         stmt.json = AcceptKeyword("JSON");

@@ -38,7 +38,7 @@ std::string HelpText() {
     SET STORAGE row|columnar;                    -- layout for new relations
     SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
                                                  -- consolidate, semi-naive DERIVE
-    SHOW STORAGE;                                -- per-relation layout and bytes
+    SHOW STORAGE [JSON];                         -- sys.relations + sys.columns
 
   rules (Datalog layer)
     RULE 'head(?x) :- body(?x), not other(?x).';
@@ -59,25 +59,25 @@ std::string HelpText() {
     SAVE 'path'; LOAD 'path';
     HELP;
 
-  observability
-    SHOW METRICS [JSON | PROMETHEUS];            -- engine counters/histograms
-    SHOW QUERIES [JSON];                         -- per-query history ring, newest first
+  observability (SHOW x [JSON] renders sys.x; JSON = one line of row objects)
+    SHOW METRICS [JSON | PROMETHEUS];            -- sys.metrics (or Prometheus text)
+    SHOW QUERIES [JSON];                         -- sys.queries, oldest first
     SHOW TRACE [JSON];                           -- last query's span tree
-    SHOW LOG [JSON];                             -- in-memory event log
+    SHOW LOG [JSON];                             -- sys.log
     SET LOG debug|info|warn|error|off;           -- logger minimum level
     SET SLOW_QUERY_MS n;                         -- log statements >= n ms (OFF to disable)
     SET TELEMETRY ON|OFF|INTERVAL n|TICK;        -- background metric sampler (TICK = one sample now)
-    SHOW TELEMETRY [JSON];                       -- sampled metric history rings
+    SHOW TELEMETRY [JSON];                       -- sys.metrics_history
     CREATE ALERT a ON metric > n [FOR k SAMPLES] [SEVERITY info|warn|crit];
                                                  -- rule evaluated on every telemetry tick (> < >= <= =)
     DROP ALERT a;                                -- remove a user rule (watchdog rules refuse)
-    SHOW ALERTS [JSON];                          -- every rule and its live state
-    SHOW HEALTH [JSON];                          -- per-component verdict from the firing set
-    SHOW WAITS [JSON];                           -- wait sites by class with p50/p90/p99
+    SHOW ALERTS [JSON];                          -- sys.alerts
+    SHOW HEALTH [JSON];                          -- sys.health
+    SHOW WAITS [JSON];                           -- sys.waits
     SET WATCHDOG_QUERY_MS n;                     -- slow-query watchdog budget (OFF to disable)
     SET DIAGNOSTICS_DIR 'dir';                   -- auto-capture a bundle per alert fire (OFF to disable)
-    EXPORT DIAGNOSTICS 'file.json';              -- one-shot bundle: config, metrics, waits, alerts,
-                                                 -- health, queries, telemetry, log
+    EXPORT DIAGNOSTICS 'file.json';              -- one-shot bundle: the JSON rows of every sys.*
+                                                 -- relation, plus capture time and cause
     EXPORT TRACE 'file.json';                    -- Chrome trace-event JSON (incl. wait spans)
     RESET METRICS;                               -- zero every metric and wait aggregate
 
@@ -89,14 +89,16 @@ std::string HelpText() {
     sys.columns    -- per-column byte and dictionary breakdown
     sys.cache      -- subsumption-cache entries with version stamps
     sys.pool       -- per-thread busy time
-    sys.queries    -- per-query accounting (wall, wait, rows, probes, peak bytes)
-    sys.waits      -- wait-event aggregates; site hierarchy classed by
+    sys.queries    -- per-query accounting (ok, wall, wait, rows, probes, peak bytes)
+    sys.waits      -- wait-event aggregates with p50/p90/p99; site hierarchy classed by
                    -- cpu_queue/latch/lock/io, so WHERE site = ALL latch works
     sys.metrics_history -- the telemetry sampler's rings; name shares the
                    -- sys.metrics hierarchy, so WHERE name = ALL pool works
     sys.alerts     -- alert rules + state; severity chain info>warn>crit,
                    -- so WHERE severity = ALL warn covers warn and crit
     sys.health     -- one verdict per component (pool/wal/cache/queries/telemetry)
+                   -- plus an overall row, each naming its worst firing alert
+    sys.session    -- session settings and telemetry sampler state (key, value)
 )";
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/str_util.h"
+#include "obs/json.h"
 
 namespace hirel {
 
@@ -70,6 +71,66 @@ std::string FormatTable(const std::string& title,
   return out;
 }
 
+/// One tuple rendered for display: the truth cell, then one cell per
+/// attribute, plus the payload of every Int-valued instance cell (`ints`
+/// stays empty for a row without one, so text-only relations pay nothing
+/// extra).
+struct DisplayRow {
+  std::vector<std::string> cells;
+  std::vector<const Value*> ints;  // per attribute; null = not an Int
+
+  const Value* IntAt(size_t attr) const {
+    return ints.empty() ? nullptr : ints[attr];
+  }
+};
+
+/// Display order, cell by cell: Int-valued instances compare numerically
+/// and sort before every other cell; all other cells compare as text.
+bool DisplayLess(const DisplayRow& a, const DisplayRow& b) {
+  for (size_t c = 0; c < a.cells.size(); ++c) {
+    const Value* x = c > 0 ? a.IntAt(c - 1) : nullptr;
+    const Value* y = c > 0 ? b.IntAt(c - 1) : nullptr;
+    if (x != nullptr || y != nullptr) {
+      if (x == nullptr || y == nullptr) return x != nullptr;
+      if (x->AsInt() != y->AsInt()) return x->AsInt() < y->AsInt();
+      continue;
+    }
+    int cmp = a.cells[c].compare(b.cells[c]);
+    if (cmp != 0) return cmp < 0;
+  }
+  return false;
+}
+
+/// Every tuple of `relation` rendered and sorted into display order; class
+/// values render as "ALL <name>".
+std::vector<DisplayRow> DisplayRows(const HierarchicalRelation& relation) {
+  const Schema& schema = relation.schema();
+  std::vector<DisplayRow> rows;
+  rows.reserve(relation.size());
+  for (TupleId id : relation.TupleIds()) {
+    const HTuple& t = relation.tuple(id);
+    DisplayRow row;
+    row.cells.reserve(schema.size() + 1);
+    row.cells.push_back(TruthToString(t.truth));
+    for (size_t i = 0; i < schema.size(); ++i) {
+      const Hierarchy* h = schema.hierarchy(i);
+      NodeId node = t.item[i];
+      if (h->is_class(node)) {
+        row.cells.push_back(StrCat("ALL ", h->NodeName(node)));
+        continue;
+      }
+      row.cells.push_back(h->NodeName(node));
+      const Value& value = h->InstanceValue(node);
+      if (!value.is_int()) continue;
+      if (row.ints.empty()) row.ints.resize(schema.size(), nullptr);
+      row.ints[i] = &value;
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end(), DisplayLess);
+  return rows;
+}
+
 }  // namespace
 
 std::string FormatHierarchy(const Hierarchy& hierarchy) {
@@ -115,24 +176,36 @@ std::string FormatRelation(const HierarchicalRelation& relation) {
   const Schema& schema = relation.schema();
   std::vector<std::string> header{""};
   for (size_t i = 0; i < schema.size(); ++i) header.push_back(schema.name(i));
-
-  // Order rows deterministically: by item rendering.
-  std::vector<std::vector<std::string>> rows;
-  for (TupleId id : relation.TupleIds()) {
-    const HTuple& t = relation.tuple(id);
-    std::vector<std::string> row{TruthToString(t.truth)};
-    for (size_t i = 0; i < schema.size(); ++i) {
-      const Hierarchy* h = schema.hierarchy(i);
-      row.push_back(h->is_class(t.item[i])
-                        ? StrCat("ALL ", h->NodeName(t.item[i]))
-                        : h->NodeName(t.item[i]));
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
+  std::vector<DisplayRow> rows = DisplayRows(relation);
+  std::vector<std::vector<std::string>> cells;
+  cells.reserve(rows.size());
+  for (DisplayRow& row : rows) cells.push_back(std::move(row.cells));
   return FormatTable(StrCat(relation.name(), " (", relation.size(),
                             " tuples)"),
-                     header, rows);
+                     header, cells);
+}
+
+std::string FormatRelationJson(const HierarchicalRelation& relation) {
+  const Schema& schema = relation.schema();
+  std::string out = "[";
+  bool first_row = true;
+  for (const DisplayRow& row : DisplayRows(relation)) {
+    out += first_row ? "{" : ",{";
+    first_row = false;
+    for (size_t i = 0; i < schema.size(); ++i) {
+      if (i > 0) out += ",";
+      obs::AppendJsonString(out, schema.name(i));
+      out += ":";
+      if (const Value* v = row.IntAt(i)) {
+        out += StrCat(v->AsInt());
+      } else {
+        obs::AppendJsonString(out, row.cells[i + 1]);
+      }
+    }
+    out += "}";
+  }
+  out += "]";
+  return out;
 }
 
 std::string FormatFlatRelation(const FlatRelation& relation) {

@@ -19,8 +19,17 @@ namespace hirel {
 std::string FormatHierarchy(const Hierarchy& hierarchy);
 
 /// ASCII table: a +/- truth column followed by one column per attribute;
-/// class values are rendered as "ALL <name>" (the paper's "∀C").
+/// class values are rendered as "ALL <name>" (the paper's "∀C"). Rows are
+/// sorted cell by cell: Int-valued instances numerically (before any other
+/// cell), everything else by its rendered text.
 std::string FormatRelation(const HierarchicalRelation& relation);
+
+/// The same rows as FormatRelation, in the same order, as one line of
+/// JSON: an array of objects keyed by attribute name. Int-valued instances
+/// render as JSON numbers, every other cell as its escaped text. The truth
+/// column is not rendered, so this form is meant for all-positive
+/// relations such as the sys.* catalog.
+std::string FormatRelationJson(const HierarchicalRelation& relation);
 
 /// ASCII table of a flat relation.
 std::string FormatFlatRelation(const FlatRelation& relation);

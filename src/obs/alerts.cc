@@ -156,6 +156,35 @@ const char* AlertComponent(std::string_view metric) {
   return "telemetry";
 }
 
+namespace {
+
+/// Folds the firing alerts that `counts` selects into one verdict: any
+/// firing alert degrades it, a crit one makes it critical, and the
+/// highest-severity offender is named.
+template <typename Pred>
+ComponentHealth FoldHealth(std::string component,
+                           const std::vector<AlertSnapshot>& alerts,
+                           Pred counts) {
+  ComponentHealth health;
+  health.component = std::move(component);
+  AlertSeverity worst = AlertSeverity::kInfo;
+  for (const AlertSnapshot& alert : alerts) {
+    if (alert.state != AlertState::kFiring || !counts(alert)) continue;
+    ++health.firing;
+    if (health.worst_alert.empty() || alert.rule.severity > worst) {
+      health.worst_alert = alert.rule.name;
+      worst = alert.rule.severity;
+    }
+    HealthVerdict verdict = alert.rule.severity == AlertSeverity::kCrit
+                                ? HealthVerdict::kCritical
+                                : HealthVerdict::kDegraded;
+    if (verdict > health.verdict) health.verdict = verdict;
+  }
+  return health;
+}
+
+}  // namespace
+
 std::vector<ComponentHealth> DeriveHealth(
     const std::vector<AlertSnapshot>& alerts) {
   static constexpr const char* kComponents[] = {"pool", "wal", "cache",
@@ -163,29 +192,16 @@ std::vector<ComponentHealth> DeriveHealth(
   std::vector<ComponentHealth> out;
   out.reserve(5);
   for (const char* component : kComponents) {
-    ComponentHealth health;
-    health.component = component;
-    AlertSeverity worst = AlertSeverity::kInfo;
-    for (const AlertSnapshot& alert : alerts) {
-      if (alert.state != AlertState::kFiring) continue;
-      if (std::string_view(AlertComponent(alert.rule.metric)) != component) {
-        continue;
-      }
-      ++health.firing;
-      // Any firing alert degrades its component; a crit one makes it
-      // critical. The worst offender's name is surfaced for SHOW HEALTH.
-      if (health.worst_alert.empty() || alert.rule.severity > worst) {
-        health.worst_alert = alert.rule.name;
-        worst = alert.rule.severity;
-      }
-      HealthVerdict verdict = alert.rule.severity == AlertSeverity::kCrit
-                                  ? HealthVerdict::kCritical
-                                  : HealthVerdict::kDegraded;
-      if (verdict > health.verdict) health.verdict = verdict;
-    }
-    out.push_back(std::move(health));
+    out.push_back(FoldHealth(component, alerts, [&](const AlertSnapshot& a) {
+      return std::string_view(AlertComponent(a.rule.metric)) == component;
+    }));
   }
   return out;
+}
+
+ComponentHealth OverallHealth(const std::vector<AlertSnapshot>& alerts) {
+  return FoldHealth("overall", alerts,
+                    [](const AlertSnapshot&) { return true; });
 }
 
 AlertManager::AlertManager() {

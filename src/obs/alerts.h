@@ -119,6 +119,10 @@ const char* AlertComponent(std::string_view metric);
 std::vector<ComponentHealth> DeriveHealth(
     const std::vector<AlertSnapshot>& alerts);
 
+/// The engine-wide verdict: component "overall", folded the same way over
+/// every firing alert.
+ComponentHealth OverallHealth(const std::vector<AlertSnapshot>& alerts);
+
 /// Rule storage + tick-driven evaluation. All public methods are
 /// thread-safe; OnTick is called by the TelemetrySampler (from whatever
 /// thread ticks it), everything else by the executor.

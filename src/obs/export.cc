@@ -1,14 +1,10 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "common/str_util.h"
 #include "obs/json.h"
-#include "obs/log.h"
-#include "obs/query_stats.h"
-#include "obs/telemetry.h"
 
 namespace hirel {
 namespace obs {
@@ -285,187 +281,6 @@ std::string PrometheusText(const MetricsRegistry& metrics,
                     "\n");
     }
   }
-  return out;
-}
-
-std::string AlertsJson(const std::vector<AlertSnapshot>& alerts) {
-  std::string out = "{\"alerts\":[";
-  bool first = true;
-  for (const AlertSnapshot& a : alerts) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"alert\":";
-    AppendJsonString(out, a.rule.name);
-    out += ",\"metric\":";
-    AppendJsonString(out, a.rule.metric);
-    out += StrCat(",\"op\":\"", AlertOpText(a.rule.op),
-                  "\",\"threshold\":", a.rule.threshold,
-                  ",\"for_samples\":", a.rule.for_samples, ",\"severity\":\"",
-                  AlertSeverityName(a.rule.severity), "\",\"builtin\":",
-                  a.rule.builtin ? "true" : "false", ",\"state\":\"",
-                  AlertStateName(a.state), "\"");
-    if (a.has_value) out += StrCat(",\"value\":", a.last_value);
-    out += StrCat(",\"consecutive\":", a.consecutive, ",\"fires\":", a.fires);
-    if (a.fires > 0) {
-      out += StrCat(",\"fired_seq\":", a.fired_seq,
-                    ",\"fired_epoch_ms\":", a.fired_epoch_ms);
-    }
-    if (a.resolved_seq > 0) {
-      out += StrCat(",\"resolved_seq\":", a.resolved_seq);
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string HealthJson(const std::vector<AlertSnapshot>& alerts) {
-  const std::vector<ComponentHealth> health = DeriveHealth(alerts);
-  HealthVerdict overall = HealthVerdict::kOk;
-  for (const ComponentHealth& c : health) {
-    if (c.verdict > overall) overall = c.verdict;
-  }
-  std::string out =
-      StrCat("{\"verdict\":\"", HealthVerdictName(overall),
-             "\",\"components\":[");
-  bool first = true;
-  for (const ComponentHealth& c : health) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"component\":";
-    AppendJsonString(out, c.component);
-    out += StrCat(",\"verdict\":\"", HealthVerdictName(c.verdict),
-                  "\",\"firing\":", c.firing);
-    if (!c.worst_alert.empty()) {
-      out += ",\"worst_alert\":";
-      AppendJsonString(out, c.worst_alert);
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string WaitsJson(const WaitEventRegistry& waits) {
-  const std::vector<WaitEventRegistry::SiteSnapshot> sites =
-      waits.Snapshot();
-  const auto per_class = waits.PerClass();
-  std::string out = "{\"classes\":[";
-  for (size_t i = 0; i < kNumWaitClasses; ++i) {
-    const WaitClass cls = static_cast<WaitClass>(i);
-    if (i > 0) out += ",";
-    out += StrCat("{\"class\":\"", WaitClassName(cls),
-                  "\",\"waits\":", per_class[i].count,
-                  ",\"total_us\":", per_class[i].total_ns / 1000,
-                  ",\"sites\":[");
-    bool first = true;
-    for (const auto& site : sites) {
-      if (site.cls != cls || site.count == 0) continue;
-      if (!first) out += ",";
-      first = false;
-      out += "{\"site\":";
-      AppendJsonString(out, site.name);
-      out += StrCat(",\"waits\":", site.count,
-                    ",\"total_us\":", site.total_ns / 1000,
-                    ",\"max_us\":", site.max_ns / 1000, ",\"p50_us\":",
-                    WaitEventRegistry::SiteQuantileNs(site, 0.5) / 1000,
-                    ",\"p90_us\":",
-                    WaitEventRegistry::SiteQuantileNs(site, 0.9) / 1000,
-                    ",\"p99_us\":",
-                    WaitEventRegistry::SiteQuantileNs(site, 0.99) / 1000,
-                    "}");
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::string DiagnosticsJson(const DiagnosticsContext& ctx) {
-  const uint64_t now_ms = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  std::string out =
-      StrCat("{\"format\":1,\"engine\":\"hirel\",\"captured_unix_ms\":",
-             now_ms, ",\"cause\":");
-  AppendJsonString(out, ctx.cause);
-
-  out += ",\"config\":{";
-  bool first = true;
-  for (const auto& [key, value] : ctx.config) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(out, key);
-    out += ":";
-    AppendJsonString(out, value);
-  }
-  out += "}";
-
-  if (ctx.alerts != nullptr) {
-    const std::vector<AlertSnapshot> alerts = ctx.alerts->Snapshot();
-    out += StrCat(",\"alerts\":", AlertsJson(alerts),
-                  ",\"health\":", HealthJson(alerts));
-  }
-
-  if (ctx.metrics != nullptr) {
-    out += StrCat(",\"metrics\":", ctx.metrics->RenderJson());
-  }
-
-  out += StrCat(",\"waits\":", WaitsJson(WaitEventRegistry::Global()));
-
-  if (ctx.history != nullptr) {
-    out += ",\"queries\":[";
-    first = true;
-    for (const auto& stats : ctx.history->Snapshot()) {
-      if (stats == nullptr) continue;
-      if (!first) out += ",";
-      first = false;
-      out += StrCat("{\"id\":", stats->id, ",\"kind\":");
-      AppendJsonString(out, stats->kind);
-      out += ",\"statement\":";
-      AppendJsonString(out, stats->statement);
-      out += StrCat(",\"ok\":", stats->ok ? "true" : "false",
-                    ",\"wall_us\":", stats->wall_ns / 1000,
-                    ",\"wait_us\":", stats->wait_ns / 1000,
-                    ",\"rows_in\":", stats->rows_in,
-                    ",\"rows_out\":", stats->rows_out, "}");
-    }
-    out += "]";
-  }
-
-  if (ctx.telemetry != nullptr) {
-    out += StrCat(",\"telemetry\":{\"ticks\":", ctx.telemetry->ticks(),
-                  ",\"ring_capacity\":", ctx.telemetry->ring_capacity(),
-                  ",\"series\":[");
-    first = true;
-    for (const auto& series : ctx.telemetry->Snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"name\":";
-      AppendJsonString(out, series.name);
-      out += StrCat(",\"kind\":\"", series.kind, "\",\"min\":", series.min,
-                    ",\"max\":", series.max, ",\"last\":", series.last,
-                    ",\"samples\":[");
-      for (size_t i = 0; i < series.samples.size(); ++i) {
-        const TelemetrySampler::Sample& s = series.samples[i];
-        if (i > 0) out += ",";
-        out += StrCat("[", s.seq, ",", s.ts_ms, ",", s.epoch_ms, ",",
-                      s.value, "]");
-      }
-      out += "]}";
-    }
-    out += "]}";
-  }
-
-  out += ",\"log\":[";
-  first = true;
-  for (const LogEvent& event : Logger::Global().ring().Snapshot()) {
-    if (!first) out += ",";
-    first = false;
-    out += event.ToJson();
-  }
-  out += "]}";
   return out;
 }
 

@@ -11,29 +11,24 @@
 //    cumulative histogram buckets with `le` labels; with a wait registry
 //    it also emits one `hirel_wait_site_ns` histogram series per site,
 //    labelled {site, class}.
-//  * DiagnosticsJson assembles the one-shot postmortem bundle behind
-//    EXPORT DIAGNOSTICS: config, metrics with percentiles, wait sites,
-//    alerts + health, query history, telemetry rings, and the recent log
-//    ring in a single self-describing JSON document.
+//
+// Everything else the engine knows about itself is a sys.* relation
+// (obs/sys_catalog.h) and renders through FormatRelation /
+// FormatRelationJson (io/text_dump.h).
 
 #ifndef HIREL_OBS_EXPORT_H_
 #define HIREL_OBS_EXPORT_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "obs/alerts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
 
 namespace hirel {
 namespace obs {
-
-class QueryHistoryRing;
-class TelemetrySampler;
 
 /// Chrome trace-event JSON for `trace`, the pool chunk spans, and the
 /// wait spans captured while it ran. Span start offsets come from
@@ -56,30 +51,6 @@ std::string ChromeTraceJson(
 /// `_sum` and `_count`.
 std::string PrometheusText(const MetricsRegistry& metrics,
                            const WaitEventRegistry* waits = nullptr);
-
-/// JSON renderers shared by the SHOW ... JSON statements and the
-/// diagnostics bundle, so both read identically.
-std::string AlertsJson(const std::vector<AlertSnapshot>& alerts);
-std::string HealthJson(const std::vector<AlertSnapshot>& alerts);
-std::string WaitsJson(const WaitEventRegistry& waits);
-
-/// Inputs for one diagnostics bundle. Null members render as empty
-/// sections, so the bundle degrades gracefully rather than failing.
-/// Must be assembled and rendered on the executor thread: the metrics
-/// map accessors it uses are registering-thread only.
-struct DiagnosticsContext {
-  const MetricsRegistry* metrics = nullptr;
-  const TelemetrySampler* telemetry = nullptr;
-  const QueryHistoryRing* history = nullptr;
-  const AlertManager* alerts = nullptr;
-  /// Session configuration (threads, storage, telemetry state, ...).
-  std::vector<std::pair<std::string, std::string>> config;
-  /// What prompted the capture: "statement" or "alert:<name>".
-  std::string cause = "statement";
-};
-
-/// The self-describing postmortem bundle behind EXPORT DIAGNOSTICS.
-std::string DiagnosticsJson(const DiagnosticsContext& ctx);
 
 }  // namespace obs
 }  // namespace hirel

@@ -1,6 +1,6 @@
 // Shared JSON string escaping for every machine-readable emitter in the
-// engine: SHOW METRICS JSON, SHOW TRACE JSON, SHOW LOG JSON, and the
-// Chrome trace exporter. One definition keeps the escaping rules (and
+// engine: FormatRelationJson (every sys.* SHOW ... JSON and the
+// diagnostics bundle), SHOW TRACE JSON, and the Chrome trace exporter. One definition keeps the escaping rules (and
 // their bugs) in one place — relation and metric names are identifiers in
 // practice, but the emitters must stay well-formed for arbitrary input.
 

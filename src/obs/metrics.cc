@@ -12,7 +12,6 @@
 #endif
 
 #include "common/str_util.h"
-#include "obs/json.h"
 
 namespace hirel {
 namespace obs {
@@ -83,13 +82,6 @@ uint64_t Histogram::QuantileNs(double q) const {
   return max_ns();
 }
 
-std::string Histogram::Summary() const {
-  uint64_t n = count();
-  uint64_t mean = n > 0 ? sum_ns() / n : 0;
-  return StrCat("count=", n, " mean_ns=", mean, " p50_ns=", QuantileNs(0.5),
-                " p99_ns=", QuantileNs(0.99), " max_ns=", max_ns());
-}
-
 template <typename T>
 T& MetricsRegistry::FindOrCreate(
     std::map<std::string, std::unique_ptr<T>, std::less<>>& map,
@@ -125,56 +117,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
-}
-
-std::string MetricsRegistry::Render() const {
-  std::string out = "metrics:\n";
-  for (const auto& [name, c] : counters_) {
-    out += StrCat("  counter   ", name, " = ", c->value(), "\n");
-  }
-  for (const auto& [name, g] : gauges_) {
-    out += StrCat("  gauge     ", name, " = ", g->value(), "\n");
-  }
-  for (const auto& [name, h] : histograms_) {
-    out += StrCat("  histogram ", name, ": ", h->Summary(), "\n");
-  }
-  if (size() == 0) out += "  (none)\n";
-  return out;
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += StrCat("\"", JsonEscape(name), "\":", c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += StrCat("\"", JsonEscape(name), "\":", g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    out += StrCat("\"", JsonEscape(name), "\":{\"count\":", h->count(),
-                  ",\"sum_ns\":", h->sum_ns(), ",\"max_ns\":", h->max_ns(),
-                  ",\"p50_ns\":", h->QuantileNs(0.5),
-                  ",\"p90_ns\":", h->QuantileNs(0.9),
-                  ",\"p99_ns\":", h->QuantileNs(0.99), ",\"buckets\":[");
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (i > 0) out += ",";
-      out += StrCat(h->bucket(i));
-    }
-    out += "]}";
-  }
-  out += "}}";
-  return out;
 }
 
 void MetricsRegistry::VisitForSample(

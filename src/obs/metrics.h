@@ -17,12 +17,13 @@
 // and reads may race freely across threads (the TelemetrySampler thread
 // reads while kernels write). The *map structure* is guarded by a
 // shared_mutex: registration takes the unique lock, VisitForSample takes
-// the shared lock. Iteration through the raw map accessors (Render,
-// exporters, sys.metrics) is only safe from the thread that registers
-// metrics — in this engine that is the session/executor thread.
+// the shared lock. Iteration through the raw map accessors (exporters,
+// sys.metrics) is only safe from the thread that registers metrics — in
+// this engine that is the session/executor thread.
 //
-// The registry renders as aligned text for SHOW METRICS and as a single
-// JSON object for SHOW METRICS JSON, so tools/ scripts can scrape it.
+// The registry does not render itself: SHOW METRICS [JSON] renders the
+// sys.metrics relation built from it, and SHOW METRICS PROMETHEUS the
+// exposition in obs/export.h.
 
 #ifndef HIREL_OBS_METRICS_H_
 #define HIREL_OBS_METRICS_H_
@@ -116,9 +117,6 @@ class Histogram {
 
   void Reset();
 
-  /// "count=3 mean_ns=120 p50_ns=110 p99_ns=300 max_ns=300".
-  std::string Summary() const;
-
  private:
   friend class MetricsRegistry;
   explicit Histogram(const bool* enabled) : enabled_(enabled) {}
@@ -172,13 +170,6 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Aligned "kind name = value" lines, sorted by name within kind.
-  std::string Render() const;
-
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  /// Histogram objects include p50_ns/p90_ns/p99_ns estimates.
-  std::string RenderJson() const;
-
   /// Visits every metric as one sampled value — counters ('c') and gauges
   /// ('g') report their value, histograms ('h') their sample count — in
   /// name order under the structure's shared lock. This is the only map
@@ -226,8 +217,8 @@ class MetricsRegistry {
 /// Refreshes the process-level liveness gauges on `registry`:
 /// `process.uptime_ms` (monotonic, since process start) always, and
 /// `process.rss_bytes` where the platform exposes it (/proc/self/statm).
-/// Called by SHOW METRICS and the sys.metrics provider so scrapes and
-/// queries both see current values.
+/// Called through SyncEngineGauges on every sys.metrics scan and SHOW
+/// METRICS PROMETHEUS, so scrapes and queries both see current values.
 void UpdateProcessGauges(MetricsRegistry& registry);
 
 /// Metric-description registry backing the Prometheus exporter's `# HELP`

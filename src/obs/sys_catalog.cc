@@ -443,6 +443,9 @@ class SysQueriesProvider : public SysProviderBase {
 
  protected:
   void RefreshDomains() override {
+    // Both `ok` labels resolve in WHERE terms before any statement fails.
+    Label("true");
+    Label("false");
     if (history_ == nullptr) return;
     for (const auto& q : history_->Snapshot()) RowFor(*q);
   }
@@ -454,6 +457,7 @@ class SysQueriesProvider : public SysProviderBase {
     return Item{Num(q.id),
                 Label(q.kind),
                 Text(q.statement),
+                Label(q.ok ? "true" : "false"),
                 Num(wall_us),
                 Num(q.wait_ns / 1000),
                 Num(q.rows_in),
@@ -482,10 +486,7 @@ class SysWaitsProvider : public SysProviderBase {
     HierarchicalRelation rel = NewRelation();
     for (const auto& site : WaitEventRegistry::Global().Snapshot()) {
       if (site.count == 0) continue;  // never-hit sites stay invisible
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{InternWaitSite(*domains_.waitsite, site.cls, site.name),
-                    Label(WaitClassName(site.cls)), Num(site.count),
-                    Num(site.total_ns / 1000), Num(site.max_ns / 1000)}));
+      HIREL_RETURN_IF_ERROR(AddRow(rel, RowFor(site)));
     }
     return rel;
   }
@@ -493,13 +494,23 @@ class SysWaitsProvider : public SysProviderBase {
  protected:
   void RefreshDomains() override {
     for (const auto& site : WaitEventRegistry::Global().Snapshot()) {
-      if (site.count == 0) continue;
-      InternWaitSite(*domains_.waitsite, site.cls, site.name);
-      Label(WaitClassName(site.cls));
-      Num(site.count);
-      Num(site.total_ns / 1000);
-      Num(site.max_ns / 1000);
+      if (site.count > 0) RowFor(site);
     }
+  }
+
+ private:
+  Item RowFor(const WaitEventRegistry::SiteSnapshot& site) {
+    auto quantile_us = [&](double q) {
+      return Num(WaitEventRegistry::SiteQuantileNs(site, q) / 1000);
+    };
+    return Item{InternWaitSite(*domains_.waitsite, site.cls, site.name),
+                Label(WaitClassName(site.cls)),
+                Num(site.count),
+                Num(site.total_ns / 1000),
+                Num(site.max_ns / 1000),
+                quantile_us(0.5),
+                quantile_us(0.9),
+                quantile_us(0.99)};
   }
 };
 
@@ -571,13 +582,7 @@ class SysAlertsProvider : public SysProviderBase {
     HierarchicalRelation rel = NewRelation();
     if (alerts_ == nullptr) return rel;
     for (const AlertSnapshot& a : alerts_->Snapshot()) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel,
-          Item{Label(a.rule.name), Severity(a.rule.severity),
-               Label(AlertStateName(a.state)),
-               InternMetricName(*domains_.metric, a.rule.metric),
-               Num(static_cast<uint64_t>(a.last_value)),
-               Num(static_cast<uint64_t>(a.rule.threshold)), Num(a.fires)}));
+      HIREL_RETURN_IF_ERROR(AddRow(rel, RowFor(a)));
     }
     return rel;
   }
@@ -585,14 +590,7 @@ class SysAlertsProvider : public SysProviderBase {
  protected:
   void RefreshDomains() override {
     if (alerts_ == nullptr) return;
-    for (const AlertSnapshot& a : alerts_->Snapshot()) {
-      Label(a.rule.name);
-      Label(AlertStateName(a.state));
-      InternMetricName(*domains_.metric, a.rule.metric);
-      Num(static_cast<uint64_t>(a.last_value));
-      Num(static_cast<uint64_t>(a.rule.threshold));
-      Num(a.fires);
-    }
+    for (const AlertSnapshot& a : alerts_->Snapshot()) RowFor(a);
     // Severity instances were added at registration; state labels that
     // have not occurred yet still need to resolve in WHERE terms.
     for (AlertState s : {AlertState::kOk, AlertState::kPending,
@@ -602,9 +600,18 @@ class SysAlertsProvider : public SysProviderBase {
   }
 
  private:
-  NodeId Severity(AlertSeverity severity) {
-    return domains_.alertsev->Intern(
-        Value::String(AlertSeverityName(severity)));
+  Item RowFor(const AlertSnapshot& a) {
+    return Item{Label(a.rule.name),
+                domains_.alertsev->Intern(
+                    Value::String(AlertSeverityName(a.rule.severity))),
+                Label(AlertStateName(a.state)),
+                InternMetricName(*domains_.metric, a.rule.metric),
+                Num(static_cast<uint64_t>(a.last_value)),
+                Label(AlertOpText(a.rule.op)),
+                Num(static_cast<uint64_t>(a.rule.threshold)),
+                Num(a.rule.for_samples),
+                Num(a.fires),
+                Label(a.rule.builtin ? "true" : "false")};
   }
 
   const AlertManager* alerts_;
@@ -619,27 +626,19 @@ class SysHealthProvider : public SysProviderBase {
       : SysProviderBase(std::move(name), std::move(schema), domains),
         alerts_(alerts) {}
 
-  size_t EstimatedRows() override { return 5; }
+  size_t EstimatedRows() override { return 6; }
 
   Result<HierarchicalRelation> Materialize() override {
     HierarchicalRelation rel = NewRelation();
-    if (alerts_ == nullptr) return rel;
-    for (const ComponentHealth& c : DeriveHealth(alerts_->Snapshot())) {
-      HIREL_RETURN_IF_ERROR(
-          AddRow(rel, Item{Label(c.component),
-                           Label(HealthVerdictName(c.verdict)),
-                           Num(c.firing)}));
+    for (const ComponentHealth& c : Verdicts()) {
+      HIREL_RETURN_IF_ERROR(AddRow(rel, RowFor(c)));
     }
     return rel;
   }
 
  protected:
   void RefreshDomains() override {
-    if (alerts_ == nullptr) return;
-    for (const ComponentHealth& c : DeriveHealth(alerts_->Snapshot())) {
-      Label(c.component);
-      Num(c.firing);
-    }
+    for (const ComponentHealth& c : Verdicts()) RowFor(c);
     for (HealthVerdict v : {HealthVerdict::kOk, HealthVerdict::kDegraded,
                             HealthVerdict::kCritical}) {
       Label(HealthVerdictName(v));
@@ -647,7 +646,56 @@ class SysHealthProvider : public SysProviderBase {
   }
 
  private:
+  /// One verdict per component, then the engine-wide "overall" row.
+  std::vector<ComponentHealth> Verdicts() const {
+    if (alerts_ == nullptr) return {};
+    const std::vector<AlertSnapshot> alerts = alerts_->Snapshot();
+    std::vector<ComponentHealth> out = DeriveHealth(alerts);
+    out.push_back(OverallHealth(alerts));
+    return out;
+  }
+
+  Item RowFor(const ComponentHealth& c) {
+    return Item{Label(c.component), Label(HealthVerdictName(c.verdict)),
+                Num(c.firing),
+                Label(c.worst_alert.empty() ? "-" : c.worst_alert)};
+  }
+
   const AlertManager* alerts_;
+};
+
+// ----- sys.session ----------------------------------------------------------
+
+class SysSessionProvider : public SysProviderBase {
+ public:
+  SysSessionProvider(std::string name, Schema schema, SysDomains domains,
+                     SessionSettingsFn settings)
+      : SysProviderBase(std::move(name), std::move(schema), domains),
+        settings_(std::move(settings)) {}
+
+  size_t EstimatedRows() override { return settings_ ? settings_().size() : 0; }
+
+  Result<HierarchicalRelation> Materialize() override {
+    HierarchicalRelation rel = NewRelation();
+    if (!settings_) return rel;
+    for (const SessionSetting& s : settings_()) {
+      HIREL_RETURN_IF_ERROR(AddRow(rel, RowFor(s)));
+    }
+    return rel;
+  }
+
+ protected:
+  void RefreshDomains() override {
+    if (!settings_) return;
+    for (const SessionSetting& s : settings_()) RowFor(s);
+  }
+
+ private:
+  Item RowFor(const SessionSetting& s) {
+    return Item{Label(s.key), domains_.text->Intern(s.value)};
+  }
+
+  SessionSettingsFn settings_;
 };
 
 Schema MakeSchema(
@@ -665,7 +713,8 @@ Schema MakeSchema(
 
 void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                            const TelemetrySampler* telemetry,
-                           const AlertManager* alerts) {
+                           const AlertManager* alerts,
+                           SessionSettingsFn session) {
   SysDomains domains;
   domains.label = db.AddSysHierarchy("sys.label");
   domains.metric = db.AddSysHierarchy("sys.metric");
@@ -750,6 +799,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
       MakeSchema({{"id", domains.num},
                   {"kind", domains.label},
                   {"statement", domains.text},
+                  {"ok", domains.label},
                   {"wall_us", domains.num},
                   {"wait_us", domains.num},
                   {"rows_in", domains.num},
@@ -766,7 +816,10 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                   {"wait_class", domains.label},
                   {"waits", domains.num},
                   {"total_us", domains.num},
-                  {"max_us", domains.num}}),
+                  {"max_us", domains.num},
+                  {"p50_us", domains.num},
+                  {"p90_us", domains.num},
+                  {"p99_us", domains.num}}),
       domains));
   (void)db.RegisterVirtualRelation(
       std::make_unique<SysMetricsHistoryProvider>(
@@ -784,15 +837,23 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                   {"state", domains.label},
                   {"metric", domains.metric},
                   {"value", domains.num},
+                  {"op", domains.label},
                   {"threshold", domains.num},
-                  {"fires", domains.num}}),
+                  {"for_samples", domains.num},
+                  {"fires", domains.num},
+                  {"builtin", domains.label}}),
       domains, alerts));
   (void)db.RegisterVirtualRelation(std::make_unique<SysHealthProvider>(
       "sys.health",
       MakeSchema({{"component", domains.label},
                   {"verdict", domains.label},
-                  {"firing", domains.num}}),
+                  {"firing", domains.num},
+                  {"worst_alert", domains.label}}),
       domains, alerts));
+  (void)db.RegisterVirtualRelation(std::make_unique<SysSessionProvider>(
+      "sys.session",
+      MakeSchema({{"key", domains.label}, {"value", domains.text}}),
+      domains, std::move(session)));
 }
 
 void SyncEngineGauges(const Database& db) {

@@ -1,6 +1,10 @@
 // The sys.* system catalog: the engine's observability data exposed as
 // virtual hierarchical relations, queryable with the same SELECT /
-// PROJECT / JOIN / subsumption machinery as user data.
+// PROJECT / JOIN / subsumption machinery as user data. The providers are
+// the only source of introspection data: SHOW METRICS / LOG / QUERIES /
+// TELEMETRY / ALERTS / HEALTH / WAITS / STORAGE render these relations
+// (FormatRelation, or FormatRelationJson for JSON), and EXPORT
+// DIAGNOSTICS writes the JSON of every one of them.
 //
 // Relations (all read-only, materialized on scan):
 //
@@ -22,27 +26,35 @@
 //                  entries with their version stamps.
 //   sys.pool       (thread, busy_ms)   per-thread busy time of the shared
 //                  worker pool ("caller", "worker0", ...).
-//   sys.queries    (id, kind, statement, wall_us, wait_us, rows_in,
+//   sys.queries    (id, kind, statement, ok, wall_us, wait_us, rows_in,
 //                  rows_out, probes, peak_bytes, digest, storage, threads)
-//                  the executor's bounded query-history ring; wait_us is
-//                  the attributed wait share of wall_us.
-//   sys.waits      (site, wait_class, waits, total_us, max_us)   wait-event
-//                  aggregates; sites live in a hierarchy whose classes are
-//                  the wait classes (cpu_queue, latch, lock, io), so
+//                  the executor's bounded query-history ring; ok is
+//                  "false" for a failed statement, wait_us the attributed
+//                  wait share of wall_us.
+//   sys.waits      (site, wait_class, waits, total_us, max_us, p50_us,
+//                  p90_us, p99_us)   wait-event aggregates with histogram
+//                  percentiles; sites live in a hierarchy whose classes
+//                  are the wait classes (cpu_queue, latch, lock, io), so
 //                  `WHERE site = ALL latch` selects every latch site.
 //   sys.metrics_history  (name, seq, ts_ms, epoch_ms, value)   the
 //                  TelemetrySampler rings (SET TELEMETRY ON); `name`
 //                  shares the sys.metrics dotted-name hierarchy, so
 //                  `WHERE name = ALL pool` selects a subtree's history by
 //                  subsumption; epoch_ms is the wall clock of the sample.
-//   sys.alerts     (alert, severity, state, metric, value, threshold,
-//                  fires)   every alert rule (user + built-in watchdog)
-//                  with its live state; severities form the chain info ⊃
-//                  warn ⊃ crit, so `WHERE severity = ALL warn` selects
-//                  warn and crit alerts by subsumption.
-//   sys.health     (component, verdict, firing)   one verdict per engine
-//                  component (pool, wal, cache, queries, telemetry)
-//                  derived from the firing alerts.
+//   sys.alerts     (alert, severity, state, metric, value, op, threshold,
+//                  for_samples, fires, builtin)   every alert rule (user +
+//                  built-in watchdog, builtin = "true") with its live
+//                  state; severities form the chain info ⊃ warn ⊃ crit, so
+//                  `WHERE severity = ALL warn` selects warn and crit
+//                  alerts by subsumption.
+//   sys.health     (component, verdict, firing, worst_alert)   one verdict
+//                  per engine component (pool, wal, cache, queries,
+//                  telemetry) derived from the firing alerts, plus an
+//                  "overall" row folding every firing alert.
+//   sys.session    (key, value)   the session settings (threads, storage,
+//                  preemption, telemetry, slow_query_ms, ...) and sampler
+//                  state (telemetry_ticks, telemetry_ring_capacity);
+//                  numeric settings are Int values.
 //
 // Backing hierarchies are hidden system hierarchies (Database::
 // AddSysHierarchy): shared across providers per semantic domain, so
@@ -54,6 +66,10 @@
 #ifndef HIREL_OBS_SYS_CATALOG_H_
 #define HIREL_OBS_SYS_CATALOG_H_
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "catalog/database.h"
 #include "obs/alerts.h"
 #include "obs/query_stats.h"
@@ -62,20 +78,31 @@
 namespace hirel {
 namespace obs {
 
+/// One sys.session row: a setting's name and its current value (an Int
+/// for numeric settings, a String otherwise).
+struct SessionSetting {
+  std::string key;
+  Value value;
+};
+
+/// Produces the current sys.session rows; called on every scan.
+using SessionSettingsFn = std::function<std::vector<SessionSetting>()>;
+
 /// Registers every sys.* provider on `db`. `history` is the executor's
 /// query-history ring behind sys.queries, `telemetry` its sampler behind
-/// sys.metrics_history, and `alerts` its alert manager behind sys.alerts
-/// and sys.health (null renders any of them empty); all must outlive the
-/// database's providers. Call again after replacing the database (LOAD).
+/// sys.metrics_history, `alerts` its alert manager behind sys.alerts and
+/// sys.health, and `session` the settings behind sys.session (null renders
+/// any of them empty); all must outlive the database's providers. Call
+/// again after replacing the database (LOAD).
 void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                            const TelemetrySampler* telemetry = nullptr,
-                           const AlertManager* alerts = nullptr);
+                           const AlertManager* alerts = nullptr,
+                           SessionSettingsFn session = nullptr);
 
 /// Refreshes the engine gauges derived from live structures — subsumption
 /// cache stats, thread-pool state, per-storage-kind relation/byte totals,
-/// and the process gauges — so one rendering (SHOW METRICS) or scan
-/// (sys.metrics) reflects current state. The executor adds its own
-/// session gauges (exec.threads) on top.
+/// and the process gauges — so a sys.metrics scan (and SHOW METRICS
+/// PROMETHEUS) reflects current state.
 void SyncEngineGauges(const Database& db);
 
 }  // namespace obs

@@ -86,15 +86,9 @@ void TelemetrySampler::Tick() {
       auto it = series_.find(name);
       if (it == series_.end()) {
         it = series_.emplace(std::string(name), Series{}).first;
-        it->second.kind = kind;
-        it->second.min = value;
-        it->second.max = value;
       }
       Series& s = it->second;
       s.kind = kind;
-      if (value < s.min || s.total_samples == 0) s.min = value;
-      if (value > s.max || s.total_samples == 0) s.max = value;
-      s.last = value;
       ++s.total_samples;
       s.ring.push_back(Sample{seq, now_ms, epoch_ms, value});
       while (s.ring.size() > capacity_) s.ring.pop_front();
@@ -116,9 +110,6 @@ std::vector<TelemetrySampler::SeriesSnapshot> TelemetrySampler::Snapshot()
     SeriesSnapshot snap;
     snap.name = name;
     snap.kind = s.kind;
-    snap.min = s.min;
-    snap.max = s.max;
-    snap.last = s.last;
     snap.total_samples = s.total_samples;
     snap.samples.assign(s.ring.begin(), s.ring.end());
     out.push_back(std::move(snap));

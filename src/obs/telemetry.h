@@ -6,18 +6,16 @@
 // registry under its shared structure lock (values are relaxed atomics)
 // and appends one Sample per metric — counters and gauges record their
 // value, histograms their sample count — to a bounded ring (oldest
-// evicted) plus running min/max/last.
+// evicted).
 //
 // Tests call Tick() directly for a deterministic no-sleep manual mode;
 // the thread body is exactly a timed loop around Tick().
 //
-// Exposure: SHOW TELEMETRY [JSON] renders per-metric min/max/last and an
-// observed rate over the ring window; the sys.metrics_history virtual
-// relation explodes the rings into (name, seq, ts_ms, epoch_ms, value)
-// rows with
-// `name` interned into the dotted metric-name hierarchy, so
-// `WHERE name = ALL pool` selects a whole subtree's history by
-// subsumption.
+// Exposure: the sys.metrics_history virtual relation (what SHOW
+// TELEMETRY [JSON] renders) explodes the rings into (name, seq, ts_ms,
+// epoch_ms, value) rows with `name` interned into the dotted metric-name
+// hierarchy, so `WHERE name = ALL pool` selects a whole subtree's history
+// by subsumption.
 
 #ifndef HIREL_OBS_TELEMETRY_H_
 #define HIREL_OBS_TELEMETRY_H_
@@ -52,9 +50,6 @@ class TelemetrySampler {
   struct SeriesSnapshot {
     std::string name;
     char kind = 'c';  // 'c' counter, 'g' gauge, 'h' histogram (count)
-    uint64_t min = 0;
-    uint64_t max = 0;
-    uint64_t last = 0;
     uint64_t total_samples = 0;  // ever taken, including evicted
     std::vector<Sample> samples;  // ring contents, oldest first
   };
@@ -108,9 +103,6 @@ class TelemetrySampler {
  private:
   struct Series {
     char kind = 'c';
-    uint64_t min = 0;
-    uint64_t max = 0;
-    uint64_t last = 0;
     uint64_t total_samples = 0;
     std::deque<Sample> ring;
   };

@@ -1,7 +1,7 @@
 // Alerting layer: CREATE/DROP ALERT parsing and semantics, the
 // deterministic fire → still-firing → resolve lifecycle driven by manual
 // ticks, FOR-n hysteresis, severity subsumption through sys.alerts, the
-// health verdict, the stall watchdog, SHOW WAITS percentiles, and the
+// health verdict, the stall watchdog, sys.waits percentiles, and the
 // EXPORT DIAGNOSTICS / auto-capture bundles.
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "obs/alerts.h"
 #include "obs/export.h"
 #include "obs/wait.h"
+#include "json_rows.h"
 
 namespace hirel {
 namespace obs {
@@ -28,6 +29,14 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The rows of `SHOW <what> JSON`, which must parse.
+std::vector<json_rows::Row> ShowRows(Executor& exec, const std::string& what) {
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW " + what + " JSON;").value());
+  EXPECT_TRUE(rows.has_value()) << what;
+  return rows.value_or(std::vector<json_rows::Row>{});
 }
 
 // ---- pure helpers ------------------------------------------------------
@@ -106,16 +115,23 @@ TEST(AlertStatementTest, CreateShowDrop) {
                         .value();
   EXPECT_NE(out.find("alert 'hot'"), std::string::npos);
 
-  out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_NE(out.find("hot [crit] query.statements >= 10 FOR 2"),
-            std::string::npos);
+  std::vector<json_rows::Row> alerts = ShowRows(exec, "ALERTS");
+  EXPECT_NE(json_rows::FindRow(alerts, {{"alert", "hot"},
+                                        {"severity", "crit"},
+                                        {"metric", "query.statements"},
+                                        {"op", ">="},
+                                        {"threshold", "10"},
+                                        {"for_samples", "2"},
+                                        {"builtin", "false"}}),
+            nullptr);
   // The built-in watchdog rules are always listed, marked builtin.
-  EXPECT_NE(out.find("watchdog_slow_query"), std::string::npos);
-  EXPECT_NE(out.find("(builtin)"), std::string::npos);
+  EXPECT_NE(json_rows::FindRow(alerts, {{"alert", "watchdog_slow_query"},
+                                        {"builtin", "true"}}),
+            nullptr);
 
   EXPECT_TRUE(exec.Execute("DROP ALERT hot;").ok());
-  out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_EQ(out.find("hot [crit]"), std::string::npos);
+  EXPECT_EQ(json_rows::FindRow(ShowRows(exec, "ALERTS"), {{"alert", "hot"}}),
+            nullptr);
 }
 
 TEST(AlertStatementTest, ParseAndValidationErrors) {
@@ -261,32 +277,44 @@ TEST(AlertStatementTest, SeveritySubsumptionInSysAlerts) {
 TEST(AlertStatementTest, HealthVerdictFollowsFiringSet) {
   Executor exec;
   ASSERT_TRUE(exec.Execute("SET WATCHDOG_QUERY_MS 600000;").ok());
-  std::string out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: ok"), std::string::npos);
+  EXPECT_NE(json_rows::FindRow(ShowRows(exec, "HEALTH"),
+                               {{"component", "overall"},
+                                {"verdict", "ok"},
+                                {"firing", "0"},
+                                {"worst_alert", "-"}}),
+            nullptr);
 
   ASSERT_TRUE(
       exec.Execute("CREATE ALERT warny ON query.statements > 1;").ok());
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: degraded"), std::string::npos);
-  EXPECT_NE(out.find("queries: degraded (1 firing, worst warny)"),
-            std::string::npos);
+  std::vector<json_rows::Row> health = ShowRows(exec, "HEALTH");
+  EXPECT_NE(json_rows::FindRow(health, {{"component", "overall"},
+                                        {"verdict", "degraded"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(health, {{"component", "queries"},
+                                        {"verdict", "degraded"},
+                                        {"firing", "1"},
+                                        {"worst_alert", "warny"}}),
+            nullptr);
 
   ASSERT_TRUE(
       exec.Execute(
               "CREATE ALERT crity ON query.statements >= 0 SEVERITY crit;")
           .ok());
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_NE(out.find("health: critical"), std::string::npos);
-  EXPECT_NE(out.find("queries: critical"), std::string::npos);
+  health = ShowRows(exec, "HEALTH");
+  EXPECT_NE(json_rows::FindRow(health, {{"component", "overall"},
+                                        {"verdict", "critical"},
+                                        {"firing", "2"},
+                                        {"worst_alert", "crity"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(health, {{"component", "queries"},
+                                        {"verdict", "critical"}}),
+            nullptr);
 
-  std::string json = exec.Execute("SHOW HEALTH JSON;").value();
-  EXPECT_NE(json.find("\"verdict\":\"critical\""), std::string::npos);
-  EXPECT_NE(json.find("\"component\":\"queries\""), std::string::npos);
-
-  // sys.health mirrors the rendering.
-  out = exec.Execute("SELECT * FROM sys.health;").value();
+  // SHOW HEALTH is sys.health: the text form carries the same rows.
+  std::string out = exec.Execute("SHOW HEALTH;").value();
+  EXPECT_EQ(out.find("sys.health (6 tuples)"), 0u);
   EXPECT_NE(out.find("critical"), std::string::npos);
   EXPECT_NE(out.find("telemetry"), std::string::npos);
 }
@@ -328,20 +356,36 @@ TEST(AlertStatementTest, ExportDiagnosticsWritesValidBundle) {
       exec.Execute("EXPORT DIAGNOSTICS '" + path + "';").value();
   EXPECT_NE(out.find("exported diagnostics"), std::string::npos);
 
-  std::string json = ReadFile(path);
-  EXPECT_NE(json.find("\"format\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"engine\":\"hirel\""), std::string::npos);
-  EXPECT_NE(json.find("\"cause\":\"statement\""), std::string::npos);
-  EXPECT_NE(json.find("\"config\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"threads\""), std::string::npos);
-  EXPECT_NE(json.find("\"alerts\":"), std::string::npos);
-  EXPECT_NE(json.find("\"hot\""), std::string::npos);
-  EXPECT_NE(json.find("\"health\":"), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
-  EXPECT_NE(json.find("\"waits\":"), std::string::npos);
-  EXPECT_NE(json.find("\"queries\":"), std::string::npos);
-  EXPECT_NE(json.find("\"telemetry\":"), std::string::npos);
-  EXPECT_NE(json.find("\"log\":"), std::string::npos);
+  std::optional<json_rows::Bundle> bundle =
+      json_rows::ParseBundle(ReadFile(path));
+  ASSERT_TRUE(bundle.has_value());
+  EXPECT_EQ(bundle->header.at("format"), "2");
+  EXPECT_EQ(bundle->header.at("engine"), "hirel");
+  EXPECT_EQ(bundle->header.at("cause"), "statement");
+  EXPECT_TRUE(bundle->header.is_number("captured_unix_ms"));
+  // Session settings, alerts + health, metrics, waits, query history,
+  // telemetry and the log each arrive as their sys.* relation.
+  const auto& rel = bundle->relations;
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.session"), {{"key", "threads"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.alerts"),
+                               {{"alert", "hot"}, {"state", "firing"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.health"),
+                               {{"component", "overall"},
+                                {"verdict", "degraded"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.metrics"),
+                               {{"name", "query.statements"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.queries"),
+                               {{"kind", "create alert"}, {"ok", "true"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(rel.at("sys.metrics_history"),
+                               {{"name", "query.statements"}, {"seq", "1"}}),
+            nullptr);
+  EXPECT_TRUE(rel.count("sys.waits"));
+  EXPECT_TRUE(rel.count("sys.log"));
   std::filesystem::remove(path);
 
   // Unwritable path fails the statement, not the process.
@@ -404,14 +448,21 @@ TEST(AlertStatementTest, ShowWaitsRendersSitesWithPercentiles) {
   site.Record(0, 4'000'000);  // 4 ms outlier
 
   std::string out = exec.Execute("SHOW WAITS;").value();
-  EXPECT_NE(out.find("io:"), std::string::npos);
+  EXPECT_NE(out.find("| io "), std::string::npos);
   EXPECT_NE(out.find("alerts_test_wait"), std::string::npos);
-  EXPECT_NE(out.find("p99="), std::string::npos);
+  EXPECT_NE(out.find("| p99_us "), std::string::npos);
 
-  std::string json = exec.Execute("SHOW WAITS JSON;").value();
-  EXPECT_NE(json.find("\"class\":\"io\""), std::string::npos);
-  EXPECT_NE(json.find("\"site\":\"alerts_test_wait\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50_us\""), std::string::npos);
+  std::vector<json_rows::Row> waits = ShowRows(exec, "WAITS");
+  const json_rows::Row* row = json_rows::FindRow(
+      waits,
+      {{"site", "alerts_test_wait"}, {"wait_class", "io"}, {"waits", "101"}});
+  ASSERT_NE(row, nullptr);
+  // 100 of 101 waits took 50 us: the median sits in their bucket, the
+  // p99 reaches toward the 4 ms outlier.
+  EXPECT_LE(std::stoull(row->at("p50_us")), 65u);
+  EXPECT_LE(std::stoull(row->at("p50_us")), std::stoull(row->at("p90_us")));
+  EXPECT_LE(std::stoull(row->at("p90_us")), std::stoull(row->at("p99_us")));
+  EXPECT_EQ(row->at("max_us"), "4000");
 
   // The site's histogram also reaches the Prometheus exposition.
   std::string prom = exec.Execute("SHOW METRICS PROMETHEUS;").value();
@@ -441,10 +492,13 @@ TEST(AlertStatementTest, SiteQuantileMatchesDistribution) {
 TEST(AlertStatementTest, TelemetryJsonCarriesEpochMs) {
   Executor exec;
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  std::string json = exec.Execute("SHOW TELEMETRY JSON;").value();
-  // Samples are [seq, ts_ms, epoch_ms, value] quadruples; the first tick
-  // has seq 1 and a 13-digit epoch, so the quadruple has 4 fields.
-  EXPECT_NE(json.find("\"samples\":[[1,"), std::string::npos);
+  // Every sample row carries its wall-clock epoch_ms: the first tick has
+  // seq 1 and a 13-digit epoch.
+  std::vector<json_rows::Row> samples = ShowRows(exec, "TELEMETRY");
+  const json_rows::Row* sample = json_rows::FindRow(samples, {{"seq", "1"}});
+  ASSERT_NE(sample, nullptr);
+  EXPECT_TRUE(sample->is_number("epoch_ms"));
+  EXPECT_EQ(sample->at("epoch_ms").size(), 13u);
 
   // sys.metrics_history exposes the same epoch_ms as a column.
   std::string out =
@@ -463,9 +517,10 @@ TEST(AlertStatementTest, AlertsSurviveLoadSwap) {
   ASSERT_TRUE(exec.Execute("LOAD '" + snap + "';").ok());
   // Rules survive the database swap and evaluate against the new registry.
   ASSERT_TRUE(exec.Execute("SET TELEMETRY TICK;").ok());
-  std::string out = exec.Execute("SHOW ALERTS;").value();
-  EXPECT_NE(out.find("hot [warn]"), std::string::npos);
-  out = exec.Execute("SELECT * FROM sys.alerts;").value();
+  EXPECT_NE(json_rows::FindRow(ShowRows(exec, "ALERTS"),
+                               {{"alert", "hot"}, {"severity", "warn"}}),
+            nullptr);
+  std::string out = exec.Execute("SELECT * FROM sys.alerts;").value();
   EXPECT_NE(out.find("hot"), std::string::npos);
   std::filesystem::remove(snap);
 }

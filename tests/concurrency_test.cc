@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +324,7 @@ TEST(ConcurrencyTest, AlertEvaluationRacesRuleChurnAndReaders) {
   ASSERT_TRUE(alerts.CreateAlert(steady).ok());
 
   std::atomic<bool> done{false};
+  std::atomic<bool> written{false};  // first bump + breaching query landed
   std::atomic<int> failures{0};
 
   std::thread ticker([&] {
@@ -337,6 +339,7 @@ TEST(ConcurrencyTest, AlertEvaluationRacesRuleChurnAndReaders) {
       stats.wall_ns = 5'000'000;  // 5 ms, over the 0 ms budget
       stats.kind = "select";
       ring.Append(std::move(stats));
+      written.store(true, std::memory_order_release);
     }
   });
   std::thread churner([&] {
@@ -366,12 +369,32 @@ TEST(ConcurrencyTest, AlertEvaluationRacesRuleChurnAndReaders) {
   });
 
   churner.join();
-  std::this_thread::yield();
+  // The churn can finish before the ticker has evaluated anything the
+  // writer produced. Keep the race running until one whole tick began
+  // after the writer's first bump and append: ticks() counts a tick when
+  // it starts, so two more ticks past the mark mean the first of them
+  // has also finished evaluating.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool observed = false;
+  while (!observed && std::chrono::steady_clock::now() < deadline) {
+    if (written.load(std::memory_order_acquire)) {
+      const uint64_t mark = sampler.ticks();
+      while (sampler.ticks() < mark + 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      observed = sampler.ticks() >= mark + 2;
+    } else {
+      std::this_thread::yield();
+    }
+  }
   done.store(true, std::memory_order_release);
   ticker.join();
   writer.join();
   reader.join();
 
+  ASSERT_TRUE(observed) << "no tick evaluated the writer's output within 60 s";
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(sampler.ticks(), 0u);
   bool steady_fired = false;

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/tuple_store.h"
 #include "hql/executor.h"
 #include "io/wal.h"
@@ -27,6 +28,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
+#include "json_rows.h"
 
 namespace hirel {
 namespace obs {
@@ -107,23 +109,36 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsNames) {
 }
 
 TEST(MetricsRegistryTest, RenderAndJsonShapes) {
-  MetricsRegistry reg;
-  EXPECT_NE(reg.Render().find("(none)"), std::string::npos);
-
+  // The registry renders through sys.metrics: one row per counter and
+  // gauge, and per histogram statistic and non-empty bucket.
+  hql::Executor exec;
+  MetricsRegistry& reg = exec.database().metrics();
   reg.counter("queries").Add(2);
   reg.gauge("depth").Set(-1);
   reg.histogram("lat").Record(3000);
-  std::string text = reg.Render();
-  EXPECT_NE(text.find("queries"), std::string::npos);
-  EXPECT_NE(text.find("depth"), std::string::npos);
+  std::string text = exec.Execute("SHOW METRICS;").value();
+  EXPECT_EQ(text.find("sys.metrics ("), 0u);
+  EXPECT_NE(text.find("| queries "), std::string::npos);
+  EXPECT_NE(text.find("| depth "), std::string::npos);
 
-  std::string json = reg.RenderJson();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"queries\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"depth\":-1"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  std::string json = exec.Execute("SHOW METRICS JSON;").value();
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.back(), '\n');
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(json);
+  ASSERT_TRUE(rows.has_value());
+  const json_rows::Row* queries =
+      json_rows::FindRow(*rows, {{"name", "queries"}});
+  ASSERT_NE(queries, nullptr);
+  EXPECT_EQ(queries->at("kind"), "counter");
+  EXPECT_EQ(queries->at("value"), "2");
+  EXPECT_TRUE(queries->is_number("value"));
+  const json_rows::Row* depth = json_rows::FindRow(*rows, {{"name", "depth"}});
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->at("kind"), "gauge");
+  EXPECT_EQ(depth->at("value"), "-1");
+  EXPECT_NE(json_rows::FindRow(*rows, {{"name", "lat"}, {"bucket", "count"}}),
+            nullptr);
 }
 
 TEST(TraceTest, ScopesBuildNestedSpanTree) {
@@ -230,10 +245,22 @@ TEST(MetricsRegistryTest, HistogramQuantilesFromKnownDistribution) {
   over.Record(uint64_t{1} << 40);
   EXPECT_EQ(over.QuantileNs(0.99), uint64_t{1} << 40);
 
-  std::string json = reg.RenderJson();
-  EXPECT_NE(json.find("\"p50_ns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p90_ns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ns\":"), std::string::npos);
+  // sys.metrics carries the same estimates, one row per percentile.
+  hql::Executor exec;
+  Histogram& shown = exec.database().metrics().histogram("q");
+  for (int i = 0; i < 90; ++i) shown.Record(500);
+  for (int i = 0; i < 10; ++i) shown.Record(100'000);
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW METRICS JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  for (const auto& [bucket, q] : {std::pair<const char*, double>{"p50_ns", 0.5},
+                                  {"p90_ns", 0.9},
+                                  {"p99_ns", 0.99}}) {
+    const json_rows::Row* row =
+        json_rows::FindRow(*rows, {{"name", "q"}, {"bucket", bucket}});
+    ASSERT_NE(row, nullptr) << bucket;
+    EXPECT_EQ(row->at("value"), StrCat(shown.QuantileNs(q))) << bucket;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,16 +405,13 @@ TEST(TelemetrySamplerTest, ManualTickSamplesAndBoundsRings) {
   EXPECT_EQ(count.samples.front().value, 3u);
   EXPECT_EQ(count.samples.back().seq, 5u);
   EXPECT_EQ(count.samples.back().value, 5u);
-  EXPECT_EQ(count.min, 1u);
-  EXPECT_EQ(count.max, 5u);
-  EXPECT_EQ(count.last, 5u);
 
   EXPECT_EQ(series[1].name, "t.gauge");
   EXPECT_EQ(series[1].kind, 'g');
-  EXPECT_EQ(series[1].last, 7u);
+  EXPECT_EQ(series[1].samples.back().value, 7u);
   EXPECT_EQ(series[2].name, "t.hist");
   EXPECT_EQ(series[2].kind, 'h');
-  EXPECT_EQ(series[2].last, 1u);  // histograms sample their count
+  EXPECT_EQ(series[2].samples.back().value, 1u);  // histograms: their count
 
   sampler.Clear();
   EXPECT_EQ(sampler.ticks(), 0u);
@@ -600,12 +624,17 @@ TEST(ExecutorObsTest, ShowMetricsIsNonzeroAndJsonWellFormed) {
   EXPECT_NE(text.find("query.statements"), std::string::npos);
   EXPECT_NE(text.find("plan.nodes_executed"), std::string::npos);
   EXPECT_NE(text.find("subsumption_cache."), std::string::npos);
-  EXPECT_EQ(text.find("(none)"), std::string::npos);
+  EXPECT_EQ(text.find("(0 tuples)"), std::string::npos);
 
   std::string json = exec.Execute("SHOW METRICS JSON;").value();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"query.statements\""), std::string::npos);
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(json);
+  ASSERT_TRUE(rows.has_value());
+  const json_rows::Row* statements =
+      json_rows::FindRow(*rows, {{"name", "query.statements"}});
+  ASSERT_NE(statements, nullptr);
+  EXPECT_EQ(statements->at("kind"), "counter");
+  EXPECT_NE(statements->at("value"), "0");
 }
 
 TEST(ExecutorObsTest, ExplainAnalyzeReportsActuals) {
@@ -710,14 +739,15 @@ TEST(ExecutorObsTest, ResetMetricsKeepsHandlesValid) {
   EXPECT_EQ(m.histogram("query.latency_ns").count(), 1u);
 }
 
-TEST(ExecutorObsTest, ShowLogEmptyPrintsHint) {
+TEST(ExecutorObsTest, ShowLogEmptyRendersNoRows) {
   hql::Executor exec;
   // The first statement lazily constructs the shared thread pool, which
   // logs a pool.start event; clear after so the ring is genuinely empty.
   ASSERT_TRUE(exec.Execute("SHOW METRICS;").ok());
   Logger::Global().ring().Clear();
   std::string out = exec.Execute("SHOW LOG;").value();
-  EXPECT_NE(out.find("log empty (logging disabled?)"), std::string::npos);
+  EXPECT_EQ(out.find("sys.log (0 tuples)"), 0u);
+  EXPECT_EQ(exec.Execute("SHOW LOG JSON;").value(), "[]\n");
 }
 
 TEST(ExecutorObsTest, DdlEventsReachShowLog) {
@@ -726,15 +756,17 @@ TEST(ExecutorObsTest, DdlEventsReachShowLog) {
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
 
   std::string text = exec.Execute("SHOW LOG;").value();
-  EXPECT_NE(text.find("log ("), std::string::npos);
-  EXPECT_NE(text.find("catalog.create_hierarchy"), std::string::npos);
-  EXPECT_NE(text.find("catalog.create_relation"), std::string::npos);
-  EXPECT_NE(text.find("name=animal"), std::string::npos);
+  EXPECT_EQ(text.find("sys.log ("), 0u);
+  EXPECT_NE(text.find("| catalog "), std::string::npos);
+  EXPECT_NE(text.find("| create_hierarchy name=animal"), std::string::npos);
+  EXPECT_NE(text.find("| create_relation "), std::string::npos);
 
-  std::string json = exec.Execute("SHOW LOG JSON;").value();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"component\":\"catalog\""), std::string::npos);
-  EXPECT_NE(json.find("\"event\":\"create_hierarchy\""), std::string::npos);
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW LOG JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_NE(json_rows::FindRow(*rows, {{"component", "catalog"},
+                                       {"message", "create_hierarchy name=animal"}}),
+            nullptr);
 }
 
 TEST(ExecutorObsTest, SetLogValidatesAndSetsLevel) {
@@ -761,11 +793,11 @@ TEST(ExecutorObsTest, SlowQueryLogVisibleInShowLogJson) {
 
   std::string json = exec.Execute("SHOW LOG JSON;").value();
   EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"event\":\"slow_query\""), std::string::npos);
-  EXPECT_NE(json.find("SELECT * FROM flies WHERE who = penguin"),
+  EXPECT_NE(json.find("\"message\":\"slow_query "), std::string::npos);
+  EXPECT_NE(json.find("text=SELECT * FROM flies WHERE who = penguin"),
             std::string::npos);
-  EXPECT_NE(json.find("\"digest\":"), std::string::npos);
-  EXPECT_NE(json.find("\"nodes_executed\":"), std::string::npos);
+  EXPECT_NE(json.find(" digest="), std::string::npos);
+  EXPECT_NE(json.find(" nodes_executed="), std::string::npos);
   EXPECT_GE(exec.database().metrics().counter("query.slow_queries").value(),
             1u);
 
@@ -885,9 +917,9 @@ TEST(ExecutorObsTest, SlowQueryLogSplitsWaitAndExec) {
   ASSERT_TRUE(exec.Execute("SELECT * FROM flies;").ok());
 
   std::string json = exec.Execute("SHOW LOG JSON;").value();
-  EXPECT_NE(json.find("\"event\":\"slow_query\""), std::string::npos);
-  EXPECT_NE(json.find("\"wait_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"exec_ms\":"), std::string::npos);
+  EXPECT_NE(json.find("\"message\":\"slow_query "), std::string::npos);
+  EXPECT_NE(json.find(" wait_ms="), std::string::npos);
+  EXPECT_NE(json.find(" exec_ms="), std::string::npos);
 }
 
 TEST(ExecutorObsTest, ShowQueriesReportsWaitShare) {
@@ -896,9 +928,13 @@ TEST(ExecutorObsTest, ShowQueriesReportsWaitShare) {
   ASSERT_TRUE(exec.Execute("SELECT * FROM flies;").ok());
 
   std::string text = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_NE(text.find("ms wait="), std::string::npos);
-  std::string json = exec.Execute("SHOW QUERIES JSON;").value();
-  EXPECT_NE(json.find("\"wait_us\":"), std::string::npos);
+  EXPECT_NE(text.find("| wait_us "), std::string::npos);
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW QUERIES JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  const json_rows::Row* select = json_rows::FindRow(*rows, {{"kind", "select"}});
+  ASSERT_NE(select, nullptr);
+  EXPECT_TRUE(select->is_number("wait_us"));
 }
 
 TEST(ExecutorObsTest, SetTelemetryControlsSampler) {
@@ -927,19 +963,31 @@ TEST(ExecutorObsTest, ShowTelemetryRendersHistoryAfterManualTicks) {
   exec.telemetry().Tick();
 
   std::string text = exec.Execute("SHOW TELEMETRY;").value();
-  EXPECT_NE(text.find("telemetry: off (interval 50 ms, ticks 2"),
-            std::string::npos);
+  EXPECT_EQ(text.find("sys.metrics_history ("), 0u);
   EXPECT_NE(text.find("query.statements"), std::string::npos);
-  EXPECT_NE(text.find("rate="), std::string::npos);
 
-  std::string json = exec.Execute("SHOW TELEMETRY JSON;").value();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"on\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"interval_ms\":50"), std::string::npos);
-  EXPECT_NE(json.find("\"ticks\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"query.statements\""), std::string::npos);
-  EXPECT_NE(json.find("\"samples\":[["), std::string::npos);
-  EXPECT_NE(json.find("\"rate_per_s\":"), std::string::npos);
+  // One row per retained sample: both ticks of query.statements.
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW TELEMETRY JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  for (const char* seq : {"1", "2"}) {
+    const json_rows::Row* sample = json_rows::FindRow(
+        *rows, {{"name", "query.statements"}, {"seq", seq}});
+    ASSERT_NE(sample, nullptr) << seq;
+    EXPECT_TRUE(sample->is_number("value"));
+  }
+
+  // The sampler's state lives in sys.session.
+  std::vector<json_rows::Row> session =
+      json_rows::SysRows(exec.database(), "sys.session");
+  EXPECT_NE(json_rows::FindRow(session, {{"key", "telemetry"}, {"value", "off"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(session, {{"key", "telemetry_interval_ms"},
+                                         {"value", "50"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(session, {{"key", "telemetry_ticks"},
+                                         {"value", "2"}}),
+            nullptr);
 }
 
 TEST(ExecutorObsTest, ExportTraceIncludesWaitSpans) {

@@ -1,22 +1,31 @@
 // System catalog: the sys.* virtual relations (metrics, log, relations,
-// columns, cache, pool, queries), subsumption-aware selection over the
-// telemetry hierarchies, per-query resource accounting in the history
-// ring, and the read-only guards on the sys. namespace.
+// columns, cache, pool, queries, session), subsumption-aware selection
+// over the telemetry hierarchies, per-query resource accounting in the
+// history ring, the read-only guards on the sys. namespace, and the
+// contract that every introspection SHOW and EXPORT DIAGNOSTICS renders
+// exactly these relations.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/database.h"
 #include "hql/executor.h"
+#include "io/text_dump.h"
 #include "obs/query_stats.h"
 #include "obs/sys_catalog.h"
 #include "plan/execute.h"
 #include "plan/planner.h"
 #include "plan/rewrite.h"
+#include "json_rows.h"
 
 namespace hirel {
 namespace {
@@ -31,6 +40,30 @@ CREATE RELATION flies (who: animal);
 ASSERT flies(ALL bird);
 DENY flies(ALL penguin);
 )";
+
+/// The cells of one column of a FormatRelation table, top to bottom
+/// (column 0 is the truth column).
+std::vector<std::string> TableColumn(const std::string& table, size_t column) {
+  std::vector<std::string> cells;
+  std::istringstream lines(table);
+  std::string line;
+  bool header = true;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] != '|') continue;
+    if (header) {  // the first '|' line names the columns
+      header = false;
+      continue;
+    }
+    size_t start = 0;
+    for (size_t c = 0; c <= column; ++c) start = line.find('|', start) + 1;
+    size_t end = line.find('|', start);
+    std::string cell = line.substr(start, end - start);
+    cell.erase(0, cell.find_first_not_of(' '));
+    cell.erase(cell.find_last_not_of(' ') + 1);
+    cells.push_back(cell);
+  }
+  return cells;
+}
 
 TEST(SysCatalogTest, ShowRelationsListsVirtualRelations) {
   hql::Executor exec;
@@ -191,13 +224,180 @@ TEST(SysCatalogTest, ShowQueriesRendersTextAndJson) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
   std::string text = exec.Execute("SHOW QUERIES;").value();
-  EXPECT_NE(text.find("newest first"), std::string::npos);
-  EXPECT_NE(text.find("[create hierarchy]"), std::string::npos);
-  std::string json = exec.Execute("SHOW QUERIES JSON;").value();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"kind\":\"assert\""), std::string::npos);
-  EXPECT_NE(json.find("\"wall_us\":"), std::string::npos);
-  EXPECT_NE(json.find("\"probes\":"), std::string::npos);
+  EXPECT_EQ(text.find("sys.queries (8 tuples)"), 0u);
+  EXPECT_NE(text.find("| create hierarchy "), std::string::npos);
+  // Oldest first: the rows read in statement order.
+  EXPECT_EQ(TableColumn(text, 1),
+            (std::vector<std::string>{"1", "2", "3", "4", "5", "6", "7",
+                                      "8"}));
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW QUERIES JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  ASSERT_EQ(rows->size(), 9u);  // the script plus the SHOW QUERIES
+  const json_rows::Row* assert_row =
+      json_rows::FindRow(*rows, {{"kind", "assert"}, {"ok", "true"}});
+  ASSERT_NE(assert_row, nullptr);
+  EXPECT_TRUE(assert_row->is_number("wall_us"));
+  EXPECT_TRUE(assert_row->is_number("probes"));
+}
+
+TEST(SysCatalogTest, ShowQueriesMarksFailedStatements) {
+  hql::Executor exec;
+  EXPECT_FALSE(exec.Execute("SELECT * FROM nonexistent;").ok());
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW QUERIES JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_NE(json_rows::FindRow(*rows, {{"kind", "select"}, {"ok", "false"}}),
+            nullptr);
+}
+
+TEST(SysCatalogTest, IntCellsSortNumerically) {
+  hql::Executor exec;
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_TRUE(exec.Execute("SHOW RELATIONS;").ok());
+  }
+  // Ids 1..11 read in numeric order, not as text (1 10 11 2 ...).
+  std::string out = exec.Execute("SELECT * FROM sys.queries;").value();
+  std::vector<std::string> ids = TableColumn(out, 1);
+  ASSERT_EQ(ids.size(), 11u);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], std::to_string(i + 1));
+  }
+}
+
+TEST(SysCatalogTest, ExecThreadsGaugeNeedsNoShowMetrics) {
+  const std::string kQuery = "SELECT * FROM sys.metrics WHERE name = ALL exec;";
+  hql::Executor exec;
+  Result<std::string> fresh = exec.Execute(kQuery);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_NE(fresh->find("exec.threads"), std::string::npos);
+
+  // A LOADed database brings a fresh registry; the session gauge follows.
+  std::string snap = std::string(::testing::TempDir()) + "/sys_exec_threads.db";
+  ASSERT_TRUE(exec.Execute("SET THREADS 3; SAVE '" + snap + "'; LOAD '" +
+                           snap + "';")
+                  .ok());
+  Result<std::string> loaded = exec.Execute(kQuery);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(TableColumn(*loaded, 1), std::vector<std::string>{"exec.threads"});
+  EXPECT_EQ(TableColumn(*loaded, 3), std::vector<std::string>{"3"});
+  std::remove(snap.c_str());
+}
+
+TEST(SysCatalogTest, EveryIntrospectionShowRendersItsSysRelations) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  std::string snap = std::string(::testing::TempDir()) + "/sys_contract.db";
+  ASSERT_TRUE(exec.Execute("CREATE ALERT hot ON query.statements > 1;"
+                           "SET TELEMETRY TICK; SAVE '" + snap + "';")
+                  .ok());
+  std::remove(snap.c_str());
+  // Freeze metric values so back-to-back renderings see one state. Each
+  // statement appends its sys.queries record after it renders, so the
+  // expected text is always rendered just before the statement runs.
+  exec.database().metrics().set_enabled(false);
+
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      kShows = {{"METRICS", {"sys.metrics"}},
+                {"LOG", {"sys.log"}},
+                {"QUERIES", {"sys.queries"}},
+                {"TELEMETRY", {"sys.metrics_history"}},
+                {"ALERTS", {"sys.alerts"}},
+                {"HEALTH", {"sys.health"}},
+                {"WAITS", {"sys.waits"}},
+                {"STORAGE", {"sys.relations", "sys.columns"}}};
+  for (const auto& [what, relations] : kShows) {
+    std::vector<size_t> sizes;
+    auto render = [&](bool json) {
+      std::string out;
+      sizes.clear();
+      for (const std::string& name : relations) {
+        HierarchicalRelation r =
+            exec.database().FindVirtualRelation(name)->Materialize().value();
+        sizes.push_back(r.size());
+        out += json ? FormatRelationJson(r) + "\n" : FormatRelation(r);
+      }
+      return out;
+    };
+    std::string show_relation;
+    for (const std::string& name : relations) {
+      show_relation += "SHOW RELATION " + name + ";";
+    }
+    std::string expected = render(false);
+    EXPECT_EQ(exec.Execute("SHOW " + what + ";").value(), expected) << what;
+    expected = render(false);
+    EXPECT_EQ(exec.Execute(show_relation).value(), expected) << what;
+    expected = render(true);
+    std::string json = exec.Execute("SHOW " + what + " JSON;").value();
+    EXPECT_EQ(json, expected) << what;
+
+    // One JSON line per relation, each one element per row.
+    std::istringstream lines(json);
+    std::string line;
+    size_t i = 0;
+    for (; std::getline(lines, line); ++i) {
+      ASSERT_LT(i, sizes.size()) << what;
+      std::optional<std::vector<json_rows::Row>> rows =
+          json_rows::ParseRows(line);
+      ASSERT_TRUE(rows.has_value()) << what << ": " << line;
+      EXPECT_EQ(rows->size(), sizes[i]) << what;
+      EXPECT_GT(rows->size(), 0u) << what;
+    }
+    EXPECT_EQ(i, relations.size()) << what;
+  }
+}
+
+TEST(SysCatalogTest, ExportDiagnosticsHoldsEverySysRelation) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  std::string path = std::string(::testing::TempDir()) + "/sys_bundle.json";
+  ASSERT_TRUE(exec.Execute("EXPORT DIAGNOSTICS '" + path + "';").ok());
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::remove(path.c_str());
+
+  std::optional<json_rows::Bundle> bundle =
+      json_rows::ParseBundle(buffer.str());
+  ASSERT_TRUE(bundle.has_value());
+  std::set<std::string> keys;
+  for (const auto& [name, rows] : bundle->relations) keys.insert(name);
+  std::vector<std::string> names = exec.database().VirtualRelationNames();
+  EXPECT_EQ(keys, std::set<std::string>(names.begin(), names.end()));
+  EXPECT_EQ(bundle->relations.size(), names.size());
+  std::set<std::string> header;
+  for (const auto& [key, value] : bundle->header.cells) header.insert(key);
+  EXPECT_EQ(header, (std::set<std::string>{"format", "engine",
+                                           "captured_unix_ms", "cause"}));
+}
+
+TEST(SysCatalogTest, SysSessionReportsSettings) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute("SET THREADS 1; SET SLOW_QUERY_MS 7;"
+                           "SET INCREMENTAL off; SET TELEMETRY TICK;")
+                  .ok());
+  std::vector<json_rows::Row> rows =
+      json_rows::SysRows(exec.database(), "sys.session");
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"threads", "1"},
+           {"slow_query_ms", "7"},
+           {"incremental", "off"},
+           {"telemetry", "off"},
+           {"telemetry_ticks", "1"},
+           {"diagnostics_dir", "off"},
+           {"preemption", "off-path"}}) {
+    const json_rows::Row* row = json_rows::FindRow(rows, {{"key", key}});
+    ASSERT_NE(row, nullptr) << key;
+    EXPECT_EQ(row->at("value"), value) << key;
+  }
+  EXPECT_TRUE(json_rows::FindRow(rows, {{"key", "threads"}})
+                  ->is_number("value"));
+  // WHERE terms resolve against the session domain like any other.
+  std::string out =
+      exec.Execute("SELECT * FROM sys.session WHERE key = 'slow_query_ms';")
+          .value();
+  EXPECT_NE(out.find("(1 tuples)"), std::string::npos);
 }
 
 TEST(SysCatalogTest, ShowRelationMaterializesVirtual) {

@@ -65,7 +65,7 @@ for preset in "${presets[@]}"; do
       tools/obs_smoke.hql > "${smoke}"
   obs_out="$("${repl}" "${smoke}" < /dev/null)"
   rm -f "${smoke}" "${snap_file}"
-  echo "${obs_out}" | grep -q '"event":"slow_query"' || {
+  echo "${obs_out}" | grep -q '"message":"slow_query ' || {
     echo "FAIL: no slow-query event in SHOW LOG JSON" >&2
     exit 1
   }
@@ -77,8 +77,8 @@ for preset in "${presets[@]}"; do
     echo "FAIL: no '# HELP' lines in SHOW METRICS PROMETHEUS" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q '"interval_ms"' || {
-    echo "FAIL: no telemetry state in SHOW TELEMETRY JSON" >&2
+  echo "${obs_out}" | grep -Eq '^\| \+ \| telemetry_interval_ms +\| 5 +\|$' || {
+    echo "FAIL: no telemetry state in sys.session" >&2
     exit 1
   }
   echo "${obs_out}" | grep -q 'snapshot.save' || {
@@ -86,17 +86,17 @@ for preset in "${presets[@]}"; do
     exit 1
   }
   # Alert lifecycle: hot_statements trips on the first manual tick, shows
-  # up under `severity = ALL warn` (subsumption), degrades the health
-  # verdict, and resolves after RESET METRICS + one more tick.
-  echo "${obs_out}" | grep -q 'hot_statements.*firing' || {
-    echo "FAIL: hot_statements alert did not fire in SHOW ALERTS" >&2
+  # up under `severity = ALL warn` (subsumption), degrades the overall
+  # health verdict, and resolves after RESET METRICS + one more tick.
+  echo "${obs_out}" | grep -q '{"alert":"hot_statements","severity":"warn","state":"firing","metric":"query.statements"' || {
+    echo "FAIL: hot_statements alert did not fire in SHOW ALERTS JSON" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q 'health: degraded' || {
-    echo "FAIL: SHOW HEALTH did not report degraded while firing" >&2
+  echo "${obs_out}" | grep -q '{"component":"overall","verdict":"degraded"' || {
+    echo "FAIL: SHOW HEALTH JSON did not report overall degraded while firing" >&2
     exit 1
   }
-  echo "${obs_out}" | grep -q '"alert":"hot_statements","metric":"query.statements","op":">","threshold":3,"for_samples":1,"severity":"warn","builtin":false,"state":"resolved"' || {
+  echo "${obs_out}" | grep -q '{"alert":"hot_statements","severity":"warn","state":"resolved","metric":"query.statements","value":[0-9]*,"op":">","threshold":3,"for_samples":1,"fires":1,"builtin":"false"}' || {
     echo "FAIL: hot_statements did not resolve after RESET METRICS" >&2
     exit 1
   }

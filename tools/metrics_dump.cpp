@@ -3,9 +3,10 @@
 //   build/tools/metrics_dump [--prometheus | --json | --text] [script.hql ...]
 //
 // Executes the given HQL scripts against a fresh database (script output is
-// discarded), then writes the engine's metrics registry to stdout — by
-// default in the Prometheus text exposition format, so the binary can sit
-// behind a textfile collector or a cron job without an HTTP endpoint.
+// discarded), then writes the engine's metrics to stdout — by default in
+// the Prometheus text exposition format, so the binary can sit behind a
+// textfile collector or a cron job without an HTTP endpoint. --json and
+// --text print SHOW METRICS JSON / SHOW METRICS (the sys.metrics rows).
 
 #include <cstring>
 #include <fstream>
@@ -14,13 +15,10 @@
 #include <string>
 
 #include "hql/executor.h"
-#include "obs/export.h"
 
 using namespace hirel;
 
 namespace {
-
-enum class Format { kPrometheus, kJson, kText };
 
 int Usage() {
   std::cerr << "usage: metrics_dump [--prometheus | --json | --text] "
@@ -31,20 +29,20 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Format format = Format::kPrometheus;
+  const char* show = "SHOW METRICS PROMETHEUS;";
   hql::Executor exec;
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--prometheus") == 0) {
-      format = Format::kPrometheus;
+      show = "SHOW METRICS PROMETHEUS;";
       continue;
     }
     if (std::strcmp(argv[i], "--json") == 0) {
-      format = Format::kJson;
+      show = "SHOW METRICS JSON;";
       continue;
     }
     if (std::strcmp(argv[i], "--text") == 0) {
-      format = Format::kText;
+      show = "SHOW METRICS;";
       continue;
     }
     if (argv[i][0] == '-') return Usage();
@@ -62,26 +60,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // SHOW METRICS syncs the subsumption-cache and thread-pool gauges into
-  // the registry; its rendering is discarded in favour of the exporter's.
-  Result<std::string> synced = exec.Execute("SHOW METRICS;");
-  if (!synced.ok()) {
-    std::cerr << "metrics sync failed: " << synced.status() << "\n";
+  Result<std::string> metrics = exec.Execute(show);
+  if (!metrics.ok()) {
+    std::cerr << "metrics dump failed: " << metrics.status() << "\n";
     return 1;
   }
-
-  const obs::MetricsRegistry& metrics = exec.database().metrics();
-  switch (format) {
-    case Format::kPrometheus:
-      std::cout << obs::PrometheusText(metrics,
-                                       &obs::WaitEventRegistry::Global());
-      break;
-    case Format::kJson:
-      std::cout << metrics.RenderJson() << "\n";
-      break;
-    case Format::kText:
-      std::cout << metrics.Render();
-      break;
-  }
+  std::cout << *metrics;
   return 0;
 }
