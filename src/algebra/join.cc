@@ -88,7 +88,7 @@ Result<HierarchicalRelation> JoinOn(
           std::vector<std::vector<NodeId>> choices(on.size());
           left.ForEachLiveInChunk(c, [&](TupleId lid) {
             if (!chunk_status.ok()) return;
-            Item litem = left.ItemAt(lid);
+            const Item& litem = left.ItemAt(lid);
             for (const Item& ritem : right_items) {
               bool disjoint = false;
               for (size_t k = 0; k < on.size(); ++k) {

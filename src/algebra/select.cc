@@ -42,7 +42,7 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
         for (size_t c = lo; c < hi; ++c) {
           relation.ForEachLiveInChunk(c, [&](TupleId id) {
             if (!cone.Test(relation.Component(id, attr))) return;
-            Item item = relation.ItemAt(id);
+            const Item& item = relation.ItemAt(id);
             for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
               Item clamped = item;
               clamped[attr] = m;

@@ -100,13 +100,6 @@ std::vector<std::string> Database::HierarchyNames() const {
 Result<HierarchicalRelation*> Database::CreateRelation(
     std::string_view name,
     const std::vector<std::pair<std::string, std::string>>& attributes) {
-  return CreateRelation(name, attributes, DefaultStorageKind());
-}
-
-Result<HierarchicalRelation*> Database::CreateRelation(
-    std::string_view name,
-    const std::vector<std::pair<std::string, std::string>>& attributes,
-    StorageKind storage) {
   if (name.empty()) {
     return Status::InvalidArgument("relation name must not be empty");
   }
@@ -124,8 +117,8 @@ Result<HierarchicalRelation*> Database::CreateRelation(
                            GetHierarchy(hierarchy_name));
     HIREL_RETURN_IF_ERROR(schema.Append(attr_name, hierarchy));
   }
-  auto relation = std::make_unique<HierarchicalRelation>(
-      std::string(name), std::move(schema), storage);
+  auto relation = std::make_unique<HierarchicalRelation>(std::string(name),
+                                                        std::move(schema));
   HierarchicalRelation* raw = relation.get();
   relations_.emplace(std::string(name), std::move(relation));
   HIREL_LOG(obs::LogLevel::kInfo, "catalog", "create_relation",

@@ -61,18 +61,10 @@ class Database {
 
   // ----- Relations ----------------------------------------------------------
 
-  /// Creates a relation over (attribute name, hierarchy name) pairs, laid
-  /// out with the session's DefaultStorageKind().
+  /// Creates a relation over (attribute name, hierarchy name) pairs.
   Result<HierarchicalRelation*> CreateRelation(
       std::string_view name,
       const std::vector<std::pair<std::string, std::string>>& attributes);
-
-  /// Same, with an explicit storage layout (snapshot/WAL replay needs to
-  /// reproduce the kind a relation was created with, not the default).
-  Result<HierarchicalRelation*> CreateRelation(
-      std::string_view name,
-      const std::vector<std::pair<std::string, std::string>>& attributes,
-      StorageKind storage);
 
   /// Registers an already-built relation (e.g. an operator result) under
   /// its own name. Every hierarchy in its schema must be owned by this

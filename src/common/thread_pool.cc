@@ -56,8 +56,10 @@ obs::WaitEventRegistry::Site& StealScanWaitSite() {
 /// governed by `pending`, which counts unfinished chunks plus active
 /// participants (caller included). Workers join only while the region is in
 /// the pool's active list (under the pool mutex), and the caller delists
-/// the region before releasing its own participation, so `pending == 0`
-/// implies no thread will touch the region again.
+/// the region before releasing its own participation. Every participant
+/// releases its share of `pending` while holding `done_mutex`, so once the
+/// caller observes `pending == 0` under that mutex, no thread will touch
+/// the region again.
 struct ThreadPool::Region {
   const std::function<Status(size_t, size_t, size_t)>* fn = nullptr;
   size_t n = 0;
@@ -265,8 +267,10 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     }
     const size_t ran = Participate(*region, slot, /*thread_index=*/1 + worker_index);
     const size_t delta = ran + 1;
+    // Decrement under done_mutex: the caller may destroy the region as soon
+    // as it sees pending == 0, so this must be the worker's last access.
+    std::lock_guard<std::mutex> lock(region->done_mutex);
     if (region->pending.fetch_sub(delta, std::memory_order_acq_rel) == delta) {
-      std::lock_guard<std::mutex> lock(region->done_mutex);
       region->done_cv.notify_all();
     }
   }
@@ -322,13 +326,18 @@ Status ThreadPool::ParallelFor(
     std::lock_guard<std::mutex> lock(mutex_);
     active_.erase(std::find(active_.begin(), active_.end(), &region));
   }
-  if (region.pending.fetch_sub(ran + 1, std::memory_order_acq_rel) !=
-      ran + 1) {
-    obs::ScopedWait wait(RegionJoinWaitSite());
+  {
+    // Under done_mutex, like the workers' decrements: a worker that has
+    // released its share may still be inside this mutex, so the region
+    // must not die until the caller has acquired it.
     std::unique_lock<std::mutex> lock(region.done_mutex);
-    region.done_cv.wait(lock, [&] {
-      return region.pending.load(std::memory_order_acquire) == 0;
-    });
+    if (region.pending.fetch_sub(ran + 1, std::memory_order_acq_rel) !=
+        ran + 1) {
+      obs::ScopedWait wait(RegionJoinWaitSite());
+      region.done_cv.wait(lock, [&] {
+        return region.pending.load(std::memory_order_acquire) == 0;
+      });
+    }
   }
 
   for (size_t c = 0; c < num_chunks; ++c) {

@@ -34,7 +34,7 @@ Applicable CollectApplicable(const HierarchicalRelation& relation,
   Applicable out;
   for (TupleId id : relation.TuplesSubsuming(item)) {
     if (exclude.contains(id)) continue;
-    if (relation.ItemAtEquals(id, item)) {
+    if (relation.ItemAt(id) == item) {
       out.self = id;
     } else {
       out.strict.push_back(id);

@@ -34,9 +34,9 @@ Status HierarchicalRelation::ValidateItem(const Item& item) const {
 
 Result<TupleId> HierarchicalRelation::Insert(Item item, Truth truth) {
   HIREL_RETURN_IF_ERROR(ValidateItem(item));
-  std::optional<TupleId> existing = store_->Find(item);
+  std::optional<TupleId> existing = store_.Find(item);
   if (existing.has_value()) {
-    if (store_->truth(*existing) == truth) {
+    if (store_.tuple(*existing).truth == truth) {
       return Status::AlreadyExists(
           StrCat("relation '", name_, "': duplicate tuple ",
                  ItemToString(schema_, item)));
@@ -45,7 +45,7 @@ Result<TupleId> HierarchicalRelation::Insert(Item item, Truth truth) {
         StrCat("relation '", name_, "': item ", ItemToString(schema_, item),
                " is already asserted with the opposite truth value"));
   }
-  TupleId id = store_->Append(std::move(item), truth);
+  TupleId id = store_.Append(std::move(item), truth);
   version_ = NextRevision();
   journal_.Append({MutationJournal::Record::Kind::kInsert, truth, id, version_,
                    Item{}});
@@ -54,15 +54,15 @@ Result<TupleId> HierarchicalRelation::Insert(Item item, Truth truth) {
 
 Result<TupleId> HierarchicalRelation::Upsert(Item item, Truth truth) {
   HIREL_RETURN_IF_ERROR(ValidateItem(item));
-  std::optional<TupleId> existing = store_->Find(item);
+  std::optional<TupleId> existing = store_.Find(item);
   if (existing.has_value()) {
-    store_->SetTruth(*existing, truth);
+    store_.SetTruth(*existing, truth);
     version_ = NextRevision();
     journal_.Append({MutationJournal::Record::Kind::kTruth, truth, *existing,
                      version_, Item{}});
     return *existing;
   }
-  TupleId id = store_->Append(std::move(item), truth);
+  TupleId id = store_.Append(std::move(item), truth);
   version_ = NextRevision();
   journal_.Append({MutationJournal::Record::Kind::kInsert, truth, id, version_,
                    Item{}});
@@ -70,22 +70,21 @@ Result<TupleId> HierarchicalRelation::Upsert(Item item, Truth truth) {
 }
 
 Status HierarchicalRelation::Erase(TupleId id) {
-  if (!store_->alive(id)) {
+  if (!store_.alive(id)) {
     return Status::NotFound(StrCat("relation '", name_, "': tuple ", id));
   }
   // Capture the item before the slot dies; delta consumers need it to find
   // the erased tuple's former neighbours.
-  Item item = store_->ItemAt(id);
-  Truth truth = store_->truth(id);
-  store_->Erase(id);
+  HTuple erased = store_.tuple(id);
+  store_.Erase(id);
   version_ = NextRevision();
-  journal_.Append({MutationJournal::Record::Kind::kErase, truth, id, version_,
-                   std::move(item)});
+  journal_.Append({MutationJournal::Record::Kind::kErase, erased.truth, id,
+                   version_, std::move(erased.item)});
   return Status::OK();
 }
 
 Status HierarchicalRelation::EraseItem(const Item& item) {
-  std::optional<TupleId> existing = store_->Find(item);
+  std::optional<TupleId> existing = store_.Find(item);
   if (!existing.has_value()) {
     return Status::NotFound(StrCat("relation '", name_, "': no tuple on ",
                                    ItemToString(schema_, item)));
@@ -94,7 +93,7 @@ Status HierarchicalRelation::EraseItem(const Item& item) {
 }
 
 void HierarchicalRelation::Clear() {
-  store_->Clear();
+  store_.Clear();
   version_ = NextRevision();
   // Clear resets the store's id space (ids are reused), so no delta may
   // span it: cut the journal instead of recording a per-tuple erase.
@@ -102,40 +101,41 @@ void HierarchicalRelation::Clear() {
 }
 
 std::optional<TupleId> HierarchicalRelation::FindItem(const Item& item) const {
-  return store_->Find(item);
+  return store_.Find(item);
 }
 
 std::optional<Truth> HierarchicalRelation::TruthAt(const Item& item) const {
-  std::optional<TupleId> existing = store_->Find(item);
+  std::optional<TupleId> existing = store_.Find(item);
   if (!existing.has_value()) return std::nullopt;
-  return store_->truth(*existing);
+  return store_.tuple(*existing).truth;
 }
 
 std::vector<TupleId> HierarchicalRelation::TupleIds() const {
-  return store_->LiveIds();
+  return store_.LiveIds();
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesSubsuming(
     const Item& item) const {
-  if (store_->size() == 0 || item.size() != schema_.size()) return {};
+  if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();  // the empty item subsumes itself
   if (!schema_.hierarchy(0)->dag().alive(item[0])) return {};
-  return store_->TuplesSubsuming(schema_, item);
+  return store_.TuplesSubsuming(schema_, item);
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesSubsumedBy(
     const Item& item) const {
-  if (store_->size() == 0 || item.size() != schema_.size()) return {};
+  if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();
   if (!schema_.hierarchy(0)->dag().alive(item[0])) return {};
-  return store_->TuplesSubsumedBy(schema_, item);
+  return store_.TuplesSubsumedBy(schema_, item);
 }
 
 size_t HierarchicalRelation::CoveredAtomCount() const {
   size_t count = 0;
-  for (TupleId id : store_->LiveIds()) {
-    if (store_->truth(id) == Truth::kPositive) {
-      count += ItemExtensionSize(schema_, store_->ItemAt(id));
+  for (TupleId id : store_.LiveIds()) {
+    const HTuple& t = store_.tuple(id);
+    if (t.truth == Truth::kPositive) {
+      count += ItemExtensionSize(schema_, t.item);
     }
   }
   return count;
@@ -143,12 +143,13 @@ size_t HierarchicalRelation::CoveredAtomCount() const {
 
 std::string HierarchicalRelation::ToString() const {
   std::string out = StrCat(name_, schema_.ToString(), "\n");
-  for (TupleId id : store_->LiveIds()) {
-    out += StrCat("  ", TruthToString(store_->truth(id)), " ");
+  for (TupleId id : store_.LiveIds()) {
+    const HTuple& t = store_.tuple(id);
+    out += StrCat("  ", TruthToString(t.truth), " ");
     for (size_t i = 0; i < schema_.size(); ++i) {
       if (i > 0) out += ", ";
       const Hierarchy* h = schema_.hierarchy(i);
-      NodeId node = store_->component(id, i);
+      NodeId node = t.item[i];
       if (h->is_class(node)) out += "ALL ";
       out += h->NodeName(node);
     }

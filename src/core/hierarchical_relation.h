@@ -12,16 +12,15 @@
 // ARE retained — "redundant tuples are eliminated in our model only when
 // explicitly requested by the user through a consolidate" (Section 3.2).
 //
-// Physical tuple layout is delegated to a TupleStore (row or columnar; see
-// core/tuple_store.h). The relation keeps the logical contract — schema
-// validation, duplicate/contradiction policy, version stamps — while the
-// store owns slots, liveness, and the scan indexes.
+// Physical tuple layout is delegated to a TupleStore (core/tuple_store.h).
+// The relation keeps the logical contract — schema validation,
+// duplicate/contradiction policy, version stamps — while the store owns
+// slots, liveness, and the scan indexes.
 
 #ifndef HIREL_CORE_HIERARCHICAL_RELATION_H_
 #define HIREL_CORE_HIERARCHICAL_RELATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,40 +53,18 @@ enum class PreemptionMode : uint8_t {
 const char* PreemptionModeToString(PreemptionMode mode);
 
 /// A named hierarchical relation over a schema.
+///
+/// Copies keep the version stamp verbatim: a copy of a base relation shares
+/// its tuple ids and version, so caches keyed on (relation version,
+/// hierarchy versions) stay valid across the copy. The mutation journal is
+/// copied too, so a graph cached against the original can still be patched
+/// up to the copy's subsequent mutations.
 class HierarchicalRelation {
  public:
-  /// The storage kind defaults to the session-wide DefaultStorageKind() (a
-  /// default argument, so it is re-read at every construction — derived
-  /// relations follow SET STORAGE / HIREL_STORAGE automatically).
-  HierarchicalRelation(std::string name, Schema schema,
-                       StorageKind storage = DefaultStorageKind())
+  HierarchicalRelation(std::string name, Schema schema)
       : name_(std::move(name)),
         schema_(std::move(schema)),
-        store_(MakeTupleStore(storage, schema_.size())) {}
-
-  /// Copies clone the store and keep the version stamp verbatim: a copy of
-  /// a base relation shares its tuple ids and version, so caches keyed on
-  /// (relation version, hierarchy versions) stay valid across the copy.
-  /// The mutation journal is copied too, so a graph cached against the
-  /// original can still be patched up to the copy's subsequent mutations.
-  HierarchicalRelation(const HierarchicalRelation& other)
-      : name_(other.name_),
-        schema_(other.schema_),
-        version_(other.version_),
-        store_(other.store_->Clone()),
-        journal_(other.journal_) {}
-  HierarchicalRelation& operator=(const HierarchicalRelation& other) {
-    if (this != &other) {
-      name_ = other.name_;
-      schema_ = other.schema_;
-      version_ = other.version_;
-      store_ = other.store_->Clone();
-      journal_ = other.journal_;
-    }
-    return *this;
-  }
-  HierarchicalRelation(HierarchicalRelation&&) = default;
-  HierarchicalRelation& operator=(HierarchicalRelation&&) = default;
+        store_(schema_.size()) {}
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -100,12 +77,9 @@ class HierarchicalRelation {
   /// with the schema hierarchies' versions to detect staleness.
   uint64_t version() const { return version_; }
 
-  /// Physical layout of this relation's tuples, fixed at construction.
-  StorageKind storage_kind() const { return store_->kind(); }
-
   /// Number of live tuples.
-  size_t size() const { return store_->size(); }
-  bool empty() const { return store_->size() == 0; }
+  size_t size() const { return store_.size(); }
+  bool empty() const { return store_.size() == 0; }
 
   // ----- Mutation (unchecked w.r.t. the ambiguity constraint; see
   // integrity.h / transaction.h for guarded updates) ------------------------
@@ -133,30 +107,21 @@ class HierarchicalRelation {
 
   // ----- Lookup -------------------------------------------------------------
 
-  bool alive(TupleId id) const { return store_->alive(id); }
+  bool alive(TupleId id) const { return store_.alive(id); }
 
-  /// The tuple with id `id`; must be alive. Returned by value: a columnar
-  /// store has no HTuple to reference. `const HTuple& t = r.tuple(id);`
-  /// still works (lifetime extension), but do not keep pointers into the
-  /// result across statements.
-  HTuple tuple(TupleId id) const {
-    return HTuple{store_->ItemAt(id), store_->truth(id)};
-  }
+  /// The tuple with id `id`; must be alive. The reference is valid until
+  /// the next mutation of this relation.
+  const HTuple& tuple(TupleId id) const { return store_.tuple(id); }
 
-  /// The item of a live tuple (by value; see tuple()).
-  Item ItemAt(TupleId id) const { return store_->ItemAt(id); }
+  /// The item of a live tuple (same lifetime as tuple()).
+  const Item& ItemAt(TupleId id) const { return store_.tuple(id).item; }
 
   /// The truth value of a live tuple.
-  Truth TruthOf(TupleId id) const { return store_->truth(id); }
+  Truth TruthOf(TupleId id) const { return store_.tuple(id).truth; }
 
-  /// Component `attr` of a live tuple, without materialising the item.
+  /// Component `attr` of a live tuple.
   NodeId Component(TupleId id, size_t attr) const {
-    return store_->component(id, attr);
-  }
-
-  /// True iff live tuple `id` stores exactly `item`.
-  bool ItemAtEquals(TupleId id, const Item& item) const {
-    return store_->ItemAtEquals(id, item);
+    return store_.tuple(id).item[attr];
   }
 
   /// The id of the tuple asserted exactly on `item`, if any.
@@ -170,10 +135,7 @@ class HierarchicalRelation {
 
   /// Ids of live tuples whose item subsumes `item` (including an exact
   /// match). These are the nodes of the item's tuple-binding graph.
-  ///
-  /// Served by the store's layout-specific scan (inverted component index
-  /// for rows, dictionary-marked column sweep for columns); both return
-  /// identical ascending ids.
+  /// Served by the store's inverted component index, in ascending id order.
   std::vector<TupleId> TuplesSubsuming(const Item& item) const;
 
   /// Ids of live tuples whose item is subsumed by `item`.
@@ -184,12 +146,12 @@ class HierarchicalRelation {
   /// Number of fixed-size scan chunks (TupleStore::kChunkTuples ids each)
   /// covering every slot, live or dead. A pure function of the append
   /// count, so parallel chunk scans are deterministic.
-  size_t num_chunks() const { return store_->num_chunks(); }
+  size_t num_chunks() const { return store_.num_chunks(); }
 
   /// Invokes `fn` for every live id in chunk `chunk`, ascending.
   void ForEachLiveInChunk(size_t chunk,
                           const std::function<void(TupleId)>& fn) const {
-    store_->ForEachLiveInChunk(chunk, fn);
+    store_.ForEachLiveInChunk(chunk, fn);
   }
 
   /// Total number of atomic items covered by positive tuples (an upper
@@ -199,11 +161,11 @@ class HierarchicalRelation {
 
   /// Approximate in-memory footprint in bytes, including the store's
   /// indexes and bitmaps, not just tuple payloads.
-  size_t ApproxBytes() const { return store_->ApproxBytes(); }
+  size_t ApproxBytes() const { return store_.ApproxBytes(); }
 
   /// Per-column byte breakdown for SHOW STORAGE.
   std::vector<StorageColumnInfo> ColumnInfo() const {
-    return store_->ColumnInfo(schema_);
+    return store_.ColumnInfo(schema_);
   }
 
   /// Recent-mutation journal, one record per version bump. Consumers pair a
@@ -224,7 +186,7 @@ class HierarchicalRelation {
   std::string name_;
   Schema schema_;
   uint64_t version_ = NextRevision();
-  std::unique_ptr<TupleStore> store_;
+  TupleStore store_;
   MutationJournal journal_;
 };
 

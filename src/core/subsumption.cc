@@ -197,7 +197,7 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
   par.threads = threads;
   for (TupleId id : delta.add) {
     if (slot_of.contains(id)) continue;
-    Item item = relation.ItemAt(id);
+    const Item& item = relation.ItemAt(id);
     size_t nslots = slot_id.size();
     std::vector<char> above(nslots, 0);   // slot's item strictly above x's
     std::vector<char> below_x(nslots, 0);  // slot's item strictly below x's

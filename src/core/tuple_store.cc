@@ -1,9 +1,6 @@
 #include "core/tuple_store.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cstdlib>
 
 #include "common/str_util.h"
 #include "hierarchy/hierarchy.h"
@@ -16,54 +13,9 @@ namespace {
 /// plus cached hash), used by the byte-accounting approximations.
 constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
 
-std::atomic<StorageKind>& DefaultStorageKindRef() {
-  static std::atomic<StorageKind> kind = [] {
-    const char* env = std::getenv("HIREL_STORAGE");
-    if (env != nullptr) {
-      std::optional<StorageKind> parsed = ParseStorageKind(env);
-      if (parsed.has_value()) return *parsed;
-    }
-    return StorageKind::kRow;
-  }();
-  return kind;
-}
-
 }  // namespace
 
-const char* StorageKindToString(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kRow:
-      return "row";
-    case StorageKind::kColumnar:
-      return "columnar";
-  }
-  return "unknown";
-}
-
-std::optional<StorageKind> ParseStorageKind(std::string_view text) {
-  if (EqualsIgnoreCase(text, "row")) return StorageKind::kRow;
-  if (EqualsIgnoreCase(text, "columnar")) return StorageKind::kColumnar;
-  return std::nullopt;
-}
-
-StorageKind DefaultStorageKind() {
-  return DefaultStorageKindRef().load(std::memory_order_relaxed);
-}
-
-void SetDefaultStorageKind(StorageKind kind) {
-  DefaultStorageKindRef().store(kind, std::memory_order_relaxed);
-}
-
-std::unique_ptr<TupleStore> MakeTupleStore(StorageKind kind, size_t arity) {
-  if (kind == StorageKind::kColumnar) {
-    return std::make_unique<ColumnarTupleStore>(arity);
-  }
-  return std::make_unique<RowTupleStore>(arity);
-}
-
-// ----- RowTupleStore --------------------------------------------------------
-
-TupleId RowTupleStore::Append(Item item, Truth truth) {
+TupleId TupleStore::Append(Item item, Truth truth) {
   TupleId id = static_cast<TupleId>(tuples_.size());
   tuples_.push_back(HTuple{std::move(item), truth});
   alive_.Resize(tuples_.size());
@@ -76,11 +28,7 @@ TupleId RowTupleStore::Append(Item item, Truth truth) {
   return id;
 }
 
-void RowTupleStore::SetTruth(TupleId id, Truth truth) {
-  tuples_[id].truth = truth;
-}
-
-void RowTupleStore::Erase(TupleId id) {
+void TupleStore::Erase(TupleId id) {
   item_index_.erase(tuples_[id].item);
   for (size_t i = 0; i < component_index_.size(); ++i) {
     auto it = component_index_[i].find(tuples_[id].item[i]);
@@ -95,7 +43,7 @@ void RowTupleStore::Erase(TupleId id) {
   --num_alive_;
 }
 
-void RowTupleStore::Clear() {
+void TupleStore::Clear() {
   tuples_.clear();
   alive_.Resize(0);
   item_index_.clear();
@@ -103,18 +51,14 @@ void RowTupleStore::Clear() {
   num_alive_ = 0;
 }
 
-std::optional<TupleId> RowTupleStore::Find(const Item& item) const {
+std::optional<TupleId> TupleStore::Find(const Item& item) const {
   auto it = item_index_.find(item);
   if (it == item_index_.end()) return std::nullopt;
   return it->second;
 }
 
-std::vector<TupleId> RowTupleStore::LiveIds() const {
-  return alive_.ToVector();
-}
-
-std::vector<TupleId> RowTupleStore::TuplesSubsuming(const Schema& schema,
-                                                    const Item& item) const {
+std::vector<TupleId> TupleStore::TuplesSubsuming(const Schema& schema,
+                                                 const Item& item) const {
   // Candidates: tuples whose first component is an ancestor of item[0]
   // (subsumption on attribute 0 is necessary). Verified in full below; the
   // result comes out in ascending id order for determinism.
@@ -131,8 +75,8 @@ std::vector<TupleId> RowTupleStore::TuplesSubsuming(const Schema& schema,
   return out;
 }
 
-std::vector<TupleId> RowTupleStore::TuplesSubsumedBy(const Schema& schema,
-                                                     const Item& item) const {
+std::vector<TupleId> TupleStore::TuplesSubsumedBy(const Schema& schema,
+                                                  const Item& item) const {
   std::vector<TupleId> out;
   const Dag& dag = schema.hierarchy(0)->dag();
   for (NodeId descendant : dag.Descendants(item[0])) {
@@ -146,7 +90,7 @@ std::vector<TupleId> RowTupleStore::TuplesSubsumedBy(const Schema& schema,
   return out;
 }
 
-size_t RowTupleStore::ApproxBytes() const {
+size_t TupleStore::ApproxBytes() const {
   size_t bytes = 0;
   for (const StorageColumnInfo& info : ColumnInfo(Schema())) {
     bytes += info.bytes;
@@ -154,7 +98,7 @@ size_t RowTupleStore::ApproxBytes() const {
   return bytes;
 }
 
-std::vector<StorageColumnInfo> RowTupleStore::ColumnInfo(
+std::vector<StorageColumnInfo> TupleStore::ColumnInfo(
     const Schema& schema) const {
   const size_t arity = component_index_.size();
   std::vector<StorageColumnInfo> out;
@@ -170,17 +114,17 @@ std::vector<StorageColumnInfo> RowTupleStore::ColumnInfo(
   for (size_t i = 0; i < arity; ++i) {
     std::string name =
         i < schema.size() ? schema.name(i) : StrCat("attr", i);
-    out.push_back({std::move(name), per_attr, 0});
+    out.push_back({std::move(name), per_attr});
   }
   size_t overhead = payload - per_attr * arity;
-  out.push_back({"row-overhead", overhead, 0});
-  out.push_back({"alive-bitmap", alive_.num_words() * sizeof(uint64_t), 0});
+  out.push_back({"row-overhead", overhead});
+  out.push_back({"alive-bitmap", alive_.num_words() * sizeof(uint64_t)});
 
   size_t item_index = item_index_.bucket_count() * sizeof(void*);
   item_index += item_index_.size() *
                 (sizeof(Item) + arity * sizeof(NodeId) + sizeof(TupleId) +
                  kHashNodeOverhead);
-  out.push_back({"item-index", item_index, 0});
+  out.push_back({"item-index", item_index});
 
   size_t component_index = 0;
   for (const auto& index : component_index_) {
@@ -190,268 +134,14 @@ std::vector<StorageColumnInfo> RowTupleStore::ColumnInfo(
                          ids.capacity() * sizeof(TupleId) + kHashNodeOverhead;
     }
   }
-  out.push_back({"component-index", component_index, 0});
+  out.push_back({"component-index", component_index});
   return out;
 }
 
-void RowTupleStore::ForEachLiveInChunk(
+void TupleStore::ForEachLiveInChunk(
     size_t chunk, const std::function<void(TupleId)>& fn) const {
   size_t lo = chunk * kChunkTuples;
   size_t hi = std::min(tuples_.size(), lo + kChunkTuples);
-  for (size_t id = lo; id < hi; ++id) {
-    if (alive_.Test(id)) fn(static_cast<TupleId>(id));
-  }
-}
-
-// ----- ColumnarTupleStore ---------------------------------------------------
-
-uint32_t ColumnarTupleStore::Column::CodeAt(size_t i) const {
-  const uint8_t* p = codes.data() + i * width;
-  switch (width) {
-    case 1:
-      return p[0];
-    case 2:
-      return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8);
-    default:
-      return static_cast<uint32_t>(p[0]) |
-             (static_cast<uint32_t>(p[1]) << 8) |
-             (static_cast<uint32_t>(p[2]) << 16) |
-             (static_cast<uint32_t>(p[3]) << 24);
-  }
-}
-
-void ColumnarTupleStore::Column::Promote(size_t new_width) {
-  size_t n = codes.size() / width;
-  std::vector<uint8_t> wide(n * new_width, 0);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t code = CodeAt(i);
-    uint8_t* p = wide.data() + i * new_width;
-    for (size_t b = 0; b < new_width; ++b) {
-      p[b] = static_cast<uint8_t>((code >> (8 * b)) & 0xff);
-    }
-  }
-  codes = std::move(wide);
-  width = new_width;
-}
-
-void ColumnarTupleStore::Column::Append(NodeId node) {
-  auto [it, inserted] =
-      code_of.try_emplace(node, static_cast<uint32_t>(dict.size()));
-  if (inserted) {
-    dict.push_back(node);
-    // Promote the packed width before the first code that would not fit.
-    size_t needed = dict.size() <= (size_t{1} << 8)    ? 1
-                    : dict.size() <= (size_t{1} << 16) ? 2
-                                                       : 4;
-    if (needed > width) Promote(needed);
-  }
-  uint32_t code = it->second;
-  size_t at = codes.size();
-  codes.resize(at + width);
-  for (size_t b = 0; b < width; ++b) {
-    codes[at + b] = static_cast<uint8_t>((code >> (8 * b)) & 0xff);
-  }
-}
-
-size_t ColumnarTupleStore::Column::Bytes() const {
-  size_t bytes = codes.capacity() + dict.capacity() * sizeof(NodeId);
-  bytes += code_of.bucket_count() * sizeof(void*);
-  bytes += code_of.size() *
-           (sizeof(NodeId) + sizeof(uint32_t) + kHashNodeOverhead);
-  return bytes;
-}
-
-size_t ColumnarTupleStore::ItemHashAt(TupleId id) const {
-  // Mirrors ItemHash so Find / Erase agree with Append's bucketing.
-  size_t h = 0xcbf29ce484222325ULL;
-  for (const Column& column : columns_) {
-    h ^= column.NodeAt(id);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-Item ColumnarTupleStore::ItemAt(TupleId id) const {
-  Item item(columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) item[i] = columns_[i].NodeAt(id);
-  return item;
-}
-
-bool ColumnarTupleStore::ItemAtEquals(TupleId id, const Item& item) const {
-  if (item.size() != columns_.size()) return false;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].NodeAt(id) != item[i]) return false;
-  }
-  return true;
-}
-
-TupleId ColumnarTupleStore::Append(Item item, Truth truth) {
-  TupleId id = static_cast<TupleId>(capacity_);
-  for (size_t i = 0; i < columns_.size(); ++i) columns_[i].Append(item[i]);
-  ++capacity_;
-  truth_.Resize(capacity_);
-  alive_.Resize(capacity_);
-  if (truth == Truth::kPositive) truth_.Set(id);
-  alive_.Set(id);
-  ++num_alive_;
-  item_index_[ItemHash{}(item)].push_back(id);
-  return id;
-}
-
-void ColumnarTupleStore::SetTruth(TupleId id, Truth truth) {
-  if (truth == Truth::kPositive) {
-    truth_.Set(id);
-  } else {
-    truth_.Clear(id);
-  }
-}
-
-void ColumnarTupleStore::Erase(TupleId id) {
-  auto it = item_index_.find(ItemHashAt(id));
-  if (it != item_index_.end()) {
-    auto& bucket = it->second;
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
-    if (bucket.empty()) item_index_.erase(it);
-  }
-  alive_.Clear(id);
-  --num_alive_;
-}
-
-void ColumnarTupleStore::Clear() {
-  for (Column& column : columns_) {
-    column.dict.clear();
-    column.code_of.clear();
-    column.width = 1;
-    column.codes.clear();
-  }
-  truth_.Resize(0);
-  alive_.Resize(0);
-  capacity_ = 0;
-  num_alive_ = 0;
-  item_index_.clear();
-}
-
-std::optional<TupleId> ColumnarTupleStore::Find(const Item& item) const {
-  auto it = item_index_.find(ItemHash{}(item));
-  if (it == item_index_.end()) return std::nullopt;
-  for (TupleId id : it->second) {
-    if (ItemAtEquals(id, item)) return id;
-  }
-  return std::nullopt;
-}
-
-std::vector<TupleId> ColumnarTupleStore::LiveIds() const {
-  return alive_.ToVector();
-}
-
-std::vector<TupleId> ColumnarTupleStore::TuplesSubsuming(
-    const Schema& schema, const Item& item) const {
-  // Dictionary-driven scan: mark the first column's codes whose node
-  // subsumes item[0] (its ancestors), then sweep the packed codes in id
-  // order, skipping dead slots a whole 64-bit alive word at a time. The
-  // sweep is naturally ascending, matching the row store's sorted output.
-  std::vector<TupleId> out;
-  const Column& col0 = columns_[0];
-  std::vector<uint8_t> mark(col0.dict.size(), 0);
-  bool any = false;
-  const Dag& dag = schema.hierarchy(0)->dag();
-  for (NodeId ancestor : dag.Ancestors(item[0])) {
-    auto it = col0.code_of.find(ancestor);
-    if (it != col0.code_of.end()) {
-      mark[it->second] = 1;
-      any = true;
-    }
-  }
-  if (!any) return out;
-  for (size_t wi = 0; wi < alive_.num_words(); ++wi) {
-    uint64_t w = alive_.word(wi);
-    while (w != 0) {
-      int bit = std::countr_zero(w);
-      w &= w - 1;
-      TupleId id = static_cast<TupleId>(wi * 64 + bit);
-      if (!mark[col0.CodeAt(id)]) continue;
-      bool subsumes = true;
-      for (size_t i = 1; i < columns_.size(); ++i) {
-        if (!schema.hierarchy(i)->Subsumes(columns_[i].NodeAt(id), item[i])) {
-          subsumes = false;
-          break;
-        }
-      }
-      if (subsumes) out.push_back(id);
-    }
-  }
-  return out;
-}
-
-std::vector<TupleId> ColumnarTupleStore::TuplesSubsumedBy(
-    const Schema& schema, const Item& item) const {
-  std::vector<TupleId> out;
-  const Column& col0 = columns_[0];
-  std::vector<uint8_t> mark(col0.dict.size(), 0);
-  bool any = false;
-  const Dag& dag = schema.hierarchy(0)->dag();
-  for (NodeId descendant : dag.Descendants(item[0])) {
-    auto it = col0.code_of.find(descendant);
-    if (it != col0.code_of.end()) {
-      mark[it->second] = 1;
-      any = true;
-    }
-  }
-  if (!any) return out;
-  for (size_t wi = 0; wi < alive_.num_words(); ++wi) {
-    uint64_t w = alive_.word(wi);
-    while (w != 0) {
-      int bit = std::countr_zero(w);
-      w &= w - 1;
-      TupleId id = static_cast<TupleId>(wi * 64 + bit);
-      if (!mark[col0.CodeAt(id)]) continue;
-      bool subsumed = true;
-      for (size_t i = 1; i < columns_.size(); ++i) {
-        if (!schema.hierarchy(i)->Subsumes(item[i], columns_[i].NodeAt(id))) {
-          subsumed = false;
-          break;
-        }
-      }
-      if (subsumed) out.push_back(id);
-    }
-  }
-  return out;
-}
-
-size_t ColumnarTupleStore::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const StorageColumnInfo& info : ColumnInfo(Schema())) {
-    bytes += info.bytes;
-  }
-  return bytes;
-}
-
-std::vector<StorageColumnInfo> ColumnarTupleStore::ColumnInfo(
-    const Schema& schema) const {
-  std::vector<StorageColumnInfo> out;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    std::string name =
-        i < schema.size() ? schema.name(i) : StrCat("attr", i);
-    out.push_back({std::move(name), columns_[i].Bytes(),
-                   columns_[i].dict.size()});
-  }
-  out.push_back({"truth-bitmap", truth_.num_words() * sizeof(uint64_t), 0});
-  out.push_back({"alive-bitmap", alive_.num_words() * sizeof(uint64_t), 0});
-  size_t item_index = item_index_.bucket_count() * sizeof(void*);
-  item_index += item_index_.size() *
-                (sizeof(size_t) + sizeof(std::vector<TupleId>) +
-                 kHashNodeOverhead);
-  for (const auto& [hash, ids] : item_index_) {
-    item_index += ids.capacity() * sizeof(TupleId);
-  }
-  out.push_back({"item-index", item_index, 0});
-  return out;
-}
-
-void ColumnarTupleStore::ForEachLiveInChunk(
-    size_t chunk, const std::function<void(TupleId)>& fn) const {
-  size_t lo = chunk * kChunkTuples;
-  size_t hi = std::min(capacity_, lo + kChunkTuples);
   for (size_t id = lo; id < hi; ++id) {
     if (alive_.Test(id)) fn(static_cast<TupleId>(id));
   }

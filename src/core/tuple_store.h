@@ -1,29 +1,24 @@
-// TupleStore: the physical storage engine behind HierarchicalRelation.
+// TupleStore: the physical storage behind HierarchicalRelation.
 //
-// The logical contract of a relation — at most one tuple per item, stable
-// TupleIds that are never reused, deterministic ascending-id scans — is
-// independent of how tuples are laid out in memory. This interface
-// separates the two so the same relation semantics can run on a row store
-// (one HTuple per slot, the original layout) or a columnar store
-// (dictionary-coded per-attribute columns with truth/alive bitmaps).
+// One HTuple per slot, an item hash index, and a per-attribute inverted
+// component index driving the subsumption scans. The store holds raw slots
+// only: schema validation, duplicate/contradiction policy, version stamps,
+// and error messages stay in HierarchicalRelation.
 //
-// Contracts every implementation must honour, because the parallel kernels
-// and the subsumption-graph cache depend on them:
+// Contracts the parallel kernels and the subsumption-graph cache depend on:
 //  * Append allocates ids sequentially: the id of the n-th Append is n,
 //    dead slots included. Ids are never reused.
 //  * LiveIds / TuplesSubsuming / TuplesSubsumedBy return ascending ids, so
-//    results are byte-identical across storage kinds and thread counts.
-//  * Clone preserves ids, dead slots, and iteration order exactly.
+//    results are byte-identical across thread counts.
+//  * Copies preserve ids, dead slots, and iteration order exactly.
 //  * Chunk boundaries are a pure function of capacity() and kChunkTuples,
-//    never of thread count or layout, so chunked ParallelFor scans are
-//    deterministic.
+//    never of thread count, so chunked ParallelFor scans are deterministic.
 
 #ifndef HIREL_CORE_TUPLE_STORE_H_
 #define HIREL_CORE_TUPLE_STORE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -51,104 +46,73 @@ struct HTuple {
   }
 };
 
-/// Physical layout of a relation's tuples.
-enum class StorageKind : uint8_t {
-  kRow = 0,
-  kColumnar = 1,
-};
-
-const char* StorageKindToString(StorageKind kind);
-
-/// Parses "row" / "columnar" (case-insensitive).
-std::optional<StorageKind> ParseStorageKind(std::string_view text);
-
-/// The storage kind newly constructed relations use when none is given.
-/// Initialised once from the HIREL_STORAGE environment variable (row |
-/// columnar, defaulting to row), then adjustable at runtime via
-/// SET STORAGE. Existing relations keep their layout.
-StorageKind DefaultStorageKind();
-void SetDefaultStorageKind(StorageKind kind);
-
 /// One line of a store's byte breakdown, for SHOW STORAGE.
 struct StorageColumnInfo {
   std::string name;
   size_t bytes = 0;
-  /// Distinct values in the column's dictionary; 0 when the column is not
-  /// dictionary-coded.
-  size_t dict_entries = 0;
 };
 
-/// Abstract tuple container. Stores raw slots only: schema validation,
-/// duplicate/contradiction policy, version stamps, and error messages stay
-/// in HierarchicalRelation. Scan methods take the schema as an argument so
-/// stores hold no back-pointer that copies would have to fix up.
+/// Tuple container of one relation. Scan methods take the schema as an
+/// argument so the store holds no back-pointer that copies would have to
+/// fix up.
 class TupleStore {
  public:
   /// Tuples per scan chunk. Chunk c covers ids
   /// [c * kChunkTuples, min(capacity, (c + 1) * kChunkTuples)).
   static constexpr size_t kChunkTuples = 1024;
 
-  virtual ~TupleStore() = default;
-
-  virtual StorageKind kind() const = 0;
-
-  /// Deep copy preserving ids, dead slots, and dictionaries.
-  virtual std::unique_ptr<TupleStore> Clone() const = 0;
+  explicit TupleStore(size_t arity) : component_index_(arity) {}
 
   /// Slots allocated so far (live + dead); the next Append returns this.
-  virtual size_t capacity() const = 0;
+  size_t capacity() const { return tuples_.size(); }
 
   /// Number of live tuples.
-  virtual size_t size() const = 0;
+  size_t size() const { return num_alive_; }
 
-  virtual bool alive(TupleId id) const = 0;
+  bool alive(TupleId id) const {
+    return id < tuples_.size() && alive_.Test(id);
+  }
 
-  /// Truth / component / item of a live tuple.
-  virtual Truth truth(TupleId id) const = 0;
-  virtual NodeId component(TupleId id, size_t attr) const = 0;
-  virtual Item ItemAt(TupleId id) const = 0;
-
-  /// True iff the live tuple `id` stores exactly `item` — equality without
-  /// materialising the item.
-  virtual bool ItemAtEquals(TupleId id, const Item& item) const = 0;
+  /// The tuple in slot `id`, which must be alive. The reference is valid
+  /// until the next Append or Clear.
+  const HTuple& tuple(TupleId id) const { return tuples_[id]; }
 
   /// Appends a tuple the caller has verified is not already present.
   /// Returns the new id, which is always the previous capacity().
-  virtual TupleId Append(Item item, Truth truth) = 0;
+  TupleId Append(Item item, Truth truth);
 
   /// Replaces the truth value of a live tuple in place.
-  virtual void SetTruth(TupleId id, Truth truth) = 0;
+  void SetTruth(TupleId id, Truth truth) { tuples_[id].truth = truth; }
 
   /// Marks a live tuple dead; its id is never reused.
-  virtual void Erase(TupleId id) = 0;
+  void Erase(TupleId id);
 
-  /// Removes all tuples and resets capacity (and dictionaries) to empty.
-  virtual void Clear() = 0;
+  /// Removes all tuples and resets capacity to empty.
+  void Clear();
 
   /// The id of the live tuple storing exactly `item`, if any.
-  virtual std::optional<TupleId> Find(const Item& item) const = 0;
+  std::optional<TupleId> Find(const Item& item) const;
 
   /// Ids of all live tuples, ascending.
-  virtual std::vector<TupleId> LiveIds() const = 0;
+  std::vector<TupleId> LiveIds() const { return alive_.ToVector(); }
 
   /// Ids of live tuples whose item subsumes `item`, ascending. The caller
   /// guarantees: item arity matches the (non-empty) schema, item[0] is
   /// alive in its hierarchy, and the store is non-empty.
-  virtual std::vector<TupleId> TuplesSubsuming(const Schema& schema,
-                                               const Item& item) const = 0;
+  std::vector<TupleId> TuplesSubsuming(const Schema& schema,
+                                       const Item& item) const;
 
   /// Ids of live tuples whose item is subsumed by `item`, ascending; same
   /// preconditions as TuplesSubsuming.
-  virtual std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
-                                                const Item& item) const = 0;
+  std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
+                                        const Item& item) const;
 
   /// Approximate in-memory footprint in bytes, including indexes and
   /// bitmaps — everything the store owns, not just tuple payloads.
-  virtual size_t ApproxBytes() const = 0;
+  size_t ApproxBytes() const;
 
   /// Per-column (and per-index) byte breakdown for SHOW STORAGE.
-  virtual std::vector<StorageColumnInfo> ColumnInfo(
-      const Schema& schema) const = 0;
+  std::vector<StorageColumnInfo> ColumnInfo(const Schema& schema) const;
 
   /// Number of fixed-size scan chunks covering [0, capacity()).
   size_t num_chunks() const {
@@ -156,54 +120,8 @@ class TupleStore {
   }
 
   /// Invokes `fn` for every live id in chunk `chunk`, ascending.
-  virtual void ForEachLiveInChunk(
-      size_t chunk, const std::function<void(TupleId)>& fn) const = 0;
-};
-
-/// The original layout, extracted verbatim from HierarchicalRelation: one
-/// HTuple per slot, an item hash index, and a per-attribute inverted
-/// component index driving the subsumption scans.
-class RowTupleStore : public TupleStore {
- public:
-  explicit RowTupleStore(size_t arity) : component_index_(arity) {}
-
-  StorageKind kind() const override { return StorageKind::kRow; }
-  std::unique_ptr<TupleStore> Clone() const override {
-    return std::make_unique<RowTupleStore>(*this);
-  }
-
-  size_t capacity() const override { return tuples_.size(); }
-  size_t size() const override { return num_alive_; }
-  bool alive(TupleId id) const override {
-    return id < tuples_.size() && alive_.Test(id);
-  }
-
-  Truth truth(TupleId id) const override { return tuples_[id].truth; }
-  NodeId component(TupleId id, size_t attr) const override {
-    return tuples_[id].item[attr];
-  }
-  Item ItemAt(TupleId id) const override { return tuples_[id].item; }
-  bool ItemAtEquals(TupleId id, const Item& item) const override {
-    return tuples_[id].item == item;
-  }
-
-  TupleId Append(Item item, Truth truth) override;
-  void SetTruth(TupleId id, Truth truth) override;
-  void Erase(TupleId id) override;
-  void Clear() override;
-
-  std::optional<TupleId> Find(const Item& item) const override;
-  std::vector<TupleId> LiveIds() const override;
-  std::vector<TupleId> TuplesSubsuming(const Schema& schema,
-                                       const Item& item) const override;
-  std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
-                                        const Item& item) const override;
-
-  size_t ApproxBytes() const override;
-  std::vector<StorageColumnInfo> ColumnInfo(
-      const Schema& schema) const override;
-  void ForEachLiveInChunk(
-      size_t chunk, const std::function<void(TupleId)>& fn) const override;
+  void ForEachLiveInChunk(size_t chunk,
+                          const std::function<void(TupleId)>& fn) const;
 
  private:
   std::vector<HTuple> tuples_;
@@ -218,91 +136,6 @@ class RowTupleStore : public TupleStore {
   std::vector<std::unordered_map<NodeId, std::vector<TupleId>>>
       component_index_;
 };
-
-/// Column-major layout: one dictionary-coded column per attribute (codes
-/// packed at 1, 2, or 4 bytes each, promoted as the dictionary grows),
-/// truth and liveness as bitmaps, and a hash-bucket item index that stores
-/// no item copies. Subsumption scans walk the first column's codes chunk
-/// by chunk, skipping whole dead words via the alive bitmap.
-class ColumnarTupleStore : public TupleStore {
- public:
-  explicit ColumnarTupleStore(size_t arity) : columns_(arity) {}
-
-  StorageKind kind() const override { return StorageKind::kColumnar; }
-  std::unique_ptr<TupleStore> Clone() const override {
-    return std::make_unique<ColumnarTupleStore>(*this);
-  }
-
-  size_t capacity() const override { return capacity_; }
-  size_t size() const override { return num_alive_; }
-  bool alive(TupleId id) const override {
-    return id < capacity_ && alive_.Test(id);
-  }
-
-  Truth truth(TupleId id) const override {
-    return truth_.Test(id) ? Truth::kPositive : Truth::kNegative;
-  }
-  NodeId component(TupleId id, size_t attr) const override {
-    return columns_[attr].NodeAt(id);
-  }
-  Item ItemAt(TupleId id) const override;
-  bool ItemAtEquals(TupleId id, const Item& item) const override;
-
-  TupleId Append(Item item, Truth truth) override;
-  void SetTruth(TupleId id, Truth truth) override;
-  void Erase(TupleId id) override;
-  void Clear() override;
-
-  std::optional<TupleId> Find(const Item& item) const override;
-  std::vector<TupleId> LiveIds() const override;
-  std::vector<TupleId> TuplesSubsuming(const Schema& schema,
-                                       const Item& item) const override;
-  std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
-                                        const Item& item) const override;
-
-  size_t ApproxBytes() const override;
-  std::vector<StorageColumnInfo> ColumnInfo(
-      const Schema& schema) const override;
-  void ForEachLiveInChunk(
-      size_t chunk, const std::function<void(TupleId)>& fn) const override;
-
-  /// Code width in bytes of column `attr` (1, 2, or 4) — exposed for tests
-  /// of dictionary promotion.
-  size_t ColumnCodeWidth(size_t attr) const { return columns_[attr].width; }
-
- private:
-  /// One dictionary-coded column: dict maps code -> node, codes are packed
-  /// little-endian at `width` bytes per slot.
-  struct Column {
-    std::vector<NodeId> dict;
-    std::unordered_map<NodeId, uint32_t> code_of;
-    size_t width = 1;
-    std::vector<uint8_t> codes;
-
-    uint32_t CodeAt(size_t i) const;
-    NodeId NodeAt(size_t i) const { return dict[CodeAt(i)]; }
-    void Append(NodeId node);
-    void Promote(size_t new_width);
-    size_t Bytes() const;
-  };
-
-  size_t ItemHashAt(TupleId id) const;
-
-  std::vector<Column> columns_;
-  DynamicBitset truth_;  // bit set = positive
-  DynamicBitset alive_;
-  size_t capacity_ = 0;
-  size_t num_alive_ = 0;
-
-  // Item hash -> live ids with that hash. Collisions are resolved by
-  // component-wise comparison against the columns, so the index stores no
-  // item copies (keeping the columnar layout's byte savings).
-  std::unordered_map<size_t, std::vector<TupleId>> item_index_;
-};
-
-/// Constructs an empty store of the given kind for a relation of `arity`
-/// attributes.
-std::unique_ptr<TupleStore> MakeTupleStore(StorageKind kind, size_t arity);
 
 }  // namespace hirel
 

@@ -250,12 +250,6 @@ struct ExportTraceStmt {
   std::string path;
 };
 
-/// SET STORAGE ROW|COLUMNAR: layout for relations created from here on
-/// (existing relations keep theirs).
-struct SetStorageStmt {
-  std::string kind;
-};
-
 /// SET INCREMENTAL ON|OFF: toggle incremental maintenance — the
 /// subsumption-graph cache's journal patch path, delta consolidation, and
 /// the DERIVE fixpoint's extension-append fast path. Results are identical
@@ -320,10 +314,9 @@ using Statement =
                  SetThreadsStmt, RuleStmt, DeriveStmt, CountStmt,
                  ShowBindingStmt, EliminateStmt, ExplainPlanStmt,
                  ResetMetricsStmt, SetSlowQueryStmt, SetLogStmt,
-                 ExportTraceStmt, SetStorageStmt, SetIncrementalStmt,
-                 SetTelemetryStmt, CreateAlertStmt, DropAlertStmt,
-                 ExportDiagnosticsStmt, SetDiagnosticsDirStmt,
-                 SetWatchdogStmt>;
+                 ExportTraceStmt, SetIncrementalStmt, SetTelemetryStmt,
+                 CreateAlertStmt, DropAlertStmt, ExportDiagnosticsStmt,
+                 SetDiagnosticsDirStmt, SetWatchdogStmt>;
 
 /// Holder making the Statement variant usable inside ExplainPlanStmt.
 struct StatementBox {

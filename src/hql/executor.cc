@@ -114,9 +114,6 @@ struct TraceName {
   const char* operator()(const ExportTraceStmt&) const {
     return "export trace";
   }
-  const char* operator()(const SetStorageStmt&) const {
-    return "set storage";
-  }
   const char* operator()(const SetIncrementalStmt&) const {
     return "set incremental";
   }
@@ -338,7 +335,6 @@ std::vector<obs::SessionSetting> Executor::SessionSettings() const {
   std::string dir = alerts_.diagnostics_dir();
   return {
       {"threads", num(ThreadPool::EffectiveThreads(options_.threads))},
-      {"storage", Value::String(StorageKindToString(DefaultStorageKind()))},
       {"incremental", on_off(incremental_)},
       {"preemption",
        Value::String(PreemptionModeToString(options_.preemption))},
@@ -375,7 +371,6 @@ Result<std::string> Executor::ExecuteTracked(const Statement& statement) {
   stats.subsumption_probes = pending_.subsumption_probes;
   stats.peak_tracked_bytes = obs::TrackedPeakBytes();
   stats.plan_digest = pending_.digest;
-  stats.storage = StorageKindToString(DefaultStorageKind());
   stats.threads = ThreadPool::EffectiveThreads(options_.threads);
   history_.Append(std::move(stats));
   DrainAlertCaptures();
@@ -1147,20 +1142,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (stmt.threshold_ms < 0) return std::string("slow-query log: off\n");
       return StrCat("slow-query log: threshold ", stmt.threshold_ms,
                     " ms\n");
-    }
-
-    Result<std::string> operator()(const SetStorageStmt& stmt) {
-      std::optional<StorageKind> kind = ParseStorageKind(stmt.kind);
-      if (!kind.has_value()) {
-        return Status::InvalidArgument(
-            StrCat("unknown storage kind '", stmt.kind,
-                   "' (expected ROW or COLUMNAR)"));
-      }
-      SetDefaultStorageKind(*kind);
-      HIREL_LOG(obs::LogLevel::kInfo, "catalog", "set_storage",
-                {{"kind", StorageKindToString(*kind)}});
-      return StrCat("storage: ", StorageKindToString(*kind),
-                    " (applies to new relations)\n");
     }
 
     Result<std::string> operator()(const SetIncrementalStmt& stmt) {

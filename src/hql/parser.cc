@@ -573,11 +573,6 @@ class Parser {
         HIREL_ASSIGN_OR_RETURN(stmt.level, ExpectIdentifier());
         return Statement(std::move(stmt));
       }
-      if (AcceptKeyword("STORAGE")) {
-        SetStorageStmt stmt;
-        HIREL_ASSIGN_OR_RETURN(stmt.kind, ExpectIdentifier());
-        return Statement(std::move(stmt));
-      }
       if (AcceptKeyword("INCREMENTAL")) {
         SetIncrementalStmt stmt;
         if (AcceptKeyword("ON")) {

@@ -35,7 +35,6 @@ std::string HelpText() {
     COMPRESS r;                                  -- re-encode minimally
     SET PREEMPTION offpath;                      -- or onpath / none
     SET THREADS 4;                               -- parallel kernels; 0 = auto, 1 = serial
-    SET STORAGE row|columnar;                    -- layout for new relations
     SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
                                                  -- consolidate, semi-naive DERIVE
     SHOW STORAGE [JSON];                         -- sys.relations + sys.columns
@@ -85,8 +84,8 @@ std::string HelpText() {
     sys.metrics    -- every counter/gauge/histogram; name is hierarchical,
                    -- so SELECT ... WHERE name = ALL pool covers the subtree
     sys.log        -- event-log ring; severity hierarchy debug>info>warn>error
-    sys.relations  -- stored + virtual relations with storage kind and bytes
-    sys.columns    -- per-column byte and dictionary breakdown
+    sys.relations  -- stored + virtual relations with kind, tuples and bytes
+    sys.columns    -- per-column byte breakdown
     sys.cache      -- subsumption-cache entries with version stamps
     sys.pool       -- per-thread busy time
     sys.queries    -- per-query accounting (ok, wall, wait, rows, probes, peak bytes)

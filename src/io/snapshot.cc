@@ -15,12 +15,15 @@ namespace hirel {
 namespace {
 
 // Format v1 ("HIRELDB1"): per relation, a flat tuple list. Format v2
-// ("HIRELDB2") adds one storage tag byte per relation (0 = row, 1 =
-// columnar); row relations keep the v1 tuple encoding, columnar relations
-// are written as a truth bitmap plus per-attribute dictionaries and code
-// streams. Writers always emit v2; the loader accepts both.
+// ("HIRELDB2") adds one storage tag byte per relation. Writers always emit
+// v2 with tag 0 and the v1 tuple encoding. The loader also accepts v1 and
+// the legacy tag 1, under which a relation was written as a truth bitmap
+// plus per-attribute dictionaries and code streams; every relation loads
+// into the one TupleStore whatever its tag.
 constexpr std::string_view kMagicV1 = "HIRELDB1";
 constexpr std::string_view kMagicV2 = "HIRELDB2";
+constexpr uint8_t kRowTag = 0;
+constexpr uint8_t kLegacyColumnarTag = 1;
 
 uint64_t Fnv1a(std::string_view data) {
   uint64_t hash = 0xcbf29ce484222325ULL;
@@ -198,45 +201,15 @@ Result<std::string> SerializeDatabase(const Database& db) {
       PutLengthPrefixedString(&payload, schema.name(i));
       PutLengthPrefixedString(&payload, schema.hierarchy(i)->name());
     }
-    PutFixed8(&payload, static_cast<uint8_t>(relation->storage_kind()));
+    PutFixed8(&payload, kRowTag);
     std::vector<TupleId> ids = relation->TupleIds();
     PutVarint64(&payload, ids.size());
-    if (relation->storage_kind() == StorageKind::kRow) {
-      for (TupleId id : ids) {
-        PutFixed8(&payload,
-                  relation->TruthOf(id) == Truth::kPositive ? 1 : 0);
-        for (size_t i = 0; i < schema.size(); ++i) {
-          const NodeRemap& remap = remaps[schema.hierarchy(i)->name()];
-          PutVarint32(&payload, remap[relation->Component(id, i)]);
-        }
-      }
-    } else {
-      // Columnar encoding: truth bitmap over live tuples (bit i = tuple i
-      // positive, live-id order), then per attribute a first-occurrence
-      // dictionary of remapped nodes followed by one code per live tuple.
-      std::string bitmap((ids.size() + 7) / 8, '\0');
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (relation->TruthOf(ids[i]) == Truth::kPositive) {
-          bitmap[i >> 3] |= static_cast<char>(1u << (i & 7));
-        }
-      }
-      payload += bitmap;
-      for (size_t attr = 0; attr < schema.size(); ++attr) {
-        const NodeRemap& remap = remaps[schema.hierarchy(attr)->name()];
-        std::vector<NodeId> dict;
-        std::unordered_map<NodeId, uint32_t> code_of;
-        std::vector<uint32_t> codes;
-        codes.reserve(ids.size());
-        for (TupleId id : ids) {
-          NodeId node = relation->Component(id, attr);
-          auto [it, inserted] =
-              code_of.try_emplace(node, static_cast<uint32_t>(dict.size()));
-          if (inserted) dict.push_back(node);
-          codes.push_back(it->second);
-        }
-        PutVarint64(&payload, dict.size());
-        for (NodeId node : dict) PutVarint32(&payload, remap[node]);
-        for (uint32_t code : codes) PutVarint32(&payload, code);
+    for (TupleId id : ids) {
+      const HTuple& t = relation->tuple(id);
+      PutFixed8(&payload, t.truth == Truth::kPositive ? 1 : 0);
+      for (size_t i = 0; i < schema.size(); ++i) {
+        const NodeRemap& remap = remaps[schema.hierarchy(i)->name()];
+        PutVarint32(&payload, remap[t.item[i]]);
       }
     }
   }
@@ -292,16 +265,15 @@ Result<std::unique_ptr<Database>> DeserializeDatabase(std::string_view data) {
                              decoder.GetLengthPrefixedString());
       attributes.emplace_back(std::move(attr_name), std::move(hierarchy_name));
     }
-    StorageKind storage = DefaultStorageKind();
+    uint8_t tag = kRowTag;
     if (v2) {
-      HIREL_ASSIGN_OR_RETURN(uint8_t tag, decoder.GetFixed8());
-      if (tag > 1) {
+      HIREL_ASSIGN_OR_RETURN(tag, decoder.GetFixed8());
+      if (tag != kRowTag && tag != kLegacyColumnarTag) {
         return Status::Corruption(StrCat("unknown storage tag ", int{tag}));
       }
-      storage = static_cast<StorageKind>(tag);
     }
     HIREL_ASSIGN_OR_RETURN(HierarchicalRelation * relation,
-                           db->CreateRelation(name, attributes, storage));
+                           db->CreateRelation(name, attributes));
     HIREL_ASSIGN_OR_RETURN(uint64_t tuple_count, decoder.GetVarint64());
     auto insert = [&](Item item, Truth truth) -> Status {
       Result<TupleId> inserted = relation->Insert(std::move(item), truth);
@@ -311,7 +283,7 @@ Result<std::unique_ptr<Database>> DeserializeDatabase(std::string_view data) {
       }
       return Status::OK();
     };
-    if (!v2 || storage == StorageKind::kRow) {
+    if (tag == kRowTag) {
       for (uint64_t t = 0; t < tuple_count; ++t) {
         HIREL_ASSIGN_OR_RETURN(uint8_t truth, decoder.GetFixed8());
         Item item(attr_count);

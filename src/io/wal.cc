@@ -193,18 +193,17 @@ Status ApplyRecord(Database& db, std::string_view payload) {
                                decoder.GetLengthPrefixedString());
         attributes.emplace_back(std::move(attr), std::move(hierarchy));
       }
-      // Records written before storage kinds existed end here; they replay
-      // with the session default.
-      StorageKind storage = DefaultStorageKind();
+      // An optional storage tag follows: 0 (row) or the legacy 1
+      // (columnar). Records written before the tag existed end here. Every
+      // relation replays into the one TupleStore whatever its tag.
       if (!decoder.done()) {
         HIREL_ASSIGN_OR_RETURN(uint8_t tag, decoder.GetFixed8());
         if (tag > 1) {
           return Status::Corruption(
               StrCat("unknown storage tag ", int{tag}, " in WAL record"));
         }
-        storage = static_cast<StorageKind>(tag);
       }
-      return db.CreateRelation(name, attributes, storage).status();
+      return db.CreateRelation(name, attributes).status();
     }
     case WalOp::kInsertTuple:
     case WalOp::kEraseTuple: {
@@ -506,7 +505,7 @@ Result<HierarchicalRelation*> LoggedDatabase::CreateRelation(
     PutLengthPrefixedString(&record, attr);
     PutLengthPrefixedString(&record, hierarchy);
   }
-  PutFixed8(&record, static_cast<uint8_t>(relation->storage_kind()));
+  PutFixed8(&record, 0);  // storage tag: row
   HIREL_RETURN_IF_ERROR(wal_->Append(record));
   return relation;
 }

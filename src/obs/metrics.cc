@@ -164,7 +164,7 @@ std::map<std::string, HelpEntry, std::less<>>& HelpTable() {
       {"pool.", {"thread-pool scheduling activity", true}},
       {"wal.", {"write-ahead-log activity", true}},
       {"snapshot.", {"database snapshot save/load activity", true}},
-      {"storage.", {"tuple-store occupancy by engine", true}},
+      {"storage.", {"tuple-store occupancy", true}},
       {"derive.", {"DERIVE fixpoint activity", true}},
       {"log.", {"structured-logger activity", true}},
       {"waits.", {"wait-event time aggregated per wait class", true}},

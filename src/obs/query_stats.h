@@ -45,7 +45,6 @@ struct QueryStats {
   uint64_t subsumption_probes = 0;  // exact; matches EXPLAIN ANALYZE totals
   uint64_t peak_tracked_bytes = 0;  // kernel candidate-buffer peak
   std::string plan_digest;       // structural digest; empty if unplanned
-  std::string storage;           // session default storage kind
   size_t threads = 0;            // effective worker count
 };
 

@@ -259,14 +259,13 @@ class SysRelationsProvider : public SysProviderBase {
   Result<HierarchicalRelation> Materialize() override {
     RefreshDomains();
     HierarchicalRelation rel = NewRelation();
+    NodeId stored_kind = Label("stored");
     for (const std::string& stored : db_->RelationNames()) {
       Result<const HierarchicalRelation*> r = db_->GetRelation(stored);
       if (!r.ok()) continue;
       HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(stored),
-                    Label(StorageKindToString((*r)->storage_kind())),
-                    Num((*r)->size()), Num((*r)->num_chunks()),
-                    Num((*r)->ApproxBytes())}));
+          rel, Item{Label(stored), stored_kind, Num((*r)->size()),
+                    Num((*r)->num_chunks()), Num((*r)->ApproxBytes())}));
     }
     NodeId virt = Label("virtual");
     for (const std::string& name : db_->VirtualRelationNames()) {
@@ -283,6 +282,7 @@ class SysRelationsProvider : public SysProviderBase {
   void RefreshDomains() override {
     for (const std::string& stored : db_->RelationNames()) Label(stored);
     for (const std::string& name : db_->VirtualRelationNames()) Label(name);
+    Label("stored");
     Label("virtual");
   }
 
@@ -315,8 +315,7 @@ class SysColumnsProvider : public SysProviderBase {
       if (!r.ok()) continue;
       for (const StorageColumnInfo& col : (*r)->ColumnInfo()) {
         HIREL_RETURN_IF_ERROR(AddRow(
-            rel, Item{Label(stored), Label(col.name), Num(col.bytes),
-                      Num(col.dict_entries)}));
+            rel, Item{Label(stored), Label(col.name), Num(col.bytes)}));
       }
     }
     return rel;
@@ -465,7 +464,6 @@ class SysQueriesProvider : public SysProviderBase {
                 Num(q.subsumption_probes),
                 Num(q.peak_tracked_bytes),
                 Label(q.plan_digest.empty() ? "-" : q.plan_digest),
-                Label(q.storage),
                 Num(q.threads)};
   }
 
@@ -770,7 +768,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
   (void)db.RegisterVirtualRelation(std::make_unique<SysRelationsProvider>(
       "sys.relations",
       MakeSchema({{"relation", domains.label},
-                  {"storage", domains.label},
+                  {"kind", domains.label},
                   {"tuples", domains.num},
                   {"chunks", domains.num},
                   {"bytes", domains.num}}),
@@ -779,8 +777,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
       "sys.columns",
       MakeSchema({{"relation", domains.label},
                   {"column", domains.label},
-                  {"col_bytes", domains.num},
-                  {"dict_entries", domains.num}}),
+                  {"col_bytes", domains.num}}),
       domains, &db));
   (void)db.RegisterVirtualRelation(std::make_unique<SysCacheProvider>(
       "sys.cache",
@@ -807,7 +804,6 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                   {"probes", domains.num},
                   {"peak_bytes", domains.num},
                   {"digest", domains.label},
-                  {"storage", domains.label},
                   {"threads", domains.num}}),
       domains, history));
   (void)db.RegisterVirtualRelation(std::make_unique<SysWaitsProvider>(
@@ -901,25 +897,16 @@ void SyncEngineGauges(const Database& db) {
     m.gauge(StrCat("waits.", cls, ".ms"))
         .Set(static_cast<int64_t>(wait_totals[i].total_ns / 1'000'000));
   }
-  size_t row_relations = 0, columnar_relations = 0;
-  size_t row_bytes = 0, columnar_bytes = 0;
+  size_t relations = 0;
+  size_t bytes = 0;
   for (const std::string& name : db.RelationNames()) {
     Result<const HierarchicalRelation*> r = db.GetRelation(name);
     if (!r.ok()) continue;
-    if ((*r)->storage_kind() == StorageKind::kRow) {
-      ++row_relations;
-      row_bytes += (*r)->ApproxBytes();
-    } else {
-      ++columnar_relations;
-      columnar_bytes += (*r)->ApproxBytes();
-    }
+    ++relations;
+    bytes += (*r)->ApproxBytes();
   }
-  m.gauge("storage.row_relations").Set(static_cast<int64_t>(row_relations));
-  m.gauge("storage.columnar_relations")
-      .Set(static_cast<int64_t>(columnar_relations));
-  m.gauge("storage.row_bytes").Set(static_cast<int64_t>(row_bytes));
-  m.gauge("storage.columnar_bytes")
-      .Set(static_cast<int64_t>(columnar_bytes));
+  m.gauge("storage.relations").Set(static_cast<int64_t>(relations));
+  m.gauge("storage.bytes").Set(static_cast<int64_t>(bytes));
   UpdateProcessGauges(m);
 }
 

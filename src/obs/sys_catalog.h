@@ -17,17 +17,17 @@
 //                  ring; levels form the severity hierarchy debug ⊃ info ⊃
 //                  warn ⊃ error, so `WHERE level = ALL warn` returns every
 //                  event covered by warn (warn and error).
-//   sys.relations  (relation, storage, tuples, chunks, bytes)   stored and
-//                  virtual relations (virtual rows have storage
-//                  "virtual" and provider row-count hints).
-//   sys.columns    (relation, column, col_bytes, dict_entries)   per-column
-//                  byte breakdown of every stored relation.
+//   sys.relations  (relation, kind, tuples, chunks, bytes)   stored and
+//                  virtual relations (kind "stored" or "virtual"; virtual
+//                  rows carry provider row-count hints).
+//   sys.columns    (relation, column, col_bytes)   per-column byte
+//                  breakdown of every stored relation.
 //   sys.cache      (relation, version, graph_nodes)   SubsumptionCache
 //                  entries with their version stamps.
 //   sys.pool       (thread, busy_ms)   per-thread busy time of the shared
 //                  worker pool ("caller", "worker0", ...).
 //   sys.queries    (id, kind, statement, ok, wall_us, wait_us, rows_in,
-//                  rows_out, probes, peak_bytes, digest, storage, threads)
+//                  rows_out, probes, peak_bytes, digest, threads)
 //                  the executor's bounded query-history ring; ok is
 //                  "false" for a failed statement, wait_us the attributed
 //                  wait share of wall_us.
@@ -51,7 +51,7 @@
 //                  per engine component (pool, wal, cache, queries,
 //                  telemetry) derived from the firing alerts, plus an
 //                  "overall" row folding every firing alert.
-//   sys.session    (key, value)   the session settings (threads, storage,
+//   sys.session    (key, value)   the session settings (threads,
 //                  preemption, telemetry, slow_query_ms, ...) and sampler
 //                  state (telemetry_ticks, telemetry_ring_capacity);
 //                  numeric settings are Int values.
@@ -100,7 +100,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                            SessionSettingsFn session = nullptr);
 
 /// Refreshes the engine gauges derived from live structures — subsumption
-/// cache stats, thread-pool state, per-storage-kind relation/byte totals,
+/// cache stats, thread-pool state, stored relation/byte totals,
 /// and the process gauges — so a sys.metrics scan (and SHOW METRICS
 /// PROMETHEUS) reflects current state.
 void SyncEngineGauges(const Database& db);

@@ -152,10 +152,7 @@ class Walker {
         Result<const HierarchicalRelation*> rel =
             std::as_const(db_).GetRelation(node.relation);
         if (rel.ok()) {
-          if (ns != nullptr) {
-            ns->storage = StorageKindToString((*rel)->storage_kind());
-            ns->chunks = (*rel)->num_chunks();
-          }
+          if (ns != nullptr) ns->chunks = (*rel)->num_chunks();
           if (stats_ != nullptr) stats_->rows_scanned += (*rel)->size();
           Slot slot;
           slot.rel = *rel;
@@ -169,7 +166,6 @@ class Walker {
         if (provider == nullptr) return rel.status();
         HIREL_ASSIGN_OR_RETURN(Slot slot, Own(provider->Materialize()));
         if (ns != nullptr) {
-          ns->storage = StorageKindToString(slot.rel->storage_kind());
           ns->chunks = slot.rel->num_chunks();
           ns->virtual_scan = true;
         }

@@ -78,11 +78,8 @@ struct PlanNodeStats {
   /// Effective worker count the node's kernel may fan out to; 0 or 1 means
   /// it ran serially. EXPLAIN ANALYZE renders values > 1 as `workers=N`.
   size_t workers = 0;
-  /// Storage layout of the relation a Scan node produced ("row" /
-  /// "columnar"); null for non-scan nodes, which keeps the annotation out
-  /// of their EXPLAIN ANALYZE lines.
-  const char* storage = nullptr;
-  /// Fixed-size scan chunks covering that relation's slots.
+  /// Fixed-size scan chunks covering the slots of the relation a Scan node
+  /// produced; EXPLAIN ANALYZE renders it on Scan lines only.
   size_t chunks = 0;
   /// True for a Scan of a virtual (sys.*) relation, materialized by its
   /// provider for this execution; EXPLAIN ANALYZE renders `virtual=true`.

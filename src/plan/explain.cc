@@ -77,8 +77,8 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
       if (ns.workers > 1) {
         out += StrCat(" workers=", ns.workers);
       }
-      if (ns.storage != nullptr) {
-        out += StrCat(" storage=", ns.storage, " chunks=", ns.chunks);
+      if (node.op == PlanOp::kScan) {
+        out += StrCat(" chunks=", ns.chunks);
       }
       if (ns.virtual_scan) {
         out += " virtual=true";

@@ -37,7 +37,7 @@ void ExpectGraphEq(const SubsumptionGraph& got, const SubsumptionGraph& want,
 }
 
 /// The relation's content as a sorted (item, truth) list — the
-/// storage-independent notion of "the same relation".
+/// id-independent notion of "the same relation".
 std::vector<std::pair<Item, Truth>> Content(
     const HierarchicalRelation& rel) {
   std::vector<std::pair<Item, Truth>> out;
@@ -509,72 +509,68 @@ TEST_P(IncrementalEquivalence, PatchedGraphMatchesRebuildUnderRandomChurn) {
 
 /// The same trace fed to two executors — incremental on vs. off — must
 /// leave byte-identical relations, consolidation results, and derived
-/// facts, on both storage layouts.
+/// facts.
 TEST_P(IncrementalEquivalence, ExecutorTraceMatchesWithIncrementalOff) {
-  for (const char* storage : {"row", "columnar"}) {
-    hql::Executor on, off;
-    ASSERT_TRUE(off.Execute("SET INCREMENTAL OFF;").ok());
-    std::string setup = std::string("SET STORAGE ") + storage + ";" +
-                        "CREATE HIERARCHY d;"
-                        "CREATE CLASS c0 IN d; CREATE CLASS c1 IN d;"
-                        "CREATE CLASS c2 IN d UNDER c0;"
-                        "CREATE CLASS c3 IN d UNDER c1;"
-                        "CREATE INSTANCE i0 IN d UNDER c2;"
-                        "CREATE INSTANCE i1 IN d UNDER c2;"
-                        "CREATE INSTANCE i2 IN d UNDER c3;"
-                        "CREATE INSTANCE i3 IN d UNDER c3;"
-                        "CREATE RELATION r (a: d);"
-                        "CREATE RELATION reach (a: d);"
-                        "RULE 'reach(?x) :- r(?x).';";
-    ASSERT_TRUE(on.Execute(setup).ok());
-    ASSERT_TRUE(off.Execute(setup).ok());
+  hql::Executor on, off;
+  ASSERT_TRUE(off.Execute("SET INCREMENTAL OFF;").ok());
+  std::string setup = "CREATE HIERARCHY d;"
+                      "CREATE CLASS c0 IN d; CREATE CLASS c1 IN d;"
+                      "CREATE CLASS c2 IN d UNDER c0;"
+                      "CREATE CLASS c3 IN d UNDER c1;"
+                      "CREATE INSTANCE i0 IN d UNDER c2;"
+                      "CREATE INSTANCE i1 IN d UNDER c2;"
+                      "CREATE INSTANCE i2 IN d UNDER c3;"
+                      "CREATE INSTANCE i3 IN d UNDER c3;"
+                      "CREATE RELATION r (a: d);"
+                      "CREATE RELATION reach (a: d);"
+                      "RULE 'reach(?x) :- r(?x).';";
+  ASSERT_TRUE(on.Execute(setup).ok());
+  ASSERT_TRUE(off.Execute(setup).ok());
 
-    std::vector<std::string> targets = {"ALL c0", "ALL c1", "ALL c2",
-                                        "ALL c3", "i0", "i1", "i2", "i3"};
-    Random rng(GetParam() * 31 + 7);
-    for (int step = 0; step < 60; ++step) {
-      size_t roll = rng.Index(12);
-      std::string stmt;
-      if (roll < 4) {
-        stmt = (rng.Bernoulli(0.3) ? "DENY r(" : "ASSERT r(") +
-               targets[rng.Index(targets.size())] + ");";
-      } else if (roll < 6) {
-        stmt = "RETRACT r(" + targets[rng.Index(targets.size())] + ");";
-      } else if (roll < 8) {
-        stmt = "SELECT * FROM r WHERE a = " +
-               targets[rng.Index(targets.size())] + ";";
-      } else if (roll < 9) {
-        stmt = "CONNECT c" + std::to_string(rng.Index(4)) + " TO i" +
-               std::to_string(rng.Index(4)) + " IN d;";
-      } else if (roll < 10) {
-        stmt = "PREFER c" + std::to_string(rng.Index(4)) + " OVER c" +
-               std::to_string(rng.Index(4)) + " IN d;";
-      } else if (roll < 11) {
-        stmt = "CONSOLIDATE r;";
-      } else {
-        stmt = "DERIVE;";
-      }
-      Result<std::string> ra = on.Execute(stmt);
-      Result<std::string> rb = off.Execute(stmt);
-      ASSERT_EQ(ra.ok(), rb.ok())
-          << "seed " << GetParam() << " step " << step << ": " << stmt;
-      if (ra.ok() && stmt[0] == 'S') {  // SELECTs must render identically
-        EXPECT_EQ(*ra, *rb) << stmt;
-      }
+  std::vector<std::string> targets = {"ALL c0", "ALL c1", "ALL c2",
+                                      "ALL c3", "i0", "i1", "i2", "i3"};
+  Random rng(GetParam() * 31 + 7);
+  for (int step = 0; step < 60; ++step) {
+    size_t roll = rng.Index(12);
+    std::string stmt;
+    if (roll < 4) {
+      stmt = (rng.Bernoulli(0.3) ? "DENY r(" : "ASSERT r(") +
+             targets[rng.Index(targets.size())] + ");";
+    } else if (roll < 6) {
+      stmt = "RETRACT r(" + targets[rng.Index(targets.size())] + ");";
+    } else if (roll < 8) {
+      stmt = "SELECT * FROM r WHERE a = " +
+             targets[rng.Index(targets.size())] + ";";
+    } else if (roll < 9) {
+      stmt = "CONNECT c" + std::to_string(rng.Index(4)) + " TO i" +
+             std::to_string(rng.Index(4)) + " IN d;";
+    } else if (roll < 10) {
+      stmt = "PREFER c" + std::to_string(rng.Index(4)) + " OVER c" +
+             std::to_string(rng.Index(4)) + " IN d;";
+    } else if (roll < 11) {
+      stmt = "CONSOLIDATE r;";
+    } else {
+      stmt = "DERIVE;";
     }
-    for (const char* name : {"r", "reach"}) {
-      const HierarchicalRelation* ra =
-          std::as_const(on.database()).GetRelation(name).value();
-      const HierarchicalRelation* rb =
-          std::as_const(off.database()).GetRelation(name).value();
-      EXPECT_EQ(Content(*ra), Content(*rb))
-          << name << " diverged (seed " << GetParam() << ", " << storage
-          << ")";
-      ExpectGraphEq(on.database().subsumption_cache().Get(*ra),
-                    BuildSubsumptionGraph(*ra),
-                    std::string(name) + " cached graph (seed " +
-                        std::to_string(GetParam()) + ")");
+    Result<std::string> ra = on.Execute(stmt);
+    Result<std::string> rb = off.Execute(stmt);
+    ASSERT_EQ(ra.ok(), rb.ok())
+        << "seed " << GetParam() << " step " << step << ": " << stmt;
+    if (ra.ok() && stmt[0] == 'S') {  // SELECTs must render identically
+      EXPECT_EQ(*ra, *rb) << stmt;
     }
+  }
+  for (const char* name : {"r", "reach"}) {
+    const HierarchicalRelation* ra =
+        std::as_const(on.database()).GetRelation(name).value();
+    const HierarchicalRelation* rb =
+        std::as_const(off.database()).GetRelation(name).value();
+    EXPECT_EQ(Content(*ra), Content(*rb))
+        << name << " diverged (seed " << GetParam() << ")";
+    ExpectGraphEq(on.database().subsumption_cache().Get(*ra),
+                  BuildSubsumptionGraph(*ra),
+                  std::string(name) + " cached graph (seed " +
+                      std::to_string(GetParam()) + ")");
   }
 }
 

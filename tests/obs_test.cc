@@ -848,52 +848,20 @@ TEST(ExecutorObsTest, ExportTraceWritesParseableChromeJson) {
   std::remove(path.c_str());
 }
 
-TEST(ExecutorObsTest, ShowMetricsReportsStorageGaugesPerLayout) {
-  const StorageKind saved = DefaultStorageKind();
+TEST(ExecutorObsTest, ShowMetricsReportsStorageGauges) {
   hql::Executor exec;
-  ASSERT_TRUE(exec.Execute("SET STORAGE columnar;").ok());
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
 
   std::string text = exec.Execute("SHOW METRICS;").value();
-  EXPECT_NE(text.find("storage.row_relations"), std::string::npos);
-  EXPECT_NE(text.find("storage.columnar_relations"), std::string::npos);
-  EXPECT_NE(text.find("storage.row_bytes"), std::string::npos);
-  EXPECT_NE(text.find("storage.columnar_bytes"), std::string::npos);
+  EXPECT_NE(text.find("storage.relations"), std::string::npos);
+  EXPECT_NE(text.find("storage.bytes"), std::string::npos);
 
-  // `flies` was created under the columnar default, so the columnar
-  // gauges count it and its bytes.
+  // The gauges count `flies` and its bytes.
   MetricsRegistry& m = exec.database().metrics();
-  EXPECT_GE(m.gauge("storage.columnar_relations").value(), 1);
-  EXPECT_GT(m.gauge("storage.columnar_bytes").value(), 0);
-  SetDefaultStorageKind(saved);
-}
-
-TEST(ExecutorObsTest, ExportTraceParseableUnderColumnarStorage) {
-  const StorageKind saved = DefaultStorageKind();
-  hql::Executor exec;
-  ASSERT_TRUE(exec.Execute("SET STORAGE columnar;").ok());
-  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
-  ASSERT_TRUE(exec.Execute("SELECT * FROM flies;").ok());
-
-  std::string path =
-      std::string(::testing::TempDir()) + "/obs_trace_columnar.json";
-  ASSERT_TRUE(exec.Execute("EXPORT TRACE '" + path + "';").ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string json = buffer.str();
-  EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
-  int depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  std::remove(path.c_str());
-  SetDefaultStorageKind(saved);
+  EXPECT_GE(m.gauge("storage.relations").value(), 1);
+  EXPECT_EQ(m.gauge("storage.bytes").value(),
+            static_cast<int64_t>(
+                exec.database().GetRelation("flies").value()->ApproxBytes()));
 }
 
 // ---------------------------------------------------------------------------

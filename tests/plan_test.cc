@@ -211,31 +211,25 @@ TEST(PlanDigestTest, DistinctShapesDigestDistinctly) {
   EXPECT_EQ(std::unique(digests.begin(), digests.end()), digests.end());
 }
 
-TEST(PlanDigestTest, StableAcrossStorageAndThreadCount) {
+TEST(PlanDigestTest, StableAcrossThreadCount) {
   // The digest hashes plan structure only, so the same statement compiled
-  // under either storage layout and any worker count identifies the same
-  // plan — slow-query log and sys.queries entries stay correlatable.
-  const StorageKind saved = DefaultStorageKind();
+  // under any worker count identifies the same plan — slow-query log and
+  // sys.queries entries stay correlatable.
   std::vector<std::string> digests;
-  for (const char* storage : {"row", "columnar"}) {
-    for (const char* threads : {"1", "4"}) {
-      hql::Executor exec;
-      ASSERT_TRUE(exec.Execute(StrCat("SET STORAGE ", storage, ";")).ok());
-      ASSERT_TRUE(exec.Execute(StrCat("SET THREADS ", threads, ";")).ok());
-      ASSERT_TRUE(exec.Execute(R"(
-        CREATE HIERARCHY h;
-        CREATE CLASS c IN h;
-        CREATE INSTANCE i IN h UNDER c;
-        CREATE RELATION r (a: h);
-        ASSERT r(ALL c);
-      )").ok());
-      ASSERT_TRUE(exec.Execute("SELECT * FROM r WHERE a = ALL c;").ok());
-      digests.push_back(
-          exec.query_history().Snapshot().back()->plan_digest);
-    }
+  for (const char* threads : {"1", "4"}) {
+    hql::Executor exec;
+    ASSERT_TRUE(exec.Execute(StrCat("SET THREADS ", threads, ";")).ok());
+    ASSERT_TRUE(exec.Execute(R"(
+      CREATE HIERARCHY h;
+      CREATE CLASS c IN h;
+      CREATE INSTANCE i IN h UNDER c;
+      CREATE RELATION r (a: h);
+      ASSERT r(ALL c);
+    )").ok());
+    ASSERT_TRUE(exec.Execute("SELECT * FROM r WHERE a = ALL c;").ok());
+    digests.push_back(exec.query_history().Snapshot().back()->plan_digest);
   }
-  SetDefaultStorageKind(saved);
-  ASSERT_EQ(digests.size(), 4u);
+  ASSERT_EQ(digests.size(), 2u);
   EXPECT_FALSE(digests[0].empty());
   for (const std::string& digest : digests) EXPECT_EQ(digest, digests[0]);
 }

@@ -6,6 +6,7 @@
 
 #include "core/explicate.h"
 #include "core/inference.h"
+#include "legacy_data.h"
 #include "testing/fixtures.h"
 
 namespace hirel {
@@ -135,39 +136,6 @@ TEST(SnapshotTest, DoubleRoundTripIsStable) {
   EXPECT_EQ(once, twice);
 }
 
-TEST(SnapshotTest, ColumnarRelationRoundTripPreservesKindAndContents) {
-  Database db;
-  Hierarchy* h = db.CreateHierarchy("animal").value();
-  NodeId bird = h->AddClass("bird").value();
-  NodeId penguin = h->AddClass("penguin", {bird}).value();
-  NodeId tweety =
-      h->AddInstance(Value::String("tweety"), {bird}).value();
-  HierarchicalRelation* flies =
-      db.CreateRelation("flies", {{"who", "animal"}},
-                        StorageKind::kColumnar)
-          .value();
-  ASSERT_TRUE(flies->Insert({bird}, Truth::kPositive).ok());
-  ASSERT_TRUE(flies->Insert({penguin}, Truth::kNegative).ok());
-  HierarchicalRelation* rows =
-      db.CreateRelation("rows", {{"who", "animal"}}, StorageKind::kRow)
-          .value();
-  ASSERT_TRUE(rows->Insert({tweety}, Truth::kPositive).ok());
-
-  std::string data = SerializeDatabase(db).value();
-  std::unique_ptr<Database> loaded = DeserializeDatabase(data).value();
-
-  // Each relation keeps the layout it was created with, whatever the
-  // session default is at load time.
-  HierarchicalRelation* lf = loaded->GetRelation("flies").value();
-  EXPECT_EQ(lf->storage_kind(), StorageKind::kColumnar);
-  EXPECT_EQ(loaded->GetRelation("rows").value()->storage_kind(),
-            StorageKind::kRow);
-  EXPECT_EQ(lf->ToString(), flies->ToString());
-
-  // Stability: a reload of a reserialization is byte-identical.
-  EXPECT_EQ(SerializeDatabase(*loaded).value(), data);
-}
-
 TEST(SnapshotTest, UnknownStorageTagIsCorruption) {
   Database db;
   ASSERT_TRUE(db.CreateHierarchy("h").ok());
@@ -175,9 +143,10 @@ TEST(SnapshotTest, UnknownStorageTagIsCorruption) {
   std::string data = SerializeDatabase(db).value();
   // The relation's storage tag sits right before the tuple count (here 0),
   // which is the last body byte ahead of the 8-byte checksum trailer.
-  // Patch the tag and re-stamp the checksum so only the tag check fires.
+  // Patch it to 2, the first tag no writer ever used, and re-stamp the
+  // checksum so only the tag check fires.
   std::string body = data.substr(0, data.size() - 8);
-  body[body.size() - 2] = '\x07';
+  body[body.size() - 2] = '\x02';
   uint64_t checksum = 0xcbf29ce484222325ULL;
   for (char c : body) {
     checksum ^= static_cast<uint8_t>(c);
@@ -190,8 +159,8 @@ TEST(SnapshotTest, UnknownStorageTagIsCorruption) {
 }
 
 /// A snapshot written by the pre-TupleStore format (magic HIRELDB1,
-/// committed as a binary fixture) must keep loading: relations come back
-/// under the session-default layout with their contents intact.
+/// committed as a binary fixture) must keep loading with its contents
+/// intact.
 TEST(SnapshotTest, LegacyV1SnapshotStillLoads) {
   std::unique_ptr<Database> loaded =
       LoadDatabase(std::string(HIREL_SOURCE_DIR) +
@@ -204,7 +173,6 @@ TEST(SnapshotTest, LegacyV1SnapshotStillLoads) {
 
   Hierarchy* animal = loaded->GetHierarchy("animal").value();
   HierarchicalRelation* flies = loaded->GetRelation("flies").value();
-  EXPECT_EQ(flies->storage_kind(), DefaultStorageKind());
   NodeId tweety = animal->FindInstance(Value::String("tweety")).value();
   NodeId opus = animal->FindInstance(Value::String("opus")).value();
   EXPECT_EQ(InferTruth(*flies, {tweety}).value(), Truth::kPositive);
@@ -218,6 +186,27 @@ TEST(SnapshotTest, LegacyV1SnapshotStillLoads) {
   std::unique_ptr<Database> again = DeserializeDatabase(rewritten).value();
   EXPECT_EQ(again->GetRelation("flies").value()->ToString(),
             flies->ToString());
+}
+
+/// v2 snapshots written before the columnar store was removed, from
+/// tests/data/legacy_v2_source.hql: one with every relation tagged row
+/// (tag 0), one tagged columnar (tag 1: truth bitmap plus per-attribute
+/// dictionaries). Both load to the source script's extensions, and both
+/// reserialize to the row-tagged bytes: the on-disk format is unchanged.
+TEST(SnapshotTest, LegacyV2RowAndColumnarSnapshotsLoad) {
+  const std::string expected = legacy_data::SourceExtensions();
+  ASSERT_FALSE(expected.empty());
+  const std::string row_bytes =
+      legacy_data::ReadFile(legacy_data::DataPath("legacy_v2_row.snapshot"));
+  for (const char* name :
+       {"legacy_v2_row.snapshot", "legacy_v2_columnar.snapshot"}) {
+    const std::string path = legacy_data::DataPath(name);
+    EXPECT_EQ(legacy_data::Extensions("LOAD '" + path + "';"), expected)
+        << name;
+    Result<std::unique_ptr<Database>> loaded = LoadDatabase(path);
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status();
+    EXPECT_EQ(SerializeDatabase(**loaded).value(), row_bytes) << name;
+  }
 }
 
 TEST(SnapshotTest, EmptyDatabaseRoundTrip) {

@@ -83,6 +83,50 @@ TEST(SysCatalogTest, SelectOverSysRelationsSeesStoredAndVirtual) {
   EXPECT_NE(out.find("virtual"), std::string::npos);
 }
 
+/// One storage engine: sys.relations tells stored from virtual relations
+/// by `kind`, and no introspection relation carries a layout column.
+TEST(SysCatalogTest, StorageColumnsHaveNoLayoutDimension) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  auto columns = [](const json_rows::Row& row) {
+    std::set<std::string> names;
+    for (const auto& [name, cell] : row.cells) names.insert(name);
+    return names;
+  };
+  std::vector<json_rows::Row> relations =
+      json_rows::SysRows(exec.database(), "sys.relations");
+  const json_rows::Row* flies =
+      json_rows::FindRow(relations, {{"relation", "flies"}});
+  ASSERT_NE(flies, nullptr);
+  EXPECT_EQ(flies->cells.at("kind"), "stored");
+  EXPECT_EQ(columns(*flies), (std::set<std::string>{
+                                 "relation", "kind", "tuples", "chunks",
+                                 "bytes"}));
+  const json_rows::Row* metrics =
+      json_rows::FindRow(relations, {{"relation", "sys.metrics"}});
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->cells.at("kind"), "virtual");
+
+  std::vector<json_rows::Row> cols =
+      json_rows::SysRows(exec.database(), "sys.columns");
+  ASSERT_FALSE(cols.empty());
+  EXPECT_EQ(columns(cols.front()),
+            (std::set<std::string>{"relation", "column", "col_bytes"}));
+
+  std::vector<json_rows::Row> queries =
+      json_rows::SysRows(exec.database(), "sys.queries");
+  ASSERT_FALSE(queries.empty());
+  EXPECT_EQ(columns(queries.front()),
+            (std::set<std::string>{"id", "kind", "statement", "ok", "wall_us",
+                                   "wait_us", "rows_in", "rows_out", "probes",
+                                   "peak_bytes", "digest", "threads"}));
+
+  std::vector<json_rows::Row> session =
+      json_rows::SysRows(exec.database(), "sys.session");
+  EXPECT_NE(json_rows::FindRow(session, {{"key", "threads"}}), nullptr);
+  EXPECT_EQ(json_rows::FindRow(session, {{"key", "storage"}}), nullptr);
+}
+
 TEST(SysCatalogTest, MetricNameSubtreeSelection) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
@@ -93,7 +137,7 @@ TEST(SysCatalogTest, MetricNameSubtreeSelection) {
           .value();
   EXPECT_NE(out.find("pool.workers"), std::string::npos);
   EXPECT_EQ(out.find("query.statements"), std::string::npos);
-  EXPECT_EQ(out.find("storage.row_bytes"), std::string::npos);
+  EXPECT_EQ(out.find("storage.bytes"), std::string::npos);
 }
 
 TEST(SysCatalogTest, ProcessGaugesPresent) {
@@ -152,7 +196,7 @@ TEST(SysCatalogTest, JoinRelationsWithColumns) {
       exec.Execute("SELECT * FROM sys.columns JOIN sys.relations;").value();
   EXPECT_NE(out.find("flies"), std::string::npos);
   EXPECT_NE(out.find("col_bytes"), std::string::npos);
-  EXPECT_NE(out.find("storage"), std::string::npos);
+  EXPECT_NE(out.find("stored"), std::string::npos);
   EXPECT_EQ(out.find("sys.metrics"), std::string::npos);
 }
 

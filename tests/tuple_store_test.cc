@@ -1,7 +1,6 @@
-// TupleStore contracts: stable ids across churn, cross-store equivalence
-// (row and columnar must be observationally identical, probe counts
-// included, at any thread count), dictionary promotion, and chunked
-// iteration.
+// TupleStore contracts: stable ids across churn, copies that keep ids and
+// dead slots, ascending and exact subsumption scans, chunked iteration,
+// byte accounting, and tuple references that stay put across reads.
 
 #include "core/tuple_store.h"
 
@@ -11,32 +10,21 @@
 #include <string>
 #include <vector>
 
-#include "algebra/select.h"
-#include "algebra/setops.h"
 #include "common/random.h"
-#include "core/consolidate.h"
+#include "core/hierarchical_relation.h"
 #include "testing/fixtures.h"
 
 namespace hirel {
 namespace {
 
-class TupleStoreKindTest : public ::testing::TestWithParam<StorageKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, TupleStoreKindTest,
-                         ::testing::Values(StorageKind::kRow,
-                                           StorageKind::kColumnar),
-                         [](const auto& info) {
-                           return StorageKindToString(info.param);
-                         });
-
 /// Ids are sequential append positions, never reused across erase/insert
 /// churn, and upserts keep the original tuple's id.
-TEST_P(TupleStoreKindTest, TupleIdsAreStableAcrossChurn) {
+TEST(TupleStoreTest, TupleIdsAreStableAcrossChurn) {
   Database db;
   Hierarchy* h =
       testing::BuildTreeHierarchy(db, "d", /*depth=*/1, /*fanout=*/1,
                                   /*instances_per_leaf=*/64);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   std::vector<NodeId> atoms = h->Instances();
 
   std::vector<TupleId> ids;
@@ -67,10 +55,10 @@ TEST_P(TupleStoreKindTest, TupleIdsAreStableAcrossChurn) {
   EXPECT_EQ(r.Insert({atoms[3]}, Truth::kPositive).value(), TupleId{0});
 }
 
-TEST_P(TupleStoreKindTest, DuplicateAndContradictionPolicyHolds) {
+TEST(TupleStoreTest, DuplicateAndContradictionPolicyHolds) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 4);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   NodeId atom = h->Instances()[0];
   ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   EXPECT_TRUE(r.Insert({atom}, Truth::kPositive).status().IsAlreadyExists());
@@ -78,10 +66,10 @@ TEST_P(TupleStoreKindTest, DuplicateAndContradictionPolicyHolds) {
       r.Insert({atom}, Truth::kNegative).status().IsIntegrityViolation());
 }
 
-TEST_P(TupleStoreKindTest, CopyPreservesIdsDeadSlotsAndVersion) {
+TEST(TupleStoreTest, CopyPreservesIdsDeadSlotsAndVersion) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 8);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   std::vector<NodeId> atoms = h->Instances();
   for (size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(r.Insert({atoms[i]}, Truth::kPositive).ok());
@@ -91,7 +79,6 @@ TEST_P(TupleStoreKindTest, CopyPreservesIdsDeadSlotsAndVersion) {
 
   HierarchicalRelation copy = r;
   EXPECT_EQ(copy.version(), r.version());
-  EXPECT_EQ(copy.storage_kind(), GetParam());
   EXPECT_EQ(copy.TupleIds(), r.TupleIds());
   EXPECT_EQ(copy.ToString(), r.ToString());
   // The copy's next id continues past the dead slots, like the original's.
@@ -100,11 +87,11 @@ TEST_P(TupleStoreKindTest, CopyPreservesIdsDeadSlotsAndVersion) {
 
 /// Concatenating chunk scans in chunk order reproduces LiveIds exactly,
 /// with a slot population larger than one chunk and holes punched in it.
-TEST_P(TupleStoreKindTest, ChunkScansCoverExactlyTheLiveIds) {
+TEST(TupleStoreTest, ChunkScansCoverExactlyTheLiveIds) {
   Database db;
   constexpr size_t kTuples = 3000;  // ~3 chunks of 1024
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, kTuples);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   for (NodeId atom : h->Instances()) {
     ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   }
@@ -127,19 +114,17 @@ TEST_P(TupleStoreKindTest, ChunkScansCoverExactlyTheLiveIds) {
   EXPECT_EQ(chunked, r.TupleIds());
 }
 
-/// Drives row and columnar relations through an identical randomized op
-/// sequence and requires them to be observationally identical: rendering,
-/// subsumption scans, kernel outputs, and exact probe counts at thread
-/// counts 1 and 4.
-TEST(TupleStoreEquivalenceTest, RowAndColumnarAreObservationallyEqual) {
+/// Under random insert/upsert/erase churn, both subsumption scans return
+/// ascending ids and exactly the live tuples a brute-force ItemSubsumes
+/// pass over TupleIds() finds.
+TEST(TupleStoreTest, SubsumptionScansAreAscendingAndExact) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Database db;
     Hierarchy* h =
         testing::BuildTreeHierarchy(db, "d", /*depth=*/2, /*fanout=*/3,
                                     /*instances_per_leaf=*/12);
     Schema schema({{"v", h}});
-    HierarchicalRelation row("r", schema, StorageKind::kRow);
-    HierarchicalRelation col("r", schema, StorageKind::kColumnar);
+    HierarchicalRelation r("r", schema);
 
     std::vector<NodeId> nodes = h->Instances();
     std::vector<NodeId> classes = h->Classes();
@@ -147,133 +132,86 @@ TEST(TupleStoreEquivalenceTest, RowAndColumnarAreObservationallyEqual) {
 
     Random rng(seed);
     for (size_t step = 0; step < 200; ++step) {
-      NodeId node = nodes[rng.Index(nodes.size())];
-      Item item{node};
+      Item item{nodes[rng.Index(nodes.size())]};
       Truth truth = rng.Bernoulli(0.3) ? Truth::kNegative : Truth::kPositive;
       switch (rng.Uniform(4)) {
         case 0:
-        case 1: {
-          Result<TupleId> a = row.Insert(item, truth);
-          Result<TupleId> b = col.Insert(item, truth);
-          ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed << " step " << step;
-          if (a.ok()) {
-            ASSERT_EQ(*a, *b);
-          }
+        case 1:
+          (void)r.Insert(item, truth);
           break;
-        }
-        case 2: {
-          ASSERT_EQ(row.Upsert(item, truth).value(),
-                    col.Upsert(item, truth).value());
+        case 2:
+          ASSERT_TRUE(r.Upsert(item, truth).ok());
           break;
-        }
-        case 3: {
-          Status a = row.EraseItem(item);
-          Status b = col.EraseItem(item);
-          ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed << " step " << step;
+        case 3:
+          (void)r.EraseItem(item);
           break;
-        }
       }
     }
 
-    ASSERT_EQ(row.size(), col.size()) << "seed " << seed;
-    EXPECT_EQ(row.ToString(), col.ToString()) << "seed " << seed;
-    EXPECT_EQ(row.TupleIds(), col.TupleIds()) << "seed " << seed;
     for (NodeId probe : nodes) {
       Item item{probe};
-      EXPECT_EQ(row.TuplesSubsuming(item), col.TuplesSubsuming(item))
-          << "seed " << seed << " node " << probe;
-      EXPECT_EQ(row.TuplesSubsumedBy(item), col.TuplesSubsumedBy(item))
-          << "seed " << seed << " node " << probe;
-    }
-
-    // Kernels must produce identical outputs AND identical probe counts on
-    // both layouts, serial and parallel: probes are counted per binding
-    // computation, which the storage layout may not affect.
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      uint64_t row_probes = 0, col_probes = 0;
-      InferenceOptions row_opts, col_opts;
-      row_opts.threads = col_opts.threads = threads;
-      row_opts.probe_counter = &row_probes;
-      col_opts.probe_counter = &col_probes;
-
-      Result<HierarchicalRelation> row_cons = Consolidated(row, row_opts);
-      Result<HierarchicalRelation> col_cons = Consolidated(col, col_opts);
-      ASSERT_TRUE(row_cons.ok() && col_cons.ok()) << "seed " << seed;
-      EXPECT_EQ(row_cons->ToString(), col_cons->ToString())
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(row_probes, col_probes)
-          << "seed " << seed << " threads " << threads;
-
-      NodeId cls = classes[1 + rng.Index(classes.size() - 1)];
-      Result<HierarchicalRelation> row_sel =
-          SelectEquals(row, 0, cls, row_opts);
-      Result<HierarchicalRelation> col_sel =
-          SelectEquals(col, 0, cls, col_opts);
-      ASSERT_EQ(row_sel.ok(), col_sel.ok()) << "seed " << seed;
-      if (row_sel.ok()) {
-        EXPECT_EQ(row_sel->ToString(), col_sel->ToString())
-            << "seed " << seed << " threads " << threads;
+      std::vector<TupleId> subsuming, subsumed;
+      for (TupleId id : r.TupleIds()) {
+        if (ItemSubsumes(schema, r.ItemAt(id), item)) subsuming.push_back(id);
+        if (ItemSubsumes(schema, item, r.ItemAt(id))) subsumed.push_back(id);
       }
-      EXPECT_EQ(row_probes, col_probes)
-          << "seed " << seed << " threads " << threads;
-
-      // Cross-layout set operation: mixing layouts in one kernel is fine.
-      Result<HierarchicalRelation> mixed = Union(row, col, {
-          .inference = row_opts});
-      Result<HierarchicalRelation> pure = Union(col, col, {
-          .inference = col_opts});
-      ASSERT_EQ(mixed.ok(), pure.ok()) << "seed " << seed;
-      if (mixed.ok()) {
-        EXPECT_EQ(mixed->ToString(), pure->ToString()) << "seed " << seed;
-      }
+      EXPECT_EQ(r.TuplesSubsuming(item), subsuming)
+          << "seed " << seed << " node " << probe;
+      EXPECT_EQ(r.TuplesSubsumedBy(item), subsumed)
+          << "seed " << seed << " node " << probe;
     }
   }
 }
 
-/// The dictionary starts at one byte per code and is promoted to two once
-/// a column passes 256 distinct values, re-encoding what was packed so far.
-TEST(ColumnarTupleStoreTest, DictionaryPromotesPastByteBoundary) {
-  ColumnarTupleStore store(2);
-  constexpr size_t kDistinct = 700;
-  for (NodeId n = 0; n < kDistinct; ++n) {
-    // First attribute cycles through 3 values; second sees them all.
-    store.Append(Item{n % 3, n + 1000}, Truth::kPositive);
+/// tuple(id) and ItemAt(id) return references into the store: repeated
+/// reads, reads of other tuples, scans and lookups all leave them in place
+/// and unchanged.
+TEST(TupleStoreTest, TupleReturnsAStableReferenceAcrossReads) {
+  Database db;
+  Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 2, 16);
+  HierarchicalRelation r("r", Schema({{"v", h}}));
+  std::vector<NodeId> atoms = h->Instances();
+  for (NodeId atom : atoms) {
+    ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   }
-  EXPECT_EQ(store.ColumnCodeWidth(0), 1u);
-  EXPECT_EQ(store.ColumnCodeWidth(1), 2u);
-  EXPECT_EQ(store.size(), kDistinct);
-  // Every component survives the mid-stream re-encoding.
-  for (TupleId id = 0; id < kDistinct; ++id) {
-    ASSERT_EQ(store.component(id, 0), id % 3) << id;
-    ASSERT_EQ(store.component(id, 1), id + 1000) << id;
-    ASSERT_TRUE(store.ItemAtEquals(id, Item{id % 3, id + 1000})) << id;
-  }
-  // Find goes through the hash index, which stores no items.
-  EXPECT_EQ(store.Find(Item{1, 1001}), std::optional<TupleId>(1));
-  EXPECT_FALSE(store.Find(Item{2, 1001}).has_value());
+  ASSERT_TRUE(r.Insert({h->Classes()[1]}, Truth::kNegative).ok());
+
+  const HTuple& first = r.tuple(3);
+  const HTuple copy = first;
+  EXPECT_EQ(&r.tuple(3), &first);
+  EXPECT_EQ(&r.ItemAt(3), &first.item);
+  for (TupleId id : r.TupleIds()) (void)r.tuple(id);
+  (void)r.TuplesSubsuming(first.item);
+  (void)r.TuplesSubsumedBy(Item{h->Classes()[1]});
+  (void)r.FindItem({atoms[7]});
+  (void)r.ToString();
+  EXPECT_EQ(&r.tuple(3), &first);
+  EXPECT_EQ(first, copy);
+  EXPECT_EQ(first.item, (Item{atoms[3]}));
 }
 
 /// ApproxBytes must account for index structures, not just payloads: the
 /// reported footprint is the sum of the ColumnInfo breakdown, and that
-/// breakdown includes a nonzero item-index line on both layouts.
-TEST_P(TupleStoreKindTest, ApproxBytesIncludesIndexes) {
+/// breakdown includes nonzero item-index and component-index lines.
+TEST(TupleStoreTest, ApproxBytesIncludesIndexes) {
   Database db;
   Hierarchy* h = testing::BuildTreeHierarchy(db, "d", 1, 1, 512);
-  HierarchicalRelation r("r", Schema({{"v", h}}), GetParam());
+  HierarchicalRelation r("r", Schema({{"v", h}}));
   for (NodeId atom : h->Instances()) {
     ASSERT_TRUE(r.Insert({atom}, Truth::kPositive).ok());
   }
   std::vector<StorageColumnInfo> info = r.ColumnInfo();
   size_t total = 0;
-  size_t index_bytes = 0;
+  size_t item_index = 0;
+  size_t component_index = 0;
   for (const StorageColumnInfo& line : info) {
     total += line.bytes;
-    if (line.name == "item-index" || line.name == "component-index") {
-      index_bytes += line.bytes;
-    }
+    if (line.name == "item-index") item_index = line.bytes;
+    if (line.name == "component-index") component_index = line.bytes;
   }
   EXPECT_EQ(r.ApproxBytes(), total);
-  EXPECT_GT(index_bytes, 0u);
+  EXPECT_GT(item_index, 0u);
+  EXPECT_GT(component_index, 0u);
   // Payload alone underestimates: the full footprint is strictly larger
   // than the raw per-tuple data.
   EXPECT_GT(r.ApproxBytes(), r.size() * sizeof(NodeId));

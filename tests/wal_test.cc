@@ -7,6 +7,9 @@
 #include <fstream>
 
 #include "core/inference.h"
+#include "io/coding.h"
+#include "io/snapshot.h"
+#include "legacy_data.h"
 
 namespace hirel {
 namespace {
@@ -233,40 +236,64 @@ TEST_F(WalTest, PreferenceEdgesAndMultiParentsSurviveReplay) {
   EXPECT_TRUE(h->BindsBelow(a, b));
 }
 
-TEST_F(WalTest, StorageKindSurvivesReplayAndCheckpoint) {
-  const StorageKind session_default = DefaultStorageKind();
+/// A log written before the columnar store was removed, mirroring
+/// tests/data/legacy_v2_source.hql: `flies` was created with the legacy
+/// columnar tag (1) and `lives` with the row tag (0). Replay lands both in
+/// the one store with the source script's extensions, and a checkpoint
+/// writes the row encoding.
+TEST_F(WalTest, LegacyColumnarTaggedLogReplays) {
+  std::filesystem::copy_file(
+      legacy_data::DataPath("legacy_columnar.wal"), dir_ + "/wal.log");
   {
-    std::unique_ptr<LoggedDatabase> ldb = LoggedDatabase::Open(dir_).value();
-    ASSERT_TRUE(ldb->CreateHierarchy("animal").ok());
-    ASSERT_TRUE(ldb->AddClass("animal", "bird").ok());
-    SetDefaultStorageKind(StorageKind::kColumnar);
-    ASSERT_TRUE(ldb->CreateRelation("col_rel", {{"who", "animal"}}).ok());
-    SetDefaultStorageKind(StorageKind::kRow);
-    ASSERT_TRUE(ldb->CreateRelation("row_rel", {{"who", "animal"}}).ok());
-    Hierarchy* animal = ldb->db().GetHierarchy("animal").value();
-    NodeId bird = animal->FindClass("bird").value();
-    ASSERT_TRUE(ldb->Insert("col_rel", {bird}, Truth::kPositive).ok());
+    Result<std::unique_ptr<LoggedDatabase>> ldb = LoggedDatabase::Open(dir_);
+    ASSERT_TRUE(ldb.ok()) << ldb.status();
+    EXPECT_GT((*ldb)->replayed_records(), 0u);
+    std::string snapshot = dir_ + "/replayed.hirel";
+    ASSERT_TRUE(SaveDatabase((*ldb)->db(), snapshot).ok());
+    EXPECT_EQ(legacy_data::Extensions("LOAD '" + snapshot + "';"),
+              legacy_data::SourceExtensions());
+    ASSERT_TRUE((*ldb)->Checkpoint().ok());
   }
-  SetDefaultStorageKind(session_default);
-  // Replay from the log alone: each relation keeps its creation-time kind,
-  // independent of the session default at replay time.
+  EXPECT_EQ(legacy_data::ReadFile(dir_ + "/snapshot.hirel"),
+            legacy_data::ReadFile(
+                legacy_data::DataPath("legacy_v2_row.snapshot")));
+}
+
+/// A CreateRelation record (op 6) for a zero-attribute relation, with an
+/// optional trailing storage tag.
+std::string CreateRelationRecord(const std::string& name, int tag) {
+  std::string record;
+  PutFixed8(&record, 6);
+  PutLengthPrefixedString(&record, name);
+  PutVarint64(&record, 0);
+  if (tag >= 0) PutFixed8(&record, static_cast<uint8_t>(tag));
+  return record;
+}
+
+TEST_F(WalTest, CreateRelationAcceptsMissingRowAndColumnarTags) {
   {
-    std::unique_ptr<LoggedDatabase> reopened =
-        LoggedDatabase::Open(dir_).value();
-    EXPECT_EQ(reopened->db().GetRelation("col_rel").value()->storage_kind(),
-              StorageKind::kColumnar);
-    EXPECT_EQ(reopened->db().GetRelation("row_rel").value()->storage_kind(),
-              StorageKind::kRow);
-    EXPECT_EQ(reopened->db().GetRelation("col_rel").value()->size(), 1u);
-    ASSERT_TRUE(reopened->Checkpoint().ok());
+    std::unique_ptr<WalWriter> writer =
+        WalWriter::Open(dir_ + "/wal.log").value();
+    ASSERT_TRUE(writer->Append(CreateRelationRecord("untagged", -1)).ok());
+    ASSERT_TRUE(writer->Append(CreateRelationRecord("row", 0)).ok());
+    ASSERT_TRUE(writer->Append(CreateRelationRecord("columnar", 1)).ok());
   }
-  // And through the snapshot a checkpoint writes.
-  std::unique_ptr<LoggedDatabase> again = LoggedDatabase::Open(dir_).value();
-  EXPECT_EQ(again->replayed_records(), 0u);
-  EXPECT_EQ(again->db().GetRelation("col_rel").value()->storage_kind(),
-            StorageKind::kColumnar);
-  EXPECT_EQ(again->db().GetRelation("row_rel").value()->storage_kind(),
-            StorageKind::kRow);
+  Result<std::unique_ptr<LoggedDatabase>> ldb = LoggedDatabase::Open(dir_);
+  ASSERT_TRUE(ldb.ok()) << ldb.status();
+  EXPECT_EQ((*ldb)->replayed_records(), 3u);
+  EXPECT_EQ((*ldb)->db().RelationNames(),
+            (std::vector<std::string>{"columnar", "row", "untagged"}));
+}
+
+TEST_F(WalTest, UnknownStorageTagIsCorruption) {
+  {
+    std::unique_ptr<WalWriter> writer =
+        WalWriter::Open(dir_ + "/wal.log").value();
+    ASSERT_TRUE(writer->Append(CreateRelationRecord("r", 2)).ok());
+  }
+  Result<std::unique_ptr<LoggedDatabase>> opened = LoggedDatabase::Open(dir_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status();
 }
 
 TEST_F(WalTest, IntValuesRoundTripThroughLog) {

@@ -28,21 +28,20 @@ for preset in "${presets[@]}"; do
     echo "==== ${preset}: build (threaded suites) ===="
     cmake --build --preset "${preset}" -j "${jobs}" \
         --target "${tsan_targets[@]}"
-    for storage in row columnar; do
-      echo "==== ${preset}: test (threaded suites, HIREL_STORAGE=${storage}) ===="
-      HIREL_STORAGE="${storage}" ctest --preset "${preset}" -R "${tsan_filter}"
-    done
+    echo "==== ${preset}: test (threaded suites) ===="
+    ctest --preset "${preset}" -R "${tsan_filter}"
+    # ParallelFor regions live on the caller's stack; churning many short
+    # ones is how a worker touching a finished region shows up under TSan.
+    echo "==== ${preset}: ParallelFor region churn x100 ===="
+    "build/${preset}/tests/hirel_concurrency_test" \
+        --gtest_filter=ConcurrencyTest.ParallelForRegionChurn \
+        --gtest_repeat=100 > /dev/null
     continue
   fi
   echo "==== ${preset}: build ===="
   cmake --build --preset "${preset}" -j "${jobs}"
-  # Run the full suite once per storage layout: HIREL_STORAGE seeds the
-  # default TupleStore kind, so this executes every test on both the row
-  # and the columnar engine.
-  for storage in row columnar; do
-    echo "==== ${preset}: test (HIREL_STORAGE=${storage}) ===="
-    HIREL_STORAGE="${storage}" ctest --preset "${preset}" -j "${jobs}"
-  done
+  echo "==== ${preset}: test ===="
+  ctest --preset "${preset}" -j "${jobs}"
   echo "==== ${preset}: figure reproductions ===="
   for repro in "build/${preset}"/bench/repro_*; do
     [ -x "${repro}" ] || continue
