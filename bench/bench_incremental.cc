@@ -6,6 +6,12 @@
 // BM_MutateThenGetGraph/N/1  — mutate one tuple, patch the graph (ON)
 // BM_HqlMutateCountLoop/N/i  — the same loop end-to-end through HQL:
 //                              RETRACT + ASSERT + COUNT per iteration
+// BM_BuildSubsumptionGraph/N — one full graph build of a browse-shaped
+//                              relation with N skus
+// BM_BuildSubsumptionGraphChain/N — one build over an N-deep chain of
+//                              asserted classes (the Σ|Up| worst case)
+// BM_BuildSubsumptionGraphPreferred/N — the browse shape with preference
+//                              edges between top-level lines
 //
 // tools/bench.sh compares the /0 and /1 rows of this binary and fails if
 // the patched loop is less than 10x faster at the largest common size, and
@@ -13,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -65,7 +72,7 @@ void BM_MutateThenGetGraph(benchmark::State& state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();
     SubsumptionCache::GetOutcome outcome = SubsumptionCache::GetOutcome::kNone;
-    const SubsumptionGraph& graph = cache.Get(*rel, /*threads=*/1, &outcome);
+    const SubsumptionGraph& graph = cache.Get(*rel, &outcome);
     benchmark::DoNotOptimize(graph.nodes.size());
     if (incremental && outcome != SubsumptionCache::GetOutcome::kPatched) {
       state.SkipWithError("expected the patch path");
@@ -89,10 +96,10 @@ BENCHMARK(BM_MutateThenGetGraph)
     ->Args({100000, 1})
     ->Unit(benchmark::kMicrosecond);
 
-/// Single-iteration reference for the 10^5 rebuild arm. A full build at
-/// this size takes ~1.5 minutes (10^10 pairwise item tests), so it runs
-/// exactly once: enough to anchor the >=10x claim against the patched
-/// BM_MutateThenGetGraph/100000/1 row without a multi-iteration sweep.
+/// Single-iteration reference for the 10^5 rebuild arm: one mutation
+/// followed by a full, index-driven build of the graph, anchoring the
+/// patched BM_MutateThenGetGraph/100000/1 row without a multi-iteration
+/// sweep.
 void BM_FullRebuildReferenceXL(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Database db;
@@ -104,7 +111,7 @@ void BM_FullRebuildReferenceXL(benchmark::State& state) {
   for (auto _ : state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();
-    const SubsumptionGraph& graph = cache.Get(*rel, /*threads=*/1);
+    const SubsumptionGraph& graph = cache.Get(*rel);
     benchmark::DoNotOptimize(graph.nodes.size());
   }
   state.counters["tuples"] = static_cast<double>(rel->size());
@@ -113,6 +120,103 @@ void BM_FullRebuildReferenceXL(benchmark::State& state) {
 BENCHMARK(BM_FullRebuildReferenceXL)
     ->Arg(100000)
     ->Iterations(1)
+    ->Unit(benchmark::kMicrosecond);
+
+/// A browse-shaped relation: a depth-4, fanout-6 product tree with `n`
+/// skus spread over its 1,296 leaves; ASSERTs on five of the six top-level
+/// lines, DENYs on up to n/50 lower classes, and own facts on 95% of the
+/// skus, 85% of them positive.
+HierarchicalRelation* BuildBrowse(Database& db, size_t n) {
+  Hierarchy* h = testing::BuildTreeHierarchy(db, "product", /*depth=*/4,
+                                             /*fanout=*/6, n / 1296 + 1);
+  Schema schema;
+  (void)schema.Append("item", h);
+  HierarchicalRelation rel("stock", std::move(schema));
+  const std::vector<NodeId>& top = h->Children(h->root());
+  for (size_t i = 0; i + 1 < top.size(); ++i) {
+    (void)rel.Insert({top[i]}, Truth::kPositive);
+  }
+  std::vector<NodeId> lower;
+  for (NodeId c : h->Classes()) {
+    if (c != h->root() && h->Parents(c).front() != h->root()) {
+      lower.push_back(c);
+    }
+  }
+  // 37 is coprime to the 1,548 lower classes, so the stride is distinct.
+  for (size_t i = 0; i < std::min(n / 50, lower.size()); ++i) {
+    (void)rel.Insert({lower[(i * 37) % lower.size()]}, Truth::kNegative);
+  }
+  std::vector<NodeId> skus = h->Instances();
+  size_t owned = 0;
+  for (size_t i = 0; i < std::min(n, skus.size()); ++i) {
+    if (i % 20 == 0) continue;
+    (void)rel.Insert({skus[i]}, owned++ % 100 < 85 ? Truth::kPositive
+                                                    : Truth::kNegative);
+  }
+  return db.AdoptRelation(std::move(rel)).value();
+}
+
+/// Builds the graph of `rel` once per iteration.
+void RunBuild(benchmark::State& state, const HierarchicalRelation& rel) {
+  size_t candidates = 0;
+  size_t edges = 0;
+  for (auto _ : state) {
+    SubsumptionGraph graph = BuildSubsumptionGraph(rel, &candidates);
+    edges = 0;
+    for (const auto& list : graph.successors) edges += list.size();
+    benchmark::DoNotOptimize(graph.nodes.data());
+  }
+  state.counters["tuples"] = static_cast<double>(rel.size());
+  state.counters["edges"] = static_cast<double>(edges);
+  state.counters["candidates"] = static_cast<double>(candidates);
+}
+
+void BM_BuildSubsumptionGraph(benchmark::State& state) {
+  Database db;
+  RunBuild(state, *BuildBrowse(db, static_cast<size_t>(state.range(0))));
+}
+
+BENCHMARK(BM_BuildSubsumptionGraph)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BuildSubsumptionGraphChain(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Database db;
+  Hierarchy* h = db.CreateHierarchy("chain").value();
+  Schema schema;
+  (void)schema.Append("item", h);
+  HierarchicalRelation rel("chain", std::move(schema));
+  NodeId node = h->root();
+  for (size_t i = 0; i < n; ++i) {
+    node = h->AddClass("c" + std::to_string(i), node).value();
+    (void)rel.Insert({node}, i % 2 ? Truth::kNegative : Truth::kPositive);
+  }
+  RunBuild(state, rel);
+}
+
+BENCHMARK(BM_BuildSubsumptionGraphChain)
+    ->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Preference edges turn every ItemBindsBelow check into a union-graph
+/// walk and route candidates through Hierarchy::BindingAncestors.
+void BM_BuildSubsumptionGraphPreferred(benchmark::State& state) {
+  Database db;
+  HierarchicalRelation* rel =
+      BuildBrowse(db, static_cast<size_t>(state.range(0)));
+  Hierarchy* h = rel->schema().hierarchy(0);
+  const std::vector<NodeId> top = h->Children(h->root());
+  for (size_t i = 0; i + 1 < top.size(); i += 2) {
+    (void)h->AddPreferenceEdge(top[i], top[i + 1]);
+  }
+  RunBuild(state, *rel);
+}
+
+BENCHMARK(BM_BuildSubsumptionGraphPreferred)
+    ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end loop through the HQL executor: one retract, one assert, one

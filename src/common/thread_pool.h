@@ -1,6 +1,6 @@
 // ThreadPool + ParallelFor: the shared work-stealing substrate under every
 // parallel kernel (consolidate, explicate, select/project/join/setops,
-// BuildSubsumptionGraph, DERIVE fixpoint rounds).
+// DERIVE fixpoint rounds).
 //
 // Design goals, in order:
 //  1. Determinism. ParallelFor splits [0, n) into fixed contiguous chunks

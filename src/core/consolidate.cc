@@ -73,7 +73,7 @@ Result<size_t> ConsolidateInPlace(HierarchicalRelation& relation,
   // Examine tuples most-general-first; the subsumption graph's node list is
   // already a topological order.
   SubsumptionGraph local;
-  if (cached == nullptr) local = BuildSubsumptionGraph(relation, options.threads);
+  if (cached == nullptr) local = BuildSubsumptionGraph(relation);
   const SubsumptionGraph& graph = cached != nullptr ? *cached : local;
 
   size_t capacity = 0;

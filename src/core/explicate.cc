@@ -78,7 +78,7 @@ Result<HierarchicalRelation> Explicate(const HierarchicalRelation& relation,
   // tuple to claim an item wins, which is exactly the override semantics.
   SubsumptionGraph local;
   if (options.graph == nullptr) {
-    local = BuildSubsumptionGraph(relation, options.inference.threads);
+    local = BuildSubsumptionGraph(relation);
   }
   const SubsumptionGraph& graph =
       options.graph != nullptr ? *options.graph : local;

@@ -118,7 +118,6 @@ std::vector<TupleId> HierarchicalRelation::TuplesSubsuming(
     const Item& item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();  // the empty item subsumes itself
-  if (!schema_.hierarchy(0)->dag().alive(item[0])) return {};
   return store_.TuplesSubsuming(schema_, item);
 }
 
@@ -126,8 +125,21 @@ std::vector<TupleId> HierarchicalRelation::TuplesSubsumedBy(
     const Item& item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();
-  if (!schema_.hierarchy(0)->dag().alive(item[0])) return {};
   return store_.TuplesSubsumedBy(schema_, item);
+}
+
+std::vector<TupleId> HierarchicalRelation::TuplesBindingAbove(
+    const Item& item) const {
+  if (store_.size() == 0 || item.size() != schema_.size()) return {};
+  if (schema_.empty()) return TupleIds();
+  return store_.TuplesBindingAbove(schema_, item);
+}
+
+std::vector<TupleId> HierarchicalRelation::TuplesBindingBelow(
+    const Item& item) const {
+  if (store_.size() == 0 || item.size() != schema_.size()) return {};
+  if (schema_.empty()) return TupleIds();
+  return store_.TuplesBindingBelow(schema_, item);
 }
 
 size_t HierarchicalRelation::CoveredAtomCount() const {

@@ -141,6 +141,13 @@ class HierarchicalRelation {
   /// Ids of live tuples whose item is subsumed by `item`.
   std::vector<TupleId> TuplesSubsumedBy(const Item& item) const;
 
+  /// Ids of live tuples whose item binds at or above `item` (ItemBindsBelow,
+  /// preference edges included; an exact match counts), ascending.
+  std::vector<TupleId> TuplesBindingAbove(const Item& item) const;
+
+  /// Ids of live tuples whose item `item` binds at or above, ascending.
+  std::vector<TupleId> TuplesBindingBelow(const Item& item) const;
+
   // ----- Chunked iteration --------------------------------------------------
 
   /// Number of fixed-size scan chunks (TupleStore::kChunkTuples ids each)

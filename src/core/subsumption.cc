@@ -1,11 +1,9 @@
 #include "core/subsumption.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
-#include "common/bitset.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 
 namespace hirel {
 
@@ -23,7 +21,6 @@ SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
                            std::vector<std::vector<size_t>> pred) {
   size_t n = ids.size();
   for (auto& list : succ) std::sort(list.begin(), list.end());
-  for (auto& list : pred) std::sort(list.begin(), list.end());
 
   // Kahn topological sort (general first).
   std::vector<size_t> indegree(n);
@@ -53,8 +50,10 @@ SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
   for (size_t i = 0; i < n; ++i) {
     size_t old = order[i];
     graph.nodes[i] = ids[old];
-    for (size_t s : succ[old]) graph.successors[i].push_back(position[s]);
-    for (size_t p : pred[old]) graph.predecessors[i].push_back(position[p]);
+    graph.successors[i] = std::move(succ[old]);
+    for (size_t& s : graph.successors[i]) s = position[s];
+    graph.predecessors[i] = std::move(pred[old]);
+    for (size_t& p : graph.predecessors[i]) p = position[p];
     std::sort(graph.successors[i].begin(), graph.successors[i].end());
     std::sort(graph.predecessors[i].begin(), graph.predecessors[i].end());
     if (graph.predecessors[i].empty()) {
@@ -68,76 +67,73 @@ SubsumptionGraph EmitGraph(const std::vector<TupleId>& ids,
 }  // namespace
 
 SubsumptionGraph BuildSubsumptionGraph(const HierarchicalRelation& relation,
-                                       size_t threads) {
-  const Schema& schema = relation.schema();
-  SubsumptionGraph graph;
-
+                                       size_t* candidates) {
   std::vector<TupleId> ids = relation.TupleIds();
-  size_t n = ids.size();
+  const size_t n = ids.size();
+  std::vector<uint32_t> position(ids.empty() ? 0 : ids.back() + 1);
+  for (size_t i = 0; i < n; ++i) position[ids[i]] = static_cast<uint32_t>(i);
 
-  // Phase A: the full strict binds-below relation as bitset rows. Exactly
-  // n^2 pairwise item tests, partitioned across the pool by row — each
-  // chunk writes only its own rows, and the tests read nothing mutable
-  // (hierarchy snapshots are immutable), so the phase races with nothing.
-  std::vector<Item> items;
-  items.reserve(n);
-  for (TupleId id : ids) items.push_back(relation.ItemAt(id));
-  std::vector<DynamicBitset> below(n, DynamicBitset(n));
-  ParallelOptions par;
-  par.threads = threads;
-  ParallelFor(n, par, [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-    for (size_t a = lo; a < hi; ++a) {
-      for (size_t b = 0; b < n; ++b) {
-        if (a != b && ItemBindsBelow(schema, items[a], items[b])) {
-          below[a].Set(b);
-        }
-      }
+  // Up(t), flattened: positions of the live tuples binding strictly above
+  // t, one index scan per tuple.
+  std::vector<uint32_t> up;
+  std::vector<size_t> up_begin(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (TupleId id : relation.TuplesBindingAbove(relation.ItemAt(ids[i]))) {
+      if (id != ids[i]) up.push_back(position[id]);
     }
-    return Status::OK();
+    up_begin[i + 1] = up.size();
+  }
+  if (candidates != nullptr) *candidates = up.size();
+
+  // c ∈ Up(t) implies Up(c) ⊊ Up(t), so ascending |Up| is a topological
+  // order: every c ∈ Up(t) is placed before t.
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return up_begin[a + 1] - up_begin[a] < up_begin[b + 1] - up_begin[b];
   });
-  std::vector<DynamicBitset> above(n, DynamicBitset(n));
-  for (size_t a = 0; a < n; ++a) {
-    for (uint32_t b : below[a].ToVector()) above[b].Set(a);
-  }
 
-  // Phase B: Hasse edge a -> b iff a is strictly below-closed above b with
-  // nothing strictly between, i.e. no c with a < c < b — exactly when
-  // below[a] and above[b] are disjoint (c = a and c = b are excluded by
-  // strictness already).
+  // pred(t) = Up(t) ∖ ⋃_{c ∈ Up(t)} pred(c) (exactness argued in
+  // subsumption.h). No item tests are needed.
   std::vector<std::vector<size_t>> succ(n), pred(n);
-  for (size_t a = 0; a < n; ++a) {
-    for (uint32_t b : below[a].ToVector()) {
-      if (!below[a].Intersects(above[b])) {
-        succ[a].push_back(b);
-        pred[b].push_back(a);
-      }
+  std::vector<size_t> struck(n, SIZE_MAX);  // stamp: t being placed
+  for (size_t t : order) {
+    for (size_t k = up_begin[t]; k < up_begin[t + 1]; ++k) {
+      for (size_t a : pred[up[k]]) struck[a] = t;
+    }
+    for (size_t k = up_begin[t]; k < up_begin[t + 1]; ++k) {
+      size_t c = up[k];
+      if (struck[c] == t) continue;
+      pred[t].push_back(c);
+      succ[c].push_back(t);
     }
   }
-
-  graph = EmitGraph(ids, std::move(succ), std::move(pred));
-  return graph;
+  return EmitGraph(ids, std::move(succ), std::move(pred));
 }
 
 void PatchSubsumptionGraph(const HierarchicalRelation& relation,
-                           const SubsumptionDelta& delta, size_t threads,
-                           SubsumptionGraph* graph) {
-  const Schema& schema = relation.schema();
-
-  // Working copy in slot space: slot i starts as graph position i; added
-  // tuples take fresh slots at the end. The virtual universal predecessor
-  // is stripped here and re-added by EmitGraph.
-  std::vector<TupleId> slot_id(graph->nodes);
-  std::vector<char> dead(slot_id.size(), 0);
-  std::vector<std::vector<size_t>> succ(graph->successors);
-  std::vector<std::vector<size_t>> pred(graph->predecessors);
+                           const SubsumptionDelta& delta,
+                           SubsumptionGraph* graph, size_t* candidates) {
+  // Working state in slot space, moved out of `graph` (it is overwritten
+  // at the end): slot i starts as graph position i; added tuples take
+  // fresh slots at the end. The virtual universal predecessor is stripped
+  // here and re-added by EmitGraph.
+  std::vector<TupleId> slot_id(std::move(graph->nodes));
+  std::vector<std::vector<size_t>> succ(std::move(graph->successors));
+  std::vector<std::vector<size_t>> pred(std::move(graph->predecessors));
   for (auto& list : pred) {
     list.erase(std::remove(list.begin(), list.end(),
                            SubsumptionGraph::kUniversalNode),
                list.end());
   }
-  std::unordered_map<TupleId, size_t> slot_of;
-  slot_of.reserve(slot_id.size() + delta.add.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) slot_of.emplace(slot_id[i], i);
+  // slot_of[id]: the live slot holding tuple id, or kNoSlot. Every live
+  // id is a graph node or an add, so the vector covers them all.
+  constexpr size_t kNoSlot = SIZE_MAX;
+  size_t bound = 0;
+  for (TupleId id : slot_id) bound = std::max<size_t>(bound, id + 1);
+  for (TupleId id : delta.add) bound = std::max<size_t>(bound, id + 1);
+  std::vector<size_t> slot_of(bound, kNoSlot);
+  for (size_t i = 0; i < slot_id.size(); ++i) slot_of[slot_id[i]] = i;
 
   auto erase_from = [](std::vector<size_t>& list, size_t v) {
     list.erase(std::remove(list.begin(), list.end(), v), list.end());
@@ -148,37 +144,35 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
   // successors b of x left with no other path a => b; the DFS test is
   // exact because the surgical graph is the true Hasse diagram of the
   // remaining order before every removal (sequential induction).
-  std::vector<char> reach;
+  std::vector<size_t> reached(slot_id.size(), 0);  // stamp: DFS pass
+  size_t pass = 0;
   std::vector<size_t> stack;
   for (TupleId id : delta.remove) {
-    auto it = slot_of.find(id);
-    if (it == slot_of.end()) continue;
-    size_t x = it->second;
+    if (id >= bound || slot_of[id] == kNoSlot) continue;
+    size_t x = slot_of[id];
     std::vector<size_t> xpreds = std::move(pred[x]);
     std::vector<size_t> xsuccs = std::move(succ[x]);
     pred[x].clear();
     succ[x].clear();
     for (size_t a : xpreds) erase_from(succ[a], x);
     for (size_t b : xsuccs) erase_from(pred[b], x);
-    dead[x] = 1;
-    slot_of.erase(it);
+    slot_of[id] = kNoSlot;
     for (size_t a : xpreds) {
-      reach.assign(slot_id.size(), 0);
-      stack.clear();
-      stack.push_back(a);
-      reach[a] = 1;
+      ++pass;
+      stack.assign(1, a);
+      reached[a] = pass;
       while (!stack.empty()) {
         size_t u = stack.back();
         stack.pop_back();
         for (size_t v : succ[u]) {
-          if (!reach[v]) {
-            reach[v] = 1;
+          if (reached[v] != pass) {
+            reached[v] = pass;
             stack.push_back(v);
           }
         }
       }
       for (size_t b : xsuccs) {
-        if (!reach[b]) {
+        if (reached[b] != pass) {
           succ[a].push_back(b);
           pred[b].push_back(a);
         }
@@ -186,53 +180,50 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
     }
   }
 
-  // Phase 2: cover-insertions. Each needs ≤ 2n item tests (the two
-  // directions are mutually exclusive for distinct items, hence the
-  // else-if) instead of the full build's n^2.
-  std::vector<Item> slot_item(slot_id.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) {
-    if (!dead[i]) slot_item[i] = relation.ItemAt(slot_id[i]);
-  }
-  ParallelOptions par;
-  par.threads = threads;
+  // Phase 2: cover-insertions. The store's binding scans give x's Up and
+  // Down sets directly; tuples not yet in the working graph (later adds)
+  // are skipped and pick x up when they are placed themselves.
+  std::vector<size_t> above(slot_id.size(), 0);  // stamp: slot is in Up(x)
+  std::vector<size_t> below(slot_id.size(), 0);  // stamp: slot is in Down(x)
+  size_t placed = 0;
+  size_t scanned = 0;
+  std::vector<size_t> up, down;
+  auto collect = [&](const std::vector<TupleId>& found, TupleId self,
+                     std::vector<size_t>& slots, std::vector<size_t>& mark) {
+    slots.clear();
+    for (TupleId other : found) {
+      if (other == self || other >= bound || slot_of[other] == kNoSlot) {
+        continue;
+      }
+      slots.push_back(slot_of[other]);
+      mark[slot_of[other]] = placed;
+    }
+  };
   for (TupleId id : delta.add) {
-    if (slot_of.contains(id)) continue;
+    if (slot_of[id] != kNoSlot) continue;
+    ++placed;
     const Item& item = relation.ItemAt(id);
-    size_t nslots = slot_id.size();
-    std::vector<char> above(nslots, 0);   // slot's item strictly above x's
-    std::vector<char> below_x(nslots, 0);  // slot's item strictly below x's
-    ParallelFor(nslots, par,
-                [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-                  for (size_t j = lo; j < hi; ++j) {
-                    if (dead[j]) continue;
-                    if (ItemBindsBelow(schema, slot_item[j], item)) {
-                      above[j] = 1;
-                    } else if (ItemBindsBelow(schema, item, slot_item[j])) {
-                      below_x[j] = 1;
-                    }
-                  }
-                  return Status::OK();
-                });
+    collect(relation.TuplesBindingAbove(item), id, up, above);
+    collect(relation.TuplesBindingBelow(item), id, down, below);
+    scanned += up.size() + down.size();
     // x's covers: a is a direct predecessor iff a is above x with no
     // direct successor of a also above x (transitivity makes the
     // first-step test exact); successors dually.
     std::vector<size_t> xpreds, xsuccs;
-    for (size_t a = 0; a < nslots; ++a) {
-      if (dead[a] || !above[a]) continue;
+    for (size_t a : up) {
       bool blocked = false;
       for (size_t s : succ[a]) {
-        if (above[s]) {
+        if (above[s] == placed) {
           blocked = true;
           break;
         }
       }
       if (!blocked) xpreds.push_back(a);
     }
-    for (size_t b = 0; b < nslots; ++b) {
-      if (dead[b] || !below_x[b]) continue;
+    for (size_t b : down) {
       bool blocked = false;
       for (size_t p : pred[b]) {
-        if (below_x[p]) {
+        if (below[p] == placed) {
           blocked = true;
           break;
         }
@@ -241,11 +232,10 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
     }
     // Existing edges u -> v now spanning x (u above, v below) stop being
     // covers.
-    for (size_t u = 0; u < nslots; ++u) {
-      if (dead[u] || !above[u]) continue;
+    for (size_t u : up) {
       auto& out = succ[u];
       for (size_t k = 0; k < out.size();) {
-        if (below_x[out[k]]) {
+        if (below[out[k]] == placed) {
           erase_from(pred[out[k]], u);
           out[k] = out.back();
           out.pop_back();
@@ -259,22 +249,21 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
     for (size_t a : xpreds) succ[a].push_back(m);
     for (size_t b : xsuccs) pred[b].push_back(m);
     slot_id.push_back(id);
-    slot_item.push_back(std::move(item));
-    dead.push_back(0);
+    above.push_back(0);
+    below.push_back(0);
     succ.push_back(std::move(xsuccs));
     pred.push_back(std::move(xpreds));
-    slot_of.emplace(id, m);
+    slot_of[id] = m;
   }
+  if (candidates != nullptr) *candidates = scanned;
 
   // Compact live slots in ascending tuple-id order (the full build's input
-  // order) and re-emit canonically.
+  // order; slot_of lists them so) and re-emit canonically.
   std::vector<size_t> alive_slots;
   alive_slots.reserve(slot_id.size());
-  for (size_t i = 0; i < slot_id.size(); ++i) {
-    if (!dead[i]) alive_slots.push_back(i);
+  for (size_t slot : slot_of) {
+    if (slot != kNoSlot) alive_slots.push_back(slot);
   }
-  std::sort(alive_slots.begin(), alive_slots.end(),
-            [&](size_t a, size_t b) { return slot_id[a] < slot_id[b]; });
   std::vector<size_t> new_index(slot_id.size(), 0);
   for (size_t k = 0; k < alive_slots.size(); ++k) {
     new_index[alive_slots[k]] = k;
@@ -285,10 +274,10 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
   for (size_t k = 0; k < alive_slots.size(); ++k) {
     size_t slot = alive_slots[k];
     ids[k] = slot_id[slot];
-    out_succ[k].reserve(succ[slot].size());
-    for (size_t s : succ[slot]) out_succ[k].push_back(new_index[s]);
-    out_pred[k].reserve(pred[slot].size());
-    for (size_t p : pred[slot]) out_pred[k].push_back(new_index[p]);
+    out_succ[k] = std::move(succ[slot]);
+    for (size_t& s : out_succ[k]) s = new_index[s];
+    out_pred[k] = std::move(pred[slot]);
+    for (size_t& p : out_pred[k]) p = new_index[p];
   }
   *graph = EmitGraph(ids, std::move(out_succ), std::move(out_pred));
 }

@@ -41,14 +41,28 @@ struct SubsumptionGraph {
 };
 
 /// Builds the subsumption graph of `relation`. The binding order used is
-/// plain item subsumption extended with preference edges, matching what
-/// off-path inference consults.
+/// plain item subsumption extended with preference edges (ItemBindsBelow),
+/// matching what off-path inference consults.
 ///
-/// The pairwise binds-below tests (the n^2 dominant cost) are partitioned
-/// across the shared ThreadPool when `threads` > 1 (0 = one per hardware
-/// thread); the resulting graph is identical at any thread count.
+/// §2.1 obtains the graph by eliminating the unasserted nodes of the
+/// hierarchy graph, so the build walks each tuple's asserted ancestors
+/// instead of testing tuple pairs. Write a < b when a binds strictly
+/// above b.
+///  1. Up(t) = {c : c < t} comes from one TuplesBindingAbove scan of the
+///     store's inverted index per tuple.
+///  2. Tuples are placed in ascending |Up(t)|. That is a topological
+///     order, because c ∈ Up(t) implies Up(c) ⊊ Up(t).
+///  3. pred(t) = Up(t) ∖ ⋃_{c ∈ Up(t)} pred(c), with a stamp array. This
+///     is exact: if a < c < t, a covers some s ≤ c, so a ∈ pred(s), and
+///     s ∈ Up(t) by transitivity, so a is struck. A cover a of t is in
+///     no pred(c) with c ∈ Up(t), since c would lie strictly between a
+///     and t. The step runs no item tests.
+/// Successors are the reversed predecessor lists. Cost is the index scans
+/// plus Σ_t Σ_{c ∈ Up(t)} |pred(c)|; no n×n structure is allocated.
+///
+/// `candidates`, if given, receives Σ|Up(t)|.
 SubsumptionGraph BuildSubsumptionGraph(const HierarchicalRelation& relation,
-                                       size_t threads = 1);
+                                       size_t* candidates = nullptr);
 
 /// A batch of tuple-level changes separating a cached graph from the
 /// relation's present state: `remove` lists tuple ids leaving the graph,
@@ -60,21 +74,25 @@ struct SubsumptionDelta {
   std::vector<TupleId> add;
 };
 
-/// Patches `graph` in place so it equals BuildSubsumptionGraph(relation) —
-/// byte-identical, at any thread count — at O(|delta| * n) item tests
-/// instead of O(n^2).
+/// Patches `graph` in place so it equals BuildSubsumptionGraph(relation),
+/// byte-identical, touching only the changed tuples' neighbourhoods.
 ///
 /// Precondition: (graph->nodes ∖ delta.remove) ∪ delta.add is exactly the
 /// relation's live tuple-id set, and every id in `delta.add` is live.
 ///
 /// Removals are exact Hasse cover-deletions (for each former predecessor,
-/// former successors left unreachable get a direct edge); insertions are
-/// exact cover-insertions (≤ 2n item tests locate the new node's covers,
-/// then edges newly spanning it are dropped). The rewritten node set is
-/// re-emitted through the same deterministic assembly as a full build.
+/// former successors left unreachable get a direct edge). Insertions are
+/// exact cover-insertions: the store's TuplesBindingAbove /
+/// TuplesBindingBelow scans give the new node's Up and Down sets, a
+/// first-step test over them finds its covers, and edges newly spanning
+/// it are dropped. The rewritten node set is re-emitted through the same
+/// deterministic assembly as a full build.
+///
+/// `candidates`, if given, receives Σ(|Up| + |Down|) over the insertions.
 void PatchSubsumptionGraph(const HierarchicalRelation& relation,
-                           const SubsumptionDelta& delta, size_t threads,
-                           SubsumptionGraph* graph);
+                           const SubsumptionDelta& delta,
+                           SubsumptionGraph* graph,
+                           size_t* candidates = nullptr);
 
 /// Multi-line rendering for debugging and the figure-reproduction binaries.
 std::string SubsumptionGraphToString(const HierarchicalRelation& relation,

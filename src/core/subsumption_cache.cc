@@ -1,6 +1,7 @@
 #include "core/subsumption_cache.h"
 
 #include <algorithm>
+#include <chrono>
 #include <unordered_set>
 
 #include "common/str_util.h"
@@ -28,6 +29,23 @@ obs::WaitEventRegistry::Site& EntryLatchSite() {
   return site;
 }
 
+uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+/// Notes a built or patched graph's size on its span.
+void NoteGraph(obs::Trace::Scope& span, const SubsumptionGraph& graph,
+               size_t candidates) {
+  size_t edges = 0;
+  for (const auto& list : graph.successors) edges += list.size();
+  span.Note("nodes", graph.nodes.size());
+  span.Note("edges", edges);
+  span.Note("candidates", candidates);
+}
+
 }  // namespace
 
 std::vector<uint64_t> SubsumptionCache::HierarchyVersions(
@@ -48,8 +66,8 @@ bool SubsumptionCache::Matches(const Entry& entry,
 }
 
 const SubsumptionGraph& SubsumptionCache::Get(
-    const HierarchicalRelation& relation, size_t threads,
-    GetOutcome* outcome) {
+    const HierarchicalRelation& relation, GetOutcome* outcome,
+    obs::Trace* trace) {
   Entry* entry;
   {
     obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
@@ -71,7 +89,7 @@ const SubsumptionGraph& SubsumptionCache::Get(
   bool journal_overflow = false;
   if (entry->relation_version != 0 &&
       incremental_.load(std::memory_order_relaxed) &&
-      TryPatch(*entry, relation, threads, &journal_overflow)) {
+      TryPatch(*entry, relation, trace, &journal_overflow)) {
     ++entry->patches;
     {
       obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
@@ -83,13 +101,22 @@ const SubsumptionGraph& SubsumptionCache::Get(
               {{"relation", relation.name()}});
     return entry->graph;
   }
+  uint64_t ns;
+  {
+    obs::Trace::Scope span(trace, "graph.build");
+    auto start = std::chrono::steady_clock::now();
+    size_t candidates = 0;
+    entry->graph = BuildSubsumptionGraph(relation, &candidates);
+    ns = ElapsedNs(start);
+    NoteGraph(span, entry->graph, candidates);
+  }
   {
     obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
     ++stats_.misses;
     ++stats_.rebuilds;
     if (journal_overflow) ++stats_.journal_overflows;
+    stats_.build_ns += ns;
   }
-  entry->graph = BuildSubsumptionGraph(relation, threads);
   ++entry->rebuilds;
   entry->relation_version = relation.version();
   entry->hierarchy_versions = HierarchyVersions(relation);
@@ -99,7 +126,7 @@ const SubsumptionGraph& SubsumptionCache::Get(
 
 bool SubsumptionCache::TryPatch(Entry& entry,
                                 const HierarchicalRelation& relation,
-                                size_t threads, bool* journal_overflow) {
+                                obs::Trace* trace, bool* journal_overflow) {
   const Schema& schema = relation.schema();
   if (entry.hierarchy_versions.size() != schema.size()) return false;
 
@@ -128,8 +155,16 @@ bool SubsumptionCache::TryPatch(Entry& entry,
     return false;
   }
 
-  std::unordered_set<TupleId> in_graph(entry.graph.nodes.begin(),
-                                       entry.graph.nodes.end());
+  // Membership of the cached graph by tuple id. A live tuple is a graph
+  // node or a journalled insert, so it falls below `bound` unless the
+  // bookkeeping is broken, which the size check further down catches.
+  size_t bound = 0;
+  for (TupleId id : entry.graph.nodes) bound = std::max<size_t>(bound, id + 1);
+  for (const MutationJournal::Record& r : *records) {
+    bound = std::max<size_t>(bound, r.id + 1);
+  }
+  std::vector<char> in_graph(bound, 0);
+  for (TupleId id : entry.graph.nodes) in_graph[id] = 1;
   std::unordered_set<TupleId> removed, added;
   for (const MutationJournal::Record& r : *records) {
     switch (r.kind) {
@@ -139,7 +174,7 @@ bool SubsumptionCache::TryPatch(Entry& entry,
       case MutationJournal::Record::Kind::kErase:
         // Insert-then-erase since the cached stamp cancels out; an erase
         // of a tuple the graph holds is a removal.
-        if (added.erase(r.id) == 0 && in_graph.contains(r.id)) {
+        if (added.erase(r.id) == 0 && in_graph[r.id]) {
           removed.insert(r.id);
         }
         break;
@@ -161,7 +196,7 @@ bool SubsumptionCache::TryPatch(Entry& entry,
         }
       }
       if (!is_dirty) continue;
-      if (in_graph.contains(id) && !removed.contains(id)) {
+      if (id < bound && in_graph[id] && !removed.contains(id)) {
         removed.insert(id);
         added.insert(id);
       }
@@ -178,8 +213,9 @@ bool SubsumptionCache::TryPatch(Entry& entry,
     return false;
   }
 
-  // Cost heuristic: a patch re-places each changed tuple at O(n) item
-  // tests, so past ~n/4 changed tuples the n^2 parallel rebuild wins.
+  // Cost heuristic: a patch copies and re-emits the whole graph and then
+  // re-places each changed tuple, so past ~n/4 changed tuples a rebuild,
+  // which scans every tuple once, is no dearer.
   size_t work = removed.size() + added.size();
   size_t n = entry.graph.nodes.size();
   if (work > std::max<size_t>(16, n / 4)) return false;
@@ -190,7 +226,14 @@ bool SubsumptionCache::TryPatch(Entry& entry,
     delta.add.assign(added.begin(), added.end());
     std::sort(delta.remove.begin(), delta.remove.end());
     std::sort(delta.add.begin(), delta.add.end());
-    PatchSubsumptionGraph(relation, delta, threads, &entry.graph);
+    obs::Trace::Scope span(trace, "graph.patch");
+    auto start = std::chrono::steady_clock::now();
+    size_t candidates = 0;
+    PatchSubsumptionGraph(relation, delta, &entry.graph, &candidates);
+    uint64_t ns = ElapsedNs(start);
+    NoteGraph(span, entry.graph, candidates);
+    obs::TrackedLock<std::mutex> lock(mutex_, MapLatchSite());
+    stats_.patch_ns += ns;
   }
   // work == 0: every journalled mutation cancelled out topologically
   // (truth flips, insert-then-erase, edits touching no asserted item) —

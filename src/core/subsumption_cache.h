@@ -1,9 +1,9 @@
 // SubsumptionCache: versioned per-relation cache of SubsumptionGraphs.
 //
-// BuildSubsumptionGraph is quadratic-to-cubic in the tuple count, and
+// BuildSubsumptionGraph scans the store's index once per tuple, and
 // consolidate, explicate (hence extension, aggregation, and every DERIVE
-// fixpoint round) rebuild it from scratch per call. Relations mutate far
-// less often than they are queried, so the graph is cached and keyed on
+// fixpoint round) would rebuild it from scratch per call. Relations mutate
+// far less often than they are queried, so the graph is cached and keyed on
 // the relation's version stamp plus the version stamps of every hierarchy
 // in its schema (a CONNECT or PREFER can change subsumption between items
 // that are already asserted). Stamps come from the process-wide revision
@@ -15,8 +15,8 @@
 // changed since the cached stamp, the schema hierarchies' edit journals
 // name which nodes a CONNECT/PREFER may have re-related, and
 // PatchSubsumptionGraph re-places just those tuples — byte-identical to a
-// full rebuild at a fraction of the item tests. A full parallel rebuild
-// remains the fallback whenever a journal no longer covers the stamp, the
+// full rebuild at a fraction of the index scans. A full rebuild remains
+// the fallback whenever a journal no longer covers the stamp, the
 // delta is too large to be worth it, or patching is disabled
 // (set_incremental(false), the HQL SET INCREMENTAL OFF escape hatch).
 //
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/subsumption.h"
+#include "obs/trace.h"
 
 namespace hirel {
 
@@ -70,6 +71,9 @@ class SubsumptionCache {
     /// covering the cached stamp.
     size_t journal_overflows = 0;
     size_t invalidations = 0;
+    /// Cumulative wall time spent in full builds and in patches.
+    uint64_t build_ns = 0;
+    uint64_t patch_ns = 0;
   };
 
   /// Snapshot of one cached entry, for introspection (sys.cache).
@@ -84,12 +88,21 @@ class SubsumptionCache {
   };
 
   /// Returns the subsumption graph of `relation`, reusing (or patching)
-  /// the entry for `relation.name()` when possible. `threads` is forwarded
-  /// to the build/patch kernels on a miss; `outcome`, if given, reports
-  /// how the call was served.
+  /// the entry for `relation.name()` when possible. `outcome`, if given,
+  /// reports how the call was served. A full build or a patch opens a
+  /// `graph.build` / `graph.patch` span in `trace` (when non-null) noting
+  /// the graph's `nodes` and `edges` and the index `candidates` visited.
   const SubsumptionGraph& Get(const HierarchicalRelation& relation,
-                              size_t threads = 1,
-                              GetOutcome* outcome = nullptr);
+                              GetOutcome* outcome = nullptr,
+                              obs::Trace* trace = nullptr);
+
+  /// Source-compatible form for callers written against the former
+  /// thread-count parameter (hqlbench/probes.cc); the count is ignored,
+  /// since graph builds are serial.
+  const SubsumptionGraph& Get(const HierarchicalRelation& relation,
+                              size_t /*threads*/) {
+    return Get(relation);
+  }
 
   /// Toggles the patch path (SET INCREMENTAL ON|OFF). Off, every stale
   /// entry takes the full-rebuild path. Safe to flip concurrently with
@@ -141,7 +154,7 @@ class SubsumptionCache {
   /// modified; `*journal_overflow` is set when the failure was the
   /// relation journal not covering the cached stamp.
   bool TryPatch(Entry& entry, const HierarchicalRelation& relation,
-                size_t threads, bool* journal_overflow);
+                obs::Trace* trace, bool* journal_overflow);
 
   mutable std::mutex mutex_;  // guards entries_ (the map) and stats_
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;

@@ -1,6 +1,7 @@
 #include "core/tuple_store.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/str_util.h"
 #include "hierarchy/hierarchy.h"
@@ -57,37 +58,85 @@ std::optional<TupleId> TupleStore::Find(const Item& item) const {
   return it->second;
 }
 
-std::vector<TupleId> TupleStore::TuplesSubsuming(const Schema& schema,
-                                                 const Item& item) const {
-  // Candidates: tuples whose first component is an ancestor of item[0]
-  // (subsumption on attribute 0 is necessary). Verified in full below; the
-  // result comes out in ascending id order for determinism.
+template <typename NodesFn, typename KeepFn>
+std::vector<TupleId> TupleStore::ScanMostSelective(size_t arity,
+                                                   NodesFn nodes,
+                                                   KeepFn keep) const {
+  // The attribute whose candidate nodes carry the fewest postings. An only
+  // attribute needs no count; otherwise an attribute stops counting as
+  // soon as it can no longer beat the best so far.
+  size_t best = 0;
+  std::vector<NodeId> best_nodes = nodes(0);
+  if (arity > 1) {
+    auto postings = [&](size_t i, const std::vector<NodeId>& candidates,
+                        size_t limit) {
+      size_t total = 0;
+      for (NodeId node : candidates) {
+        auto it = component_index_[i].find(node);
+        if (it != component_index_[i].end()) total += it->second.size();
+        if (total >= limit) break;
+      }
+      return total;
+    };
+    size_t best_total = postings(0, best_nodes, SIZE_MAX);
+    for (size_t i = 1; i < arity && best_total > 0; ++i) {
+      std::vector<NodeId> candidates = nodes(i);
+      size_t total = postings(i, candidates, best_total);
+      if (total < best_total) {
+        best = i;
+        best_total = total;
+        best_nodes = std::move(candidates);
+      }
+    }
+  }
+  // Each live tuple sits in exactly one posting list per attribute, so the
+  // candidates are distinct; sorting restores ascending id order.
   std::vector<TupleId> out;
-  const Dag& dag = schema.hierarchy(0)->dag();
-  for (NodeId ancestor : dag.Ancestors(item[0])) {
-    auto it = component_index_[0].find(ancestor);
-    if (it == component_index_[0].end()) continue;
+  for (NodeId node : best_nodes) {
+    auto it = component_index_[best].find(node);
+    if (it == component_index_[best].end()) continue;
     for (TupleId id : it->second) {
-      if (ItemSubsumes(schema, tuples_[id].item, item)) out.push_back(id);
+      if (keep(tuples_[id].item)) out.push_back(id);
     }
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
+std::vector<TupleId> TupleStore::TuplesSubsuming(const Schema& schema,
+                                                 const Item& item) const {
+  return ScanMostSelective(
+      schema.size(),
+      [&](size_t i) { return schema.hierarchy(i)->dag().Ancestors(item[i]); },
+      [&](const Item& other) { return ItemSubsumes(schema, other, item); });
+}
+
 std::vector<TupleId> TupleStore::TuplesSubsumedBy(const Schema& schema,
                                                   const Item& item) const {
-  std::vector<TupleId> out;
-  const Dag& dag = schema.hierarchy(0)->dag();
-  for (NodeId descendant : dag.Descendants(item[0])) {
-    auto it = component_index_[0].find(descendant);
-    if (it == component_index_[0].end()) continue;
-    for (TupleId id : it->second) {
-      if (ItemSubsumes(schema, item, tuples_[id].item)) out.push_back(id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return ScanMostSelective(
+      schema.size(),
+      [&](size_t i) {
+        return schema.hierarchy(i)->dag().Descendants(item[i]);
+      },
+      [&](const Item& other) { return ItemSubsumes(schema, item, other); });
+}
+
+std::vector<TupleId> TupleStore::TuplesBindingAbove(const Schema& schema,
+                                                    const Item& item) const {
+  return ScanMostSelective(
+      schema.size(),
+      [&](size_t i) { return schema.hierarchy(i)->BindingAncestors(item[i]); },
+      [&](const Item& other) { return ItemBindsBelow(schema, other, item); });
+}
+
+std::vector<TupleId> TupleStore::TuplesBindingBelow(const Schema& schema,
+                                                    const Item& item) const {
+  return ScanMostSelective(
+      schema.size(),
+      [&](size_t i) {
+        return schema.hierarchy(i)->BindingDescendants(item[i]);
+      },
+      [&](const Item& other) { return ItemBindsBelow(schema, item, other); });
 }
 
 size_t TupleStore::ApproxBytes() const {

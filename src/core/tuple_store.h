@@ -8,8 +8,8 @@
 // Contracts the parallel kernels and the subsumption-graph cache depend on:
 //  * Append allocates ids sequentially: the id of the n-th Append is n,
 //    dead slots included. Ids are never reused.
-//  * LiveIds / TuplesSubsuming / TuplesSubsumedBy return ascending ids, so
-//    results are byte-identical across thread counts.
+//  * LiveIds and the four subsumption/binding scans return ascending ids,
+//    so results are byte-identical across thread counts.
 //  * Copies preserve ids, dead slots, and iteration order exactly.
 //  * Chunk boundaries are a pure function of capacity() and kChunkTuples,
 //    never of thread count, so chunked ParallelFor scans are deterministic.
@@ -97,8 +97,12 @@ class TupleStore {
   std::vector<TupleId> LiveIds() const { return alive_.ToVector(); }
 
   /// Ids of live tuples whose item subsumes `item`, ascending. The caller
-  /// guarantees: item arity matches the (non-empty) schema, item[0] is
-  /// alive in its hierarchy, and the store is non-empty.
+  /// guarantees that item arity matches the (non-empty) schema.
+  ///
+  /// All four scans draw candidates from one attribute's inverted index
+  /// and verify them in full. They pick the attribute whose candidate
+  /// nodes (ancestors of item[i] here) carry the fewest postings, so a
+  /// coarse leading attribute does not turn the scan into a full one.
   std::vector<TupleId> TuplesSubsuming(const Schema& schema,
                                        const Item& item) const;
 
@@ -106,6 +110,19 @@ class TupleStore {
   /// preconditions as TuplesSubsuming.
   std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
                                         const Item& item) const;
+
+  /// Ids of live tuples whose item binds at or above `item`
+  /// (ItemBindsBelow(tuple, item), preference edges included), ascending.
+  /// Candidates come from Hierarchy::BindingAncestors; same preconditions
+  /// as TuplesSubsuming.
+  std::vector<TupleId> TuplesBindingAbove(const Schema& schema,
+                                          const Item& item) const;
+
+  /// Ids of live tuples whose item `item` binds at or above
+  /// (ItemBindsBelow(item, tuple)), ascending; candidates come from
+  /// Hierarchy::BindingDescendants.
+  std::vector<TupleId> TuplesBindingBelow(const Schema& schema,
+                                          const Item& item) const;
 
   /// Approximate in-memory footprint in bytes, including indexes and
   /// bitmaps — everything the store owns, not just tuple payloads.
@@ -130,9 +147,16 @@ class TupleStore {
 
   std::unordered_map<Item, TupleId, ItemHash> item_index_;
 
+  /// The scan behind the four public ones: `nodes(i)` lists attribute i's
+  /// candidate nodes, the attribute with the fewest postings supplies the
+  /// candidates, and `keep(item)` verifies each one.
+  template <typename NodesFn, typename KeepFn>
+  std::vector<TupleId> ScanMostSelective(size_t arity, NodesFn nodes,
+                                         KeepFn keep) const;
+
   // Inverted index: per attribute, component node -> live tuple ids using
-  // that node at that position. Accelerates TuplesSubsuming /
-  // TuplesSubsumedBy, the two scans behind all binding computations.
+  // that node at that position. Drives the subsumption and binding scans
+  // behind every binding computation and the subsumption graph.
   std::vector<std::unordered_map<NodeId, std::vector<TupleId>>>
       component_index_;
 };

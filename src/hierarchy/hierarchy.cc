@@ -291,6 +291,37 @@ bool Hierarchy::BindsBelow(NodeId general, NodeId specific) const {
   return false;
 }
 
+std::vector<NodeId> Hierarchy::BindingAncestors(NodeId n) const {
+  if (num_pref_edges_ == 0) return dag_.Ancestors(n);
+  return UnionCone(n, /*up=*/true);
+}
+
+std::vector<NodeId> Hierarchy::BindingDescendants(NodeId n) const {
+  if (num_pref_edges_ == 0) return dag_.Descendants(n);
+  return UnionCone(n, /*up=*/false);
+}
+
+std::vector<NodeId> Hierarchy::UnionCone(NodeId n, bool up) const {
+  std::vector<NodeId> out;
+  if (!dag_.alive(n)) return out;
+  std::vector<bool> seen(dag_.capacity(), false);
+  auto visit = [&](NodeId next) {
+    if (!seen[next]) {
+      seen[next] = true;
+      out.push_back(next);
+    }
+  };
+  visit(n);
+  for (size_t head = 0; head < out.size(); ++head) {
+    NodeId cur = out[head];
+    for (NodeId next : up ? dag_.Parents(cur) : dag_.Children(cur)) {
+      visit(next);
+    }
+    for (NodeId next : up ? pref_in_[cur] : pref_out_[cur]) visit(next);
+  }
+  return out;
+}
+
 std::vector<NodeId> Hierarchy::MaximalCommonDescendants(NodeId a,
                                                         NodeId b) const {
   if (!dag_.alive(a) || !dag_.alive(b)) return {};

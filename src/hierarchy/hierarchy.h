@@ -185,6 +185,17 @@ class Hierarchy {
   /// edge u -> v makes v "reachable" from u for binding-order purposes only.
   bool BindsBelow(NodeId general, NodeId specific) const;
 
+  /// Every live node that binds at or above n: the ancestors of n in the
+  /// union of subsumption and preference edges, n included. Exactly
+  /// dag().Ancestors(n) when there are no preference edges; empty if n is
+  /// not alive. BindsBelow(a, n) holds iff a is in the result.
+  std::vector<NodeId> BindingAncestors(NodeId n) const;
+
+  /// Every live node that n binds at or above (the union-graph
+  /// descendants, n included); dually dag().Descendants(n) without
+  /// preference edges.
+  std::vector<NodeId> BindingDescendants(NodeId n) const;
+
   /// The maximal common descendants of a and b: nodes m subsumed by both,
   /// such that no other common descendant subsumes m. When a and b are
   /// comparable this is {Meet(a, b)}. An empty result is the paper's
@@ -269,6 +280,10 @@ class Hierarchy {
   /// `bottom` (each including its seed), or nullopt past kAffectedCap.
   std::optional<std::vector<NodeId>> BindingCones(NodeId top,
                                                   NodeId bottom) const;
+
+  /// Union-graph BFS from a live n, upward (parents and preference
+  /// predecessors) or downward; n included.
+  std::vector<NodeId> UnionCone(NodeId n, bool up) const;
 
   Result<NodeId> AddNode(NodeKind kind, std::string class_name, Value value,
                          NodeId parent);

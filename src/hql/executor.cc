@@ -469,6 +469,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       exec.inference = self.options_;
       exec.threads = self.options_.threads;
       exec.cache = &db.subsumption_cache();
+      exec.trace = self.active_trace_;
       // Arming the slow-query log collects per-node actuals for every
       // plan, so a statement that crosses the threshold can be logged
       // with the breakdown that explains it.
@@ -679,6 +680,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       exec.inference = self.options_;
       exec.threads = self.options_.threads;
       exec.cache = &db.subsumption_cache();
+      exec.trace = self.active_trace_;
       exec.collect_node_stats = true;
       plan::ExecStats exec_stats;
       {
@@ -726,7 +728,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
         // The cached graph is patched (or rebuilt) to current first; the
         // delta sweep then walks only the seeds and whatever it removes.
         const SubsumptionGraph& graph = db.subsumption_cache().Get(
-            *relation, self.options_.threads);
+            *relation, nullptr, self.active_trace_);
         HIREL_ASSIGN_OR_RETURN(
             removed,
             ConsolidateDelta(*relation, self.options_, graph, *seeds));
@@ -784,7 +786,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       // current graph; absent ids (since-erased tuples) are ignored by
       // ConsolidateDelta, but their former subsumees still seed.
       const SubsumptionGraph& graph = db.subsumption_cache().Get(
-          relation, self.options_.threads);
+          relation, nullptr, self.active_trace_);
       std::unordered_map<TupleId, size_t> position;
       position.reserve(graph.nodes.size());
       for (size_t i = 0; i < graph.nodes.size(); ++i) {
@@ -905,8 +907,8 @@ Result<std::string> Executor::ExecuteStatementImpl(
         case ShowStmt::What::kSubsumption: {
           HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
                                  std::as_const(db).GetRelation(stmt.name));
-          const SubsumptionGraph& graph =
-              db.subsumption_cache().Get(*relation, self.options_.threads);
+          const SubsumptionGraph& graph = db.subsumption_cache().Get(
+              *relation, nullptr, self.active_trace_);
           return SubsumptionGraphToString(*relation, graph);
         }
         case ShowStmt::What::kRules: {

@@ -863,6 +863,11 @@ void SyncEngineGauges(const Database& db) {
       .Set(static_cast<int64_t>(cache.stats().invalidations));
   m.gauge("subsumption_cache.entries")
       .Set(static_cast<int64_t>(cache.size()));
+  // Cumulative time spent building and patching graphs, in microseconds.
+  m.gauge("subsumption_cache.build_us")
+      .Set(static_cast<int64_t>(cache.stats().build_ns / 1000));
+  m.gauge("subsumption_cache.patch_us")
+      .Set(static_cast<int64_t>(cache.stats().patch_ns / 1000));
   // Incremental-maintenance split of the miss count: patched in place vs
   // rebuilt from scratch, and how often the mutation journal had already
   // wrapped (forcing a rebuild).

@@ -114,7 +114,7 @@ class Walker {
     if (!slot.is_base() || options_.cache == nullptr) return nullptr;
     SubsumptionCache::GetOutcome outcome = SubsumptionCache::GetOutcome::kNone;
     const SubsumptionGraph* graph =
-        &options_.cache->Get(*slot.rel, options_.threads, &outcome);
+        &options_.cache->Get(*slot.rel, &outcome, options_.trace);
     if (stats_ != nullptr) {
       if (outcome == SubsumptionCache::GetOutcome::kHit) {
         ++stats_->graph_cache_hits;

@@ -39,6 +39,10 @@ struct ExecOptions {
   /// disables caching (each kernel builds its own graph).
   SubsumptionCache* cache = nullptr;
 
+  /// Trace receiving the cache's graph.build / graph.patch spans, as
+  /// children of the innermost open span; null leaves them untraced.
+  obs::Trace* trace = nullptr;
+
   /// Candidate cap forwarded to join / product / set-operation kernels.
   size_t max_items = 100'000;
 

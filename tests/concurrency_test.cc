@@ -434,7 +434,7 @@ TEST(ConcurrencyTest, ParallelReadersOfPatchedCacheEntry) {
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&] {
         for (int q = 0; q < 50; ++q) {
-          const SubsumptionGraph& g = cache.Get(*f.flies, /*threads=*/2);
+          const SubsumptionGraph& g = cache.Get(*f.flies);
           if (g.nodes != expected.nodes ||
               g.successors != expected.successors ||
               g.predecessors != expected.predecessors ||

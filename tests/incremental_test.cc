@@ -20,6 +20,7 @@
 #include "core/subsumption.h"
 #include "core/subsumption_cache.h"
 #include "hql/executor.h"
+#include "reference_subsumption.h"
 #include "rules/rule.h"
 #include "testing/fixtures.h"
 
@@ -166,25 +167,25 @@ TEST(SubsumptionCachePatchTest, TupleChurnPatchesByteIdentically) {
   testing::FlyingFixture f;
   SubsumptionCache& cache = f.db.subsumption_cache();
   GetOutcome outcome = GetOutcome::kNone;
-  cache.Get(*f.flies, 1, &outcome);
+  cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kRebuilt);  // first build of the entry
-  cache.Get(*f.flies, 1, &outcome);
+  cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kHit);
 
   // Insert, truth-churn, and erase, patching after each step.
   TupleId added = f.flies->Insert({f.tweety}, Truth::kPositive).value();
-  const SubsumptionGraph& patched1 = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& patched1 = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(patched1, BuildSubsumptionGraph(*f.flies), "after insert");
 
   ASSERT_TRUE(f.flies->Erase(added).ok());
   TupleId readded = f.flies->Insert({f.tweety}, Truth::kNegative).value();
-  const SubsumptionGraph& patched2 = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& patched2 = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(patched2, BuildSubsumptionGraph(*f.flies), "after churn");
 
   ASSERT_TRUE(f.flies->Erase(readded).ok());
-  const SubsumptionGraph& patched3 = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& patched3 = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(patched3, BuildSubsumptionGraph(*f.flies), "after erase");
 
@@ -203,13 +204,13 @@ TEST(SubsumptionCachePatchTest, HierarchyEditPatchesByteIdentically) {
   // (asserted atomically) slides under the penguin exception structure.
   ASSERT_TRUE(f.animal->AddEdge(f.galapagos, f.peter).ok());
   GetOutcome outcome = GetOutcome::kNone;
-  const SubsumptionGraph& patched = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& patched = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(patched, BuildSubsumptionGraph(*f.flies), "after CONNECT");
 
   // A preference edge changes the binding order itself.
   ASSERT_TRUE(f.animal->AddPreferenceEdge(f.penguin, f.galapagos).ok());
-  const SubsumptionGraph& patched2 = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& patched2 = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(patched2, BuildSubsumptionGraph(*f.flies), "after PREFER");
 }
@@ -221,7 +222,7 @@ TEST(SubsumptionCachePatchTest, IncrementalOffForcesRebuild) {
   cache.set_incremental(false);
   (void)f.flies->Insert({f.tweety}, Truth::kPositive);
   GetOutcome outcome = GetOutcome::kNone;
-  cache.Get(*f.flies, 1, &outcome);
+  cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kRebuilt);
   EXPECT_EQ(cache.stats().journal_overflows, 0u);
 }
@@ -237,7 +238,7 @@ TEST(SubsumptionCachePatchTest, JournalOverflowForcesRebuild) {
     ASSERT_TRUE(f.flies->Erase(id).ok());
   }
   GetOutcome outcome = GetOutcome::kNone;
-  const SubsumptionGraph& rebuilt = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& rebuilt = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kRebuilt);
   EXPECT_EQ(cache.stats().journal_overflows, 1u);
   ExpectGraphEq(rebuilt, BuildSubsumptionGraph(*f.flies), "after overflow");
@@ -254,7 +255,7 @@ TEST(SubsumptionCachePatchTest, ChurnOfTheSameIdCancelsToAFreeRefresh) {
     ASSERT_TRUE(f.flies->Erase(id).ok());
   }
   GetOutcome outcome = GetOutcome::kNone;
-  const SubsumptionGraph& g = cache.Get(*f.flies, 1, &outcome);
+  const SubsumptionGraph& g = cache.Get(*f.flies, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kPatched);
   ExpectGraphEq(g, BuildSubsumptionGraph(*f.flies), "after cancelling churn");
 }
@@ -277,7 +278,7 @@ TEST(SubsumptionCachePatchTest, LargeDeltaTakesTheRebuildHeuristic) {
     ASSERT_TRUE(rel->Insert({atoms[i]}, Truth::kPositive).ok());
   }
   GetOutcome outcome = GetOutcome::kNone;
-  const SubsumptionGraph& g = cache.Get(*rel, 1, &outcome);
+  const SubsumptionGraph& g = cache.Get(*rel, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kRebuilt);
   EXPECT_EQ(cache.stats().journal_overflows, 0u);
   ExpectGraphEq(g, BuildSubsumptionGraph(*rel), "after bulk insert");
@@ -303,7 +304,7 @@ TEST(SubsumptionCacheInvalidationTest, AdoptReplaceCannotServeStaleGraph) {
           .value();
 
   GetOutcome outcome = GetOutcome::kNone;
-  const SubsumptionGraph& graph = cache.Get(*adopted, 1, &outcome);
+  const SubsumptionGraph& graph = cache.Get(*adopted, &outcome);
   EXPECT_EQ(outcome, GetOutcome::kRebuilt);
   ASSERT_EQ(graph.nodes.size(), 1u);
   EXPECT_EQ(adopted->tuple(graph.nodes[0]).item, Item{f.paul});
@@ -458,7 +459,7 @@ TEST(IncrementalHqlTest, ExplainAnalyzeAnnotatesThePatchPath) {
 
 /// N random mutations — inserts, erases, novel CONNECTs, PREFERs — with the
 /// cache's patched graph checked byte-identical to a from-scratch build
-/// after every step, at 1 and 4 threads.
+/// and to the pairwise reference build after every step.
 class IncrementalEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalEquivalence, PatchedGraphMatchesRebuildUnderRandomChurn) {
@@ -494,13 +495,12 @@ TEST_P(IncrementalEquivalence, PatchedGraphMatchesRebuildUnderRandomChurn) {
       (void)h->AddPreferenceEdge(nodes[rng.Index(nodes.size())],
                                  nodes[rng.Index(nodes.size())]);
     }
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      const SubsumptionGraph& cached = cache.Get(*rel, threads);
-      ExpectGraphEq(cached, BuildSubsumptionGraph(*rel, threads),
-                    "seed " + std::to_string(GetParam()) + " step " +
-                        std::to_string(step) + " threads " +
-                        std::to_string(threads));
-    }
+    std::string context = "seed " + std::to_string(GetParam()) +
+                          " step " + std::to_string(step);
+    const SubsumptionGraph& cached = cache.Get(*rel);
+    ExpectGraphEq(cached, BuildSubsumptionGraph(*rel), context);
+    ExpectGraphEq(cached, testing::ReferenceSubsumptionGraph(*rel),
+                  context + " reference");
   }
   SubsumptionCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, stats.patches + stats.rebuilds);

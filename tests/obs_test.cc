@@ -692,6 +692,49 @@ DERIVE;
             0u);
 }
 
+TEST(ExecutorObsTest, GraphBuildAndPatchAreTraced) {
+  std::string snap = std::string(::testing::TempDir()) + "/obs_graph_snap.db";
+  {
+    hql::Executor writer;
+    ASSERT_TRUE(writer.Execute(kFlyingScript).ok());
+    ASSERT_TRUE(writer.Execute("SAVE '" + snap + "';").ok());
+  }
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute("LOAD '" + snap + "';").ok());
+  std::remove(snap.c_str());
+
+  // The first COUNT after LOAD builds the graph under its execute span.
+  ASSERT_TRUE(exec.Execute("COUNT flies;").ok());
+  std::string first = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(first.find("\"name\":\"graph.build\""), std::string::npos)
+      << first;
+  EXPECT_NE(first.find("\"nodes\":3"), std::string::npos) << first;
+  EXPECT_NE(first.find("\"edges\":2"), std::string::npos) << first;
+  EXPECT_NE(first.find("\"candidates\":3"), std::string::npos) << first;
+
+  // The second is served from the cache and builds nothing.
+  ASSERT_TRUE(exec.Execute("COUNT flies;").ok());
+  std::string second = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_EQ(second.find("graph.build"), std::string::npos) << second;
+  EXPECT_EQ(second.find("graph.patch"), std::string::npos) << second;
+
+  // A mutation makes the next COUNT patch the cached graph instead.
+  ASSERT_TRUE(exec.Execute("ASSERT flies(peter);").ok());
+  ASSERT_TRUE(exec.Execute("COUNT flies;").ok());
+  std::string third = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(third.find("\"name\":\"graph.patch\""), std::string::npos)
+      << third;
+  EXPECT_EQ(third.find("graph.build"), std::string::npos) << third;
+
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW METRICS JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_NE(json_rows::FindRow(*rows, {{"name", "subsumption_cache.build_us"}}),
+            nullptr);
+  EXPECT_NE(json_rows::FindRow(*rows, {{"name", "subsumption_cache.patch_us"}}),
+            nullptr);
+}
+
 TEST(ExecutorObsTest, WalCountersTrackAppendsAndReplay) {
   std::string dir = std::string(::testing::TempDir()) + "/obs_wal_test";
   std::filesystem::remove_all(dir);

@@ -15,7 +15,6 @@
 #include "algebra/setops.h"
 #include "core/consolidate.h"
 #include "core/explicate.h"
-#include "core/subsumption.h"
 #include "rules/rule.h"
 #include "testing/fixtures.h"
 
@@ -93,21 +92,6 @@ TEST(ParallelDeterminismTest, ExplicateOverflowErrorMatchesSerial) {
     opts.inference.threads = t;
     Status status = Explicate(*f.flies, {}, opts).status();
     EXPECT_EQ(status.ToString(), reference.ToString()) << "threads " << t;
-  }
-}
-
-TEST(ParallelDeterminismTest, SubsumptionGraphMatchesSerial) {
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    testing::RandomDatabase rdb(seed, DenseFixture());
-    std::string reference = SubsumptionGraphToString(
-        *rdb.relation(), BuildSubsumptionGraph(*rdb.relation()));
-    for (size_t t : kThreadCounts) {
-      EXPECT_EQ(SubsumptionGraphToString(
-                    *rdb.relation(),
-                    BuildSubsumptionGraph(*rdb.relation(), t)),
-                reference)
-          << "seed " << seed << " threads " << t;
-    }
   }
 }
 

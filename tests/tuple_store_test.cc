@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/str_util.h"
 #include "core/hierarchical_relation.h"
 #include "testing/fixtures.h"
 
@@ -160,6 +161,70 @@ TEST(TupleStoreTest, SubsumptionScansAreAscendingAndExact) {
       EXPECT_EQ(r.TuplesSubsumedBy(item), subsumed)
           << "seed " << seed << " node " << probe;
     }
+  }
+
+  // Two attributes whose first is flat: nearly every tuple sits on the
+  // vendor root, so attribute 0 alone would yield every tuple as a
+  // candidate and the scans must draw from attribute 1 instead. The
+  // binding scans run before and after preference edges on both
+  // attributes.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Database db;
+    Hierarchy* vendor =
+        testing::BuildTreeHierarchy(db, "vendor", /*depth=*/0, /*fanout=*/1,
+                                    /*instances_per_leaf=*/4);
+    Hierarchy* product =
+        testing::BuildTreeHierarchy(db, "product", /*depth=*/2, /*fanout=*/3,
+                                    /*instances_per_leaf=*/6);
+    Schema schema({{"vendor", vendor}, {"product", product}});
+    HierarchicalRelation r("r", schema);
+    std::vector<NodeId> vendors = vendor->Nodes();
+    std::vector<NodeId> products = product->Nodes();
+
+    Random rng(seed + 100);
+    for (size_t step = 0; step < 300; ++step) {
+      NodeId v = rng.Bernoulli(0.9) ? vendor->root()
+                                    : vendors[rng.Index(vendors.size())];
+      Item item{v, products[rng.Index(products.size())]};
+      if (rng.Uniform(4) == 0) {
+        (void)r.EraseItem(item);
+      } else {
+        (void)r.Insert(item, Truth::kPositive);
+      }
+    }
+
+    auto check = [&](const std::string& stage) {
+      for (NodeId v : vendors) {
+        for (NodeId p : products) {
+          Item item{v, p};
+          std::vector<TupleId> subsuming, subsumed, above, below;
+          for (TupleId id : r.TupleIds()) {
+            const Item& other = r.ItemAt(id);
+            if (ItemSubsumes(schema, other, item)) subsuming.push_back(id);
+            if (ItemSubsumes(schema, item, other)) subsumed.push_back(id);
+            if (ItemBindsBelow(schema, other, item)) above.push_back(id);
+            if (ItemBindsBelow(schema, item, other)) below.push_back(id);
+          }
+          std::string at = StrCat(stage, " seed ", seed, " item ",
+                                  ItemToString(schema, item));
+          EXPECT_EQ(r.TuplesSubsuming(item), subsuming) << at;
+          EXPECT_EQ(r.TuplesSubsumedBy(item), subsumed) << at;
+          EXPECT_EQ(r.TuplesBindingAbove(item), above) << at;
+          EXPECT_EQ(r.TuplesBindingBelow(item), below) << at;
+        }
+      }
+    };
+    check("no preference edges");
+    for (int e = 0; e < 3; ++e) {
+      (void)vendor->AddPreferenceEdge(vendors[rng.Index(vendors.size())],
+                                      vendors[rng.Index(vendors.size())]);
+      (void)product->AddPreferenceEdge(products[rng.Index(products.size())],
+                                       products[rng.Index(products.size())]);
+    }
+    ASSERT_GT(vendor->num_preference_edges() +
+                  product->num_preference_edges(),
+              0u);
+    check("preference edges");
   }
 }
 

@@ -52,6 +52,14 @@ for preset in "${presets[@]}"; do
     }
   done
 
+  if [ "${preset}" = "release" ]; then
+    # The benchmarks drive graph builds at 10^5 tuples; the build has to
+    # finish at that size, not just at unit-test sizes.
+    echo "==== ${preset}: 10^5-tuple subsumption-graph build ===="
+    "build/${preset}/bench/bench_incremental" \
+        --benchmark_filter='BM_BuildSubsumptionGraph/100000' > /dev/null
+  fi
+
   echo "==== ${preset}: observability smoke ===="
   repl="build/${preset}/examples/hql_repl"
   trace_json="$(mktemp)"
