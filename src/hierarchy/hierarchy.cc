@@ -14,8 +14,6 @@ Hierarchy::Hierarchy(std::string name, HierarchyOptions options)
   kinds_.push_back(NodeKind::kClass);
   class_names_.push_back(name_);
   values_.emplace_back();
-  pref_out_.emplace_back();
-  pref_in_.emplace_back();
   class_index_.emplace(name_, root_);
   num_classes_ = 1;
 }
@@ -36,8 +34,6 @@ Result<NodeId> Hierarchy::AddNode(NodeKind kind, std::string class_name,
   kinds_.push_back(kind);
   class_names_.push_back(std::move(class_name));
   values_.push_back(std::move(value));
-  pref_out_.emplace_back();
-  pref_in_.emplace_back();
   Status s = dag_.AddEdge(parent, id);
   assert(s.ok() && "edge to a brand-new node cannot fail");
   (void)s;
@@ -154,12 +150,17 @@ Status Hierarchy::AddPreferenceEdge(NodeId weaker, NodeId stronger) {
         StrCat("preference edge ", NodeName(weaker), " -> ",
                NodeName(stronger), " would create a binding cycle"));
   }
-  auto& out = pref_out_[weaker];
-  if (std::find(out.begin(), out.end(), stronger) != out.end()) {
+  const std::vector<NodeId>& existing = PreferenceSuccessors(weaker);
+  if (std::find(existing.begin(), existing.end(), stronger) !=
+      existing.end()) {
     return Status::AlreadyExists("preference edge");
   }
   std::optional<std::vector<NodeId>> cones = BindingCones(weaker, stronger);
-  out.push_back(stronger);
+  if (pref_out_.size() < dag_.capacity()) {
+    pref_out_.resize(dag_.capacity());
+    pref_in_.resize(dag_.capacity());
+  }
+  pref_out_[weaker].push_back(stronger);
   pref_in_[stronger].push_back(weaker);
   ++num_pref_edges_;
   version_ = NextRevision();
@@ -190,18 +191,20 @@ Status Hierarchy::EliminateNode(NodeId n) {
   // arbitrarily, so journal an unbounded edit.
   const bool had_pref_edges = num_pref_edges_ > 0;
   // Drop preference edges incident on n.
-  for (NodeId v : pref_out_[n]) {
-    auto& in = pref_in_[v];
-    in.erase(std::remove(in.begin(), in.end(), n), in.end());
-    --num_pref_edges_;
+  if (n < pref_out_.size()) {
+    for (NodeId v : pref_out_[n]) {
+      auto& in = pref_in_[v];
+      in.erase(std::remove(in.begin(), in.end(), n), in.end());
+      --num_pref_edges_;
+    }
+    for (NodeId u : pref_in_[n]) {
+      auto& out = pref_out_[u];
+      out.erase(std::remove(out.begin(), out.end(), n), out.end());
+      --num_pref_edges_;
+    }
+    pref_out_[n].clear();
+    pref_in_[n].clear();
   }
-  for (NodeId u : pref_in_[n]) {
-    auto& out = pref_out_[u];
-    out.erase(std::remove(out.begin(), out.end(), n), out.end());
-    --num_pref_edges_;
-  }
-  pref_out_[n].clear();
-  pref_in_[n].clear();
   version_ = NextRevision();
   RecordEdit({version_, had_pref_edges, std::vector<NodeId>{n}});
   return dag_.EliminateNode(n, options_.keep_redundant_edges);
@@ -283,7 +286,7 @@ bool Hierarchy::BindsBelow(NodeId general, NodeId specific) const {
       if (next == specific) return true;
       visit(next);
     }
-    for (NodeId next : pref_out_[cur]) {
+    for (NodeId next : PreferenceSuccessors(cur)) {
       if (next == specific) return true;
       visit(next);
     }
@@ -317,7 +320,10 @@ std::vector<NodeId> Hierarchy::UnionCone(NodeId n, bool up) const {
     for (NodeId next : up ? dag_.Parents(cur) : dag_.Children(cur)) {
       visit(next);
     }
-    for (NodeId next : up ? pref_in_[cur] : pref_out_[cur]) visit(next);
+    for (NodeId next :
+         up ? PreferencePredecessors(cur) : PreferenceSuccessors(cur)) {
+      visit(next);
+    }
   }
   return out;
 }
@@ -382,6 +388,11 @@ DynamicBitset Hierarchy::OverlapCone(NodeId n) const {
   return cone;
 }
 
+const std::vector<NodeId>& Hierarchy::NoNodes() {
+  static const std::vector<NodeId> kNone;
+  return kNone;
+}
+
 std::vector<NodeId> Hierarchy::AtomsUnder(NodeId n) const {
   std::vector<NodeId> atoms;
   for (NodeId d : dag_.Descendants(n)) {
@@ -442,7 +453,10 @@ std::optional<std::vector<NodeId>> Hierarchy::BindingCones(
       for (NodeId next : up ? dag_.Parents(cur) : dag_.Children(cur)) {
         visit(next);
       }
-      for (NodeId next : up ? pref_in_[cur] : pref_out_[cur]) visit(next);
+      for (NodeId next :
+           up ? PreferencePredecessors(cur) : PreferenceSuccessors(cur)) {
+        visit(next);
+      }
       if (out.size() > kAffectedCap) return false;
     }
     return true;

@@ -152,10 +152,10 @@ class Hierarchy {
 
   /// Outgoing / incoming preference edges of n.
   const std::vector<NodeId>& PreferenceSuccessors(NodeId n) const {
-    return pref_out_[n];
+    return n < pref_out_.size() ? pref_out_[n] : NoNodes();
   }
   const std::vector<NodeId>& PreferencePredecessors(NodeId n) const {
-    return pref_in_[n];
+    return n < pref_in_.size() ? pref_in_[n] : NoNodes();
   }
   size_t num_preference_edges() const { return num_pref_edges_; }
 
@@ -301,6 +301,13 @@ class Hierarchy {
   std::unordered_map<std::string, NodeId> class_index_;
   std::unordered_map<Value, NodeId, ValueHash> instance_index_;
 
+  /// The empty adjacency list served for nodes beyond pref_out_/pref_in_.
+  static const std::vector<NodeId>& NoNodes();
+
+  // Preference adjacency, indexed by node id. Most hierarchies have no
+  // preference edge, so both stay empty until the first
+  // AddPreferenceEdge sizes them; nodes added later read as edgeless
+  // through the accessors until an edge of their own grows the lists.
   std::vector<std::vector<NodeId>> pref_out_;
   std::vector<std::vector<NodeId>> pref_in_;
   size_t num_pref_edges_ = 0;

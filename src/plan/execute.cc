@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "core/consolidate.h"
 #include "core/explicate.h"
+#include "obs/trace.h"
 #include "obs/wait.h"
 
 namespace hirel {
@@ -42,18 +43,27 @@ class Walker {
       HIREL_ASSIGN_OR_RETURN(Slot input, Exec(*root.children[0]));
       if (stats_ != nullptr) ++stats_->nodes_executed;
       AggregateOptions agg;
-      agg.inference = InferFor(ns);
       agg.graph = GraphFor(input, ns);
-      if (root.aggregate == AggregateOp::kCount) {
-        HIREL_ASSIGN_OR_RETURN(size_t count,
-                               CountExtension(*input.rel, agg));
-        out.count = count;
-        if (ns != nullptr) ns->rows_out = 1;
-      } else {
-        HIREL_ASSIGN_OR_RETURN(std::vector<RollUpRow> rows,
-                               RollUpTopLevel(*input.rel, root.attr, agg));
-        if (ns != nullptr) ns->rows_out = rows.size();
-        out.rollup = std::move(rows);
+      AggregateStats sweep;
+      agg.stats = &sweep;
+      {
+        obs::Trace::Scope span(options_.trace, "aggregate.sweep");
+        if (root.aggregate == AggregateOp::kCount) {
+          HIREL_ASSIGN_OR_RETURN(size_t count,
+                                 CountExtension(*input.rel, agg));
+          out.count = count;
+        } else {
+          HIREL_ASSIGN_OR_RETURN(std::vector<RollUpRow> rows,
+                                 RollUpTopLevel(*input.rel, root.attr, agg));
+          out.rollup = std::move(rows);
+        }
+        span.Note("tuples", sweep.tuples);
+        span.Note("atoms", sweep.atoms);
+        span.Note("claimed", sweep.claimed);
+      }
+      if (ns != nullptr) {
+        ns->rows_in = sweep.tuples;
+        ns->rows_out = out.count.has_value() ? 1 : out.rollup->size();
       }
       CloseNodeStats(ns, start, wait_mark);
       return out;

@@ -58,6 +58,10 @@ struct ExecOptions {
 struct PlanNodeStats {
   /// Tuples produced by this node (the count passed to its parent).
   size_t rows_out = 0;
+  /// Tuples an Aggregate node's claim sweep visited (its input's
+  /// subsumption-graph nodes); 0 on other nodes, whose input is their
+  /// children's rows_out. EXPLAIN ANALYZE renders it on Aggregate lines.
+  size_t rows_in = 0;
   /// Wall time, inclusive of children (Postgres-style actual time).
   uint64_t wall_ns = 0;
   /// Attributed wait time (queue/latch/lock/io; obs/wait.h) recorded while

@@ -80,6 +80,9 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
       if (node.op == PlanOp::kScan) {
         out += StrCat(" chunks=", ns.chunks);
       }
+      if (node.op == PlanOp::kAggregate) {
+        out += StrCat(" rows_in=", ns.rows_in);
+      }
       if (ns.virtual_scan) {
         out += " virtual=true";
       }

@@ -200,6 +200,81 @@ TEST(HierarchyTest, PreferenceCycleRejected) {
   EXPECT_TRUE(h.AddPreferenceEdge(d, c).IsIntegrityViolation());
 }
 
+// Preference adjacency is sized by the first AddPreferenceEdge; nodes
+// outside it read as edgeless.
+
+TEST(HierarchyTest, PreferenceEdgeAddedAfterManyNodes) {
+  Hierarchy h("x");
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 50; ++i) {
+    nodes.push_back(h.AddClass("c" + std::to_string(i)).value());
+  }
+  for (NodeId n : nodes) {
+    EXPECT_TRUE(h.PreferenceSuccessors(n).empty());
+    EXPECT_TRUE(h.PreferencePredecessors(n).empty());
+  }
+  ASSERT_TRUE(h.AddPreferenceEdge(nodes[3], nodes[40]).ok());
+  EXPECT_EQ(h.PreferenceSuccessors(nodes[3]),
+            (std::vector<NodeId>{nodes[40]}));
+  EXPECT_EQ(h.PreferencePredecessors(nodes[40]),
+            (std::vector<NodeId>{nodes[3]}));
+  EXPECT_TRUE(h.PreferenceSuccessors(nodes[40]).empty());
+  EXPECT_TRUE(h.PreferencePredecessors(nodes[3]).empty());
+  EXPECT_TRUE(h.BindsBelow(nodes[3], nodes[40]));
+  EXPECT_FALSE(h.BindsBelow(nodes[40], nodes[3]));
+  EXPECT_TRUE(h.AddPreferenceEdge(nodes[3], nodes[40]).IsAlreadyExists());
+}
+
+TEST(HierarchyTest, NodeAddedAfterFirstPreferenceEdge) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  ASSERT_TRUE(h.AddPreferenceEdge(a, b).ok());
+  NodeId c = h.AddClass("c").value();
+  NodeId i = h.AddInstance(Value::Int(7), c).value();
+  EXPECT_TRUE(h.PreferenceSuccessors(c).empty());
+  EXPECT_TRUE(h.PreferencePredecessors(i).empty());
+  EXPECT_EQ(h.BindingAncestors(i).size(), 3u);  // i, c, root
+  ASSERT_TRUE(h.AddPreferenceEdge(b, c).ok());
+  EXPECT_EQ(h.PreferencePredecessors(c), (std::vector<NodeId>{b}));
+  EXPECT_TRUE(h.BindsBelow(a, i));  // a -> b -> c -> i
+  std::vector<NodeId> up = h.BindingAncestors(i);
+  EXPECT_NE(std::find(up.begin(), up.end(), a), up.end());
+  EXPECT_EQ(h.num_preference_edges(), 2u);
+}
+
+TEST(HierarchyTest, EliminateNodeWithAndWithoutPreferenceEdges) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  NodeId c = h.AddClass("c").value();
+  // No preference edge anywhere yet: the adjacency is unsized.
+  ASSERT_TRUE(h.EliminateNode(c).ok());
+  ASSERT_TRUE(h.AddPreferenceEdge(a, b).ok());
+  NodeId d = h.AddClass("d").value();  // beyond the sized adjacency
+  ASSERT_TRUE(h.EliminateNode(d).ok());
+  EXPECT_EQ(h.num_preference_edges(), 1u);
+  ASSERT_TRUE(h.EliminateNode(b).ok());  // drops a -> b
+  EXPECT_EQ(h.num_preference_edges(), 0u);
+  EXPECT_TRUE(h.PreferenceSuccessors(a).empty());
+  EXPECT_TRUE(h.PreferencePredecessors(b).empty());
+}
+
+TEST(HierarchyTest, CopyKeepsPreferenceAdjacency) {
+  Hierarchy h("x");
+  NodeId a = h.AddClass("a").value();
+  NodeId b = h.AddClass("b").value();
+  ASSERT_TRUE(h.AddPreferenceEdge(a, b).ok());
+  Hierarchy copy = h;
+  NodeId c = copy.AddClass("c").value();
+  ASSERT_TRUE(copy.AddPreferenceEdge(b, c).ok());
+  EXPECT_TRUE(copy.BindsBelow(a, c));
+  EXPECT_EQ(copy.PreferenceSuccessors(a), (std::vector<NodeId>{b}));
+  EXPECT_EQ(h.num_preference_edges(), 1u);
+  EXPECT_TRUE(h.PreferenceSuccessors(b).empty());
+  EXPECT_TRUE(h.BindsBelow(a, b));
+}
+
 TEST(HierarchyTest, EliminateNodePreservesSubsumption) {
   Hierarchy h("animal");
   NodeId bird = h.AddClass("bird").value();

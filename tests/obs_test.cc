@@ -735,6 +735,38 @@ TEST(ExecutorObsTest, GraphBuildAndPatchAreTraced) {
             nullptr);
 }
 
+TEST(ExecutorObsTest, CountShowsItsSweep) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+  ASSERT_TRUE(exec.Execute("COUNT flies;").ok());
+
+  // The claim sweep is a span under execute: three tuples swept. The walk
+  // from afp claims peter; the walks from penguin and bird stop at the
+  // nodes already walked, so no atom is enumerated twice.
+  std::string trace = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(trace.find("\"name\":\"aggregate.sweep\""), std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"tuples\":3"), std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"atoms\":1"), std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"claimed\":1"), std::string::npos) << trace;
+
+  // sys.queries charges the visited set to the COUNT.
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW QUERIES JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  const json_rows::Row* count = json_rows::FindRow(*rows, {{"kind", "count"}});
+  ASSERT_NE(count, nullptr);
+  EXPECT_GT(std::stoull(count->at("peak_bytes")), 0u);
+  EXPECT_EQ(count->at("rows_in"), "3");
+
+  // EXPLAIN ANALYZE puts the swept tuples on the Aggregate line.
+  std::string plan = exec.Execute("EXPLAIN ANALYZE COUNT flies;").value();
+  EXPECT_NE(plan.find("rows_in=3"), std::string::npos) << plan;
+  std::string again = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(again.find("\"name\":\"aggregate.sweep\""), std::string::npos)
+      << again;
+}
+
 TEST(ExecutorObsTest, WalCountersTrackAppendsAndReplay) {
   std::string dir = std::string(::testing::TempDir()) + "/obs_wal_test";
   std::filesystem::remove_all(dir);

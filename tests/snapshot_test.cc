@@ -90,6 +90,36 @@ TEST(SnapshotTest, PreferenceEdgesAndOptionsSurvive) {
   EXPECT_FALSE(lh->Subsumes(la, lb));
 }
 
+TEST(SnapshotTest, PreferenceEdgesOnLateNodesRoundTrip) {
+  // Edges on nodes added before and after the first preference edge, one
+  // of them eliminated again: the loaded hierarchy binds the same way.
+  Database db;
+  Hierarchy* h = db.CreateHierarchy("d").value();
+  NodeId a = h->AddClass("a").value();
+  NodeId b = h->AddClass("b").value();
+  ASSERT_TRUE(h->AddPreferenceEdge(a, b).ok());
+  NodeId c = h->AddClass("c").value();
+  NodeId x = h->AddInstance(Value::Int(1), c).value();
+  NodeId e = h->AddClass("e").value();
+  ASSERT_TRUE(h->AddPreferenceEdge(b, c).ok());
+  ASSERT_TRUE(h->AddPreferenceEdge(e, a).ok());
+  ASSERT_TRUE(h->EliminateNode(e).ok());
+
+  std::string data = SerializeDatabase(db).value();
+  std::unique_ptr<Database> loaded = DeserializeDatabase(data).value();
+  Hierarchy* lh = loaded->GetHierarchy("d").value();
+  EXPECT_EQ(lh->num_preference_edges(), 2u);
+  NodeId la = lh->FindClass("a").value();
+  NodeId lb = lh->FindClass("b").value();
+  NodeId lc = lh->FindClass("c").value();
+  NodeId lx = lh->FindInstance(Value::Int(1)).value();
+  EXPECT_TRUE(lh->BindsBelow(la, lx));
+  EXPECT_TRUE(lh->BindsBelow(lb, lc));
+  EXPECT_FALSE(lh->BindsBelow(lc, lb));
+  EXPECT_TRUE(h->BindsBelow(a, x));
+  EXPECT_EQ(SerializeDatabase(*loaded).value(), data);
+}
+
 TEST(SnapshotTest, SaveAndLoadFile) {
   FlyingFixture f;
   std::string path = TempPath("flying.hirel");

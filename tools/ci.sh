@@ -42,15 +42,24 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "==== ${preset}: test ===="
   ctest --preset "${preset}" -j "${jobs}"
-  echo "==== ${preset}: figure reproductions ===="
+  # Each figure binary's stdout must match its committed golden file
+  # byte for byte (bench/golden/<binary>.txt).
+  echo "==== ${preset}: figure reproductions vs bench/golden ===="
+  repro_out="$(mktemp)"
   for repro in "build/${preset}"/bench/repro_*; do
     [ -x "${repro}" ] || continue
-    echo "---- $(basename "${repro}")"
-    "${repro}" > /dev/null || {
-      echo "FAIL: $(basename "${repro}")" >&2
+    name="$(basename "${repro}")"
+    echo "---- ${name}"
+    "${repro}" > "${repro_out}" || {
+      echo "FAIL: ${name}" >&2
+      exit 1
+    }
+    diff -u "bench/golden/${name}.txt" "${repro_out}" || {
+      echo "FAIL: ${name} stdout differs from bench/golden/${name}.txt" >&2
       exit 1
     }
   done
+  rm -f "${repro_out}"
 
   if [ "${preset}" = "release" ]; then
     # The benchmarks drive graph builds at 10^5 tuples; the build has to
