@@ -1056,11 +1056,15 @@ Result<std::string> Executor::ExecuteStatementImpl(
       options.subsumption_cache = &db.subsumption_cache();
       options.trace = self.active_trace_;
       options.incremental = self.incremental_;
+      RuleStats stats;
+      options.stats = &stats;
       Result<size_t> derived = [&]() {
         obs::Trace::Scope span(self.active_trace_, "derive fixpoint");
         return engine.Evaluate(options);
       }();
+      self.pending_.rows_in += stats.rows_scanned;
       HIREL_RETURN_IF_ERROR(derived.status());
+      self.pending_.rows_out += *derived;
       obs::MetricsRegistry& m = db.metrics();
       m.counter("derive.runs").Add();
       m.counter("derive.facts_derived").Add(*derived);

@@ -40,7 +40,8 @@ struct QueryStats {
   uint64_t wall_ns = 0;          // end-to-end statement wall time, >= 1
   uint64_t wait_ns = 0;          // attributed wait time inside wall_ns
                                  // (queue/latch/lock/io; see obs/wait.h)
-  uint64_t rows_in = 0;          // tuples scanned by the plan's Scan nodes
+  uint64_t rows_in = 0;          // tuples scanned by the plan's Scan nodes,
+                                 // or the body rows DERIVE's joins visited
   uint64_t rows_out = 0;         // tuples (or rows) the statement produced
   uint64_t subsumption_probes = 0;  // exact; matches EXPLAIN ANALYZE totals
   uint64_t peak_tracked_bytes = 0;  // kernel candidate-buffer peak

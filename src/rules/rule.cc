@@ -2,13 +2,16 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include <algorithm>
 
 #include "common/str_util.h"
 #include "core/explicate.h"
+#include "core/integrity.h"
 #include "plan/execute.h"
 #include "plan/plan_node.h"
 
@@ -80,18 +83,205 @@ class RuleCursor {
   size_t pos_ = 0;
 };
 
-using VarBinding = std::unordered_map<std::string, NodeId>;
 using ExtensionSet = std::unordered_set<Item, ItemHash>;
+/// Row numbers of a snapshot, ascending, keyed by the values at some of
+/// its positions.
+using RowIndex = std::unordered_map<Item, std::vector<size_t>, ItemHash>;
 
 struct RelationFacts {
   std::vector<Item> rows;
   ExtensionSet index;
+  /// Partial indexes over `rows`, one per set of key positions, built on
+  /// first use and dropped whenever `rows` changes. A deque, so an index
+  /// a join is iterating stays put while a deeper atom builds another.
+  std::deque<std::pair<std::vector<size_t>, RowIndex>> partial;
   /// Relation version stamp the slot reflects (0 = never refreshed).
   uint64_t version = 0;
   /// Rows came from the all-atomic-positive fast path, so the slot can be
   /// extended by journalled inserts without a rescan.
   bool atomic_positive = false;
+
+  const RowIndex& PartialIndex(const std::vector<size_t>& positions) {
+    for (const auto& [key_positions, index] : partial) {
+      if (key_positions == positions) return index;
+    }
+    RowIndex& index = partial.emplace_back(positions, RowIndex()).second;
+    Item key(positions.size());
+    for (size_t n = 0; n < rows.size(); ++n) {
+      for (size_t i = 0; i < positions.size(); ++i) {
+        key[i] = rows[n][positions[i]];
+      }
+      index[key].push_back(n);
+    }
+    return index;
+  }
 };
+
+/// One argument of a compiled atom. Applied to a candidate row in
+/// position order, so a variable repeated within one atom binds at its
+/// first occurrence and is compared at the rest.
+struct ArgStep {
+  enum class Op : uint8_t {
+    kBind,      // variable not bound yet: take the row's value
+    kEqual,     // variable already bound: the row must carry its value
+    kInstance,  // instance constant: the row must carry it
+    kClass,     // class constant: the row's value must lie under it
+  };
+  Op op = Op::kBind;
+  size_t slot = 0;             // kBind / kEqual: the variable's slot
+  NodeId node = kInvalidNode;  // kInstance / kClass
+};
+
+/// A body atom whose variables are resolved to dense binding slots, with
+/// the positions already known when the join reaches it.
+struct CompiledAtom {
+  const std::string* relation = nullptr;
+  RelationFacts* facts = nullptr;
+  const Schema* schema = nullptr;
+  std::vector<ArgStep> args;
+  /// Positions holding an instance constant or a variable bound by an
+  /// earlier atom, ascending. All positions known: one membership probe
+  /// of the snapshot's index. Some: a partial-index lookup. None: a scan.
+  std::vector<size_t> key_positions;
+  /// Lookup key, refilled before each probe.
+  Item key;
+
+  void FillKey(const std::vector<NodeId>& vars) {
+    for (size_t i = 0; i < key_positions.size(); ++i) {
+      const ArgStep& arg = args[key_positions[i]];
+      key[i] = arg.op == ArgStep::Op::kEqual ? vars[arg.slot] : arg.node;
+    }
+  }
+
+  /// Applies the argument steps to `row`, binding fresh variables.
+  bool Accept(const Item& row, std::vector<NodeId>& vars) const {
+    for (size_t i = 0; i < args.size(); ++i) {
+      const ArgStep& arg = args[i];
+      switch (arg.op) {
+        case ArgStep::Op::kBind:
+          vars[arg.slot] = row[i];
+          break;
+        case ArgStep::Op::kEqual:
+          if (row[i] != vars[arg.slot]) return false;
+          break;
+        case ArgStep::Op::kInstance:
+          if (row[i] != arg.node) return false;
+          break;
+        case ArgStep::Op::kClass:
+          if (!schema->hierarchy(i)->Subsumes(arg.node, row[i])) return false;
+          break;
+      }
+    }
+    return true;
+  }
+};
+
+/// A rule compiled for one evaluation. Positive atoms keep body order, so
+/// the join enumerates bindings, and derives facts, in the order of a
+/// nested scan over every body row.
+struct CompiledRule {
+  const Rule* rule = nullptr;
+  size_t stratum = 0;
+  HierarchicalRelation* head_relation = nullptr;
+  /// kEqual for variables, kInstance/kClass for constants.
+  std::vector<ArgStep> head;
+  /// The head carries a class constant, so a derived fact is not atomic
+  /// and may create a §3.1 conflict: it goes through the guard.
+  bool guarded = false;
+  std::vector<CompiledAtom> positive;
+  /// negated[k]: negated atoms whose variables are all bound once the first
+  /// k positive atoms matched; each is one probe at that depth.
+  std::vector<std::vector<CompiledAtom>> negated;
+  /// Indexes into `positive` of atoms over same-stratum IDB relations.
+  std::vector<size_t> recursive;
+  size_t slots = 0;
+};
+
+/// Compiles `rule`: dense variable slots, each atom's known positions,
+/// negated atoms placed at the first depth that binds all their variables.
+Result<CompiledRule> CompileRule(
+    const Rule& rule, Database& db,
+    std::unordered_map<std::string, RelationFacts>& facts) {
+  CompiledRule out;
+  out.rule = &rule;
+  HIREL_ASSIGN_OR_RETURN(out.head_relation, db.GetRelation(rule.head.relation));
+  std::unordered_map<std::string, size_t> slot_of;
+  // Depth (number of positive atoms matched) at which each slot is bound.
+  std::vector<size_t> bound_at;
+  for (const RuleAtom& atom : rule.body) {
+    if (atom.negated) continue;
+    HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
+                           std::as_const(db).GetRelation(atom.relation));
+    CompiledAtom compiled;
+    compiled.relation = &atom.relation;
+    compiled.facts = &facts.at(atom.relation);
+    compiled.schema = &relation->schema();
+    const size_t depth = out.positive.size();
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const RuleArg& arg = atom.args[i];
+      ArgStep step;
+      if (arg.kind == RuleArg::Kind::kNode) {
+        step.node = arg.node;
+        step.op = compiled.schema->hierarchy(i)->is_class(arg.node)
+                      ? ArgStep::Op::kClass
+                      : ArgStep::Op::kInstance;
+        if (step.op == ArgStep::Op::kInstance) {
+          compiled.key_positions.push_back(i);
+        }
+      } else {
+        auto [it, fresh] = slot_of.emplace(arg.variable, slot_of.size());
+        step.slot = it->second;
+        if (fresh) {
+          bound_at.push_back(depth + 1);
+          step.op = ArgStep::Op::kBind;
+        } else {
+          step.op = ArgStep::Op::kEqual;
+          if (bound_at[step.slot] <= depth) compiled.key_positions.push_back(i);
+        }
+      }
+      compiled.args.push_back(step);
+    }
+    compiled.key.resize(compiled.key_positions.size());
+    out.positive.push_back(std::move(compiled));
+  }
+  out.slots = slot_of.size();
+  out.negated.resize(out.positive.size() + 1);
+  for (const RuleAtom& atom : rule.body) {
+    if (!atom.negated) continue;
+    CompiledAtom compiled;
+    compiled.relation = &atom.relation;
+    compiled.facts = &facts.at(atom.relation);
+    size_t depth = 0;
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const RuleArg& arg = atom.args[i];
+      ArgStep step{ArgStep::Op::kInstance, 0, arg.node};
+      if (arg.kind == RuleArg::Kind::kVariable) {
+        // AddRule's safety check: the variable occurs positively.
+        step = ArgStep{ArgStep::Op::kEqual, slot_of.at(arg.variable),
+                       kInvalidNode};
+        depth = std::max(depth, bound_at[step.slot]);
+      }
+      compiled.args.push_back(step);
+      compiled.key_positions.push_back(i);
+    }
+    compiled.key.resize(compiled.key_positions.size());
+    out.negated[depth].push_back(std::move(compiled));
+  }
+  const Schema& head_schema = out.head_relation->schema();
+  for (size_t i = 0; i < rule.head.args.size(); ++i) {
+    const RuleArg& arg = rule.head.args[i];
+    if (arg.kind == RuleArg::Kind::kVariable) {
+      out.head.push_back(
+          ArgStep{ArgStep::Op::kEqual, slot_of.at(arg.variable), kInvalidNode});
+    } else if (head_schema.hierarchy(i)->is_class(arg.node)) {
+      out.head.push_back(ArgStep{ArgStep::Op::kClass, 0, arg.node});
+      out.guarded = true;
+    } else {
+      out.head.push_back(ArgStep{ArgStep::Op::kInstance, 0, arg.node});
+    }
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -397,6 +587,7 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
         slot.version == relation->version()) {
       return Status::OK();
     }
+    slot.partial.clear();
     // Semi-naive append: when the slot was all-atomic-positive and the
     // journal shows only positive inserts since (rule rounds only ever
     // insert), the new rows are the journalled tuples in id order —
@@ -450,14 +641,32 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
     return Status::OK();
   };
 
-  // All referenced relations get an initial extension.
-  std::unordered_set<std::string> referenced;
+  // Every relation a body atom reads gets an initial extension. A head
+  // relation no body reads is only ever written, so it needs no snapshot.
+  std::unordered_set<std::string> read;
   for (const Rule& rule : rules_) {
-    referenced.insert(rule.head.relation);
-    for (const RuleAtom& atom : rule.body) referenced.insert(atom.relation);
+    for (const RuleAtom& atom : rule.body) read.insert(atom.relation);
   }
-  for (const std::string& name : referenced) {
+  for (const std::string& name : read) {
     HIREL_RETURN_IF_ERROR(refresh(name, /*track_delta=*/false));
+  }
+
+  std::vector<CompiledRule> program;
+  program.reserve(rules_.size());
+  for (const Rule& rule : rules_) {
+    HIREL_ASSIGN_OR_RETURN(CompiledRule compiled,
+                           CompileRule(rule, *db_, facts));
+    compiled.stratum = stratum[rule.head.relation];
+    // Positive atoms over same-stratum IDB relations: after round 0, at
+    // least one of them must consume delta rows or the rule cannot derive
+    // anything new (the semi-naive argument).
+    for (size_t k = 0; k < compiled.positive.size(); ++k) {
+      const std::string& name = *compiled.positive[k].relation;
+      if (idb.contains(name) && stratum[name] == compiled.stratum) {
+        compiled.recursive.push_back(k);
+      }
+    }
+    program.push_back(std::move(compiled));
   }
 
   size_t total_derived = 0;
@@ -471,38 +680,35 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
       obs::Trace::Scope round_span(options.trace,
                                    StrCat("derive round ", round));
       size_t derived_this_round = 0;
+      size_t scanned = 0;
+      size_t probes = 0;
       std::unordered_set<std::string> pending_heads;
-      for (const Rule& rule : rules_) {
-        if (stratum[rule.head.relation] != s) continue;
-        // Positions of body atoms over same-stratum IDB relations: after
-        // round 0, at least one of them must consume delta rows or the
-        // rule cannot derive anything new (the semi-naive argument).
-        std::vector<size_t> recursive_positions;
-        for (size_t b = 0; b < rule.body.size(); ++b) {
-          const RuleAtom& atom = rule.body[b];
-          if (!atom.negated && idb.contains(atom.relation) &&
-              stratum[atom.relation] == s) {
-            recursive_positions.push_back(b);
-          }
-        }
-        if (round > 0 && recursive_positions.empty()) continue;
+      for (CompiledRule& rule : program) {
+        if (rule.stratum != s) continue;
+        if (round > 0 && rule.recursive.empty()) continue;
 
-        HIREL_ASSIGN_OR_RETURN(HierarchicalRelation * head_relation,
-                               db_->GetRelation(rule.head.relation));
-        const Schema& head_schema = head_relation->schema();
-
+        HierarchicalRelation* head_relation = rule.head_relation;
+        std::vector<NodeId> vars(rule.slots);
         // SIZE_MAX: every atom reads the full extension (round 0).
         size_t delta_position = SIZE_MAX;
-        VarBinding binding;
-        // Recursive join over body atoms.
-        auto match = [&](auto&& self, size_t index) -> Result<size_t> {
-          if (index == rule.body.size()) {
-            Item item(head_schema.size());
-            for (size_t i = 0; i < rule.head.args.size(); ++i) {
-              const RuleArg& arg = rule.head.args[i];
-              item[i] = arg.kind == RuleArg::Kind::kNode
-                            ? arg.node
-                            : binding.at(arg.variable);
+        const std::vector<Item>* delta_rows = nullptr;
+        // No negated atom at `depth` holds for the current binding.
+        auto negations_pass = [&](size_t depth) {
+          for (CompiledAtom& atom : rule.negated[depth]) {
+            atom.FillKey(vars);
+            ++probes;
+            if (atom.facts->index.contains(atom.key)) return false;
+          }
+          return true;
+        };
+        // Recursive join over the positive atoms, in body order.
+        auto match = [&](auto&& self, size_t depth) -> Result<size_t> {
+          if (depth == rule.positive.size()) {
+            Item item(rule.head.size());
+            for (size_t i = 0; i < rule.head.size(); ++i) {
+              const ArgStep& arg = rule.head[i];
+              item[i] = arg.op == ArgStep::Op::kEqual ? vars[arg.slot]
+                                                      : arg.node;
             }
             if (head_relation->FindItem(item).has_value()) return 0;
             if (total_derived >= options.max_derived_facts) {
@@ -510,88 +716,90 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
                   StrCat("rule evaluation exceeded ",
                          options.max_derived_facts, " derived facts"));
             }
+            // An atomic fact cannot create a conflict; a class-level one
+            // is checked like an ASSERT, and facts derived before a
+            // refused one stay.
             HIREL_RETURN_IF_ERROR(
-                head_relation->Insert(std::move(item), Truth::kPositive)
+                (rule.guarded
+                     ? GuardedInsert(*head_relation, std::move(item),
+                                     Truth::kPositive, options.inference)
+                     : head_relation->Insert(std::move(item),
+                                             Truth::kPositive))
                     .status());
             ++total_derived;
             return 1;
           }
-          const RuleAtom& atom = rule.body[index];
-          HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
-                                 db_->GetRelation(atom.relation));
-          const Schema& schema = relation->schema();
-          const RelationFacts& slot = facts.at(atom.relation);
-
-          if (atom.negated) {
-            Item probe(atom.args.size());
-            for (size_t i = 0; i < atom.args.size(); ++i) {
-              const RuleArg& arg = atom.args[i];
-              probe[i] = arg.kind == RuleArg::Kind::kNode
-                             ? arg.node
-                             : binding.at(arg.variable);
-            }
-            if (slot.index.contains(probe)) return 0;
-            return self(self, index + 1);
-          }
-
+          CompiledAtom& atom = rule.positive[depth];
           size_t derived = 0;
-          const std::vector<Item>& rows =
-              index == delta_position ? delta[atom.relation] : slot.rows;
-          for (const Item& row : rows) {
-            std::vector<std::string> bound_here;
-            bool matches = true;
-            for (size_t i = 0; i < atom.args.size() && matches; ++i) {
-              const RuleArg& arg = atom.args[i];
-              if (arg.kind == RuleArg::Kind::kNode) {
-                const Hierarchy* h = schema.hierarchy(i);
-                matches = h->is_class(arg.node)
-                              ? h->Subsumes(arg.node, row[i])
-                              : row[i] == arg.node;
-              } else {
-                auto it = binding.find(arg.variable);
-                if (it != binding.end()) {
-                  matches = it->second == row[i];
-                } else {
-                  binding.emplace(arg.variable, row[i]);
-                  bound_here.push_back(arg.variable);
-                }
-              }
+          auto visit = [&](const Item& row) -> Result<size_t> {
+            ++scanned;
+            if (!atom.Accept(row, vars) || !negations_pass(depth + 1)) {
+              return 0;
             }
-            if (matches) {
-              Result<size_t> below = self(self, index + 1);
-              if (!below.ok()) return below;
-              derived += *below;
+            return self(self, depth + 1);
+          };
+          if (depth != delta_position &&
+              atom.key_positions.size() == atom.args.size()) {
+            // Every position known: at most one row matches, and the atom
+            // binds nothing, so no negated atom waits on this depth.
+            atom.FillKey(vars);
+            ++probes;
+            if (!atom.facts->index.contains(atom.key)) return 0;
+            return self(self, depth + 1);
+          }
+          if (depth != delta_position && !atom.key_positions.empty()) {
+            const RowIndex& index =
+                atom.facts->PartialIndex(atom.key_positions);
+            atom.FillKey(vars);
+            ++probes;
+            auto it = index.find(atom.key);
+            if (it == index.end()) return 0;
+            const std::vector<Item>& rows = atom.facts->rows;
+            for (size_t n : it->second) {
+              HIREL_ASSIGN_OR_RETURN(size_t below, visit(rows[n]));
+              derived += below;
             }
-            for (const std::string& variable : bound_here) {
-              binding.erase(variable);
-            }
+            return derived;
+          }
+          for (const Item& row :
+               depth == delta_position ? *delta_rows : atom.facts->rows) {
+            HIREL_ASSIGN_OR_RETURN(size_t below, visit(row));
+            derived += below;
           }
           return derived;
         };
         size_t derived = 0;
-        if (round == 0) {
+        if (!negations_pass(0)) {
+          // A ground negated atom fails: the body never holds.
+        } else if (round == 0) {
           HIREL_ASSIGN_OR_RETURN(derived, match(match, 0));
         } else {
           // One pass per recursive position, that position reading delta.
-          for (size_t position : recursive_positions) {
+          for (size_t position : rule.recursive) {
             delta_position = position;
+            delta_rows = &delta[*rule.positive[position].relation];
             HIREL_ASSIGN_OR_RETURN(size_t part, match(match, 0));
             derived += part;
           }
-          delta_position = SIZE_MAX;
         }
         derived_this_round += derived;
-        pending_heads.insert(rule.head.relation);
-        (void)derived;
+        if (read.contains(rule.rule->head.relation)) {
+          pending_heads.insert(rule.rule->head.relation);
+        }
       }
       // Swap deltas: what this round derived becomes next round's delta.
       delta.clear();
       for (const std::string& name : pending_heads) {
         HIREL_RETURN_IF_ERROR(refresh(name, /*track_delta=*/true));
       }
-      pending_heads.clear();
       round_span.Note("stratum", s);
       round_span.Note("derived", derived_this_round);
+      round_span.Note("scanned", scanned);
+      round_span.Note("probes", probes);
+      if (options.stats != nullptr) {
+        options.stats->rows_scanned += scanned;
+        options.stats->probes += probes;
+      }
       if (derived_this_round == 0) break;
     }
     delta.clear();

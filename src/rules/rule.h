@@ -64,6 +64,15 @@ struct Rule {
   std::string ToString(const Database& db) const;
 };
 
+/// Join work of one Evaluate, summed over every fixpoint round.
+struct RuleStats {
+  /// Body rows visited, by scans and through partial indexes.
+  size_t rows_scanned = 0;
+  /// Index lookups: membership probes of fully bound and negated atoms,
+  /// and partial-index lookups.
+  size_t probes = 0;
+};
+
 /// Evaluation limits.
 struct RuleOptions {
   InferenceOptions inference;
@@ -78,9 +87,12 @@ struct RuleOptions {
   SubsumptionCache* subsumption_cache = nullptr;
 
   /// When non-null, Evaluate records one child span per fixpoint round
-  /// ("derive round N" with stratum/derived notes) under the innermost
-  /// open span. Null leaves evaluation untraced.
+  /// ("derive round N" with stratum/derived/scanned/probes notes) under
+  /// the innermost open span. Null leaves evaluation untraced.
   obs::Trace* trace = nullptr;
+
+  /// When non-null, Evaluate adds its join work here.
+  RuleStats* stats = nullptr;
 
   /// Incremental extension bookkeeping between fixpoint rounds: a head
   /// relation whose version stamp is unchanged since its last refresh is
@@ -115,9 +127,17 @@ class RuleEngine {
   const std::vector<Rule>& rules() const { return rules_; }
 
   /// Evaluates the program: stratifies, then computes each stratum to
-  /// fixpoint, inserting derived facts as positive atomic tuples into the
-  /// head relations. Returns the number of facts derived. Fails with
-  /// kInvalidArgument on non-stratifiable programs.
+  /// fixpoint, inserting derived facts as positive tuples into the head
+  /// relations. Returns the number of facts derived. Fails with
+  /// kInvalidArgument on non-stratifiable programs, and with kConflict when
+  /// a class-level head fact would violate the ambiguity constraint (facts
+  /// derived before it stay).
+  ///
+  /// Each rule is compiled once: variables get dense slots, an atom whose
+  /// positions are all known when the join reaches it is one membership
+  /// probe, a partly known one is looked up in a lazily built partial
+  /// index, and the rest are scanned. Derived facts come out in the order
+  /// of a nested scan over every body row.
   Result<size_t> Evaluate(const RuleOptions& options = {});
 
  private:

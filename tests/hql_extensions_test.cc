@@ -173,6 +173,30 @@ TEST(HqlExtensionsTest, RulesRegisterDeriveAndShow) {
   EXPECT_EQ(ext.find("paul"), std::string::npos);
 }
 
+TEST(HqlExtensionsTest, DeriveGuardsClassLevelHeads) {
+  // ASSERT r(ALL a) is refused here (x under a and b, r denies all b), and
+  // DERIVE must not slip the same fact past the guard.
+  Executor exec;
+  ASSERT_TRUE(exec.Execute(R"(
+    CREATE HIERARCHY h;
+    CREATE CLASS a IN h;
+    CREATE CLASS b IN h;
+    CREATE INSTANCE x IN h UNDER a, b;
+    CREATE RELATION src (z: h);
+    CREATE RELATION r (v: h);
+    ASSERT src(x);
+    DENY r(ALL b);
+  )").ok());
+  Result<std::string> asserted = exec.Execute("ASSERT r(ALL a);");
+  ASSERT_TRUE(asserted.status().IsConflict());
+  ASSERT_TRUE(exec.Execute("RULE 'r(ALL a) :- src(?z).';").ok());
+  Result<std::string> derived = exec.Execute("DERIVE;");
+  ASSERT_TRUE(derived.status().IsConflict()) << derived.status();
+  EXPECT_EQ(derived.status().message(), asserted.status().message());
+  std::string explained = exec.Execute("EXPLAIN r(x);").value();
+  EXPECT_EQ(explained.find("CONFLICT"), std::string::npos) << explained;
+}
+
 TEST(HqlExtensionsTest, BadRuleRejectedAtRegistration) {
   Executor exec;
   ASSERT_TRUE(exec.Execute(kTreeZoo).ok());

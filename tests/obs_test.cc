@@ -692,6 +692,49 @@ DERIVE;
             0u);
 }
 
+TEST(ExecutorObsTest, DeriveShowsItsJoinWork) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(R"(
+CREATE HIERARCHY h;
+CREATE INSTANCE a IN h;
+CREATE INSTANCE b IN h;
+CREATE INSTANCE c IN h;
+CREATE RELATION edge (src: h, dst: h);
+CREATE RELATION path (src: h, dst: h);
+ASSERT edge(a, b);
+ASSERT edge(b, c);
+RULE 'path(?x, ?y) :- edge(?x, ?y).';
+RULE 'path(?x, ?z) :- path(?x, ?y), edge(?y, ?z).';
+)")
+                  .ok());
+  ASSERT_EQ(exec.Execute("DERIVE;").value(),
+            "derived 3 fact(s) from 2 rule(s)\n");
+
+  // Round 0 scans both edges (path's snapshot is empty). Round 1 scans the
+  // two delta rows and looks each ?y up in edge's index on src, which
+  // holds one row for b. Round 2 scans the delta (a, c): one lookup, no row.
+  std::string trace = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(trace.find("\"derived\":2,\"scanned\":2,\"probes\":0"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"derived\":1,\"scanned\":3,\"probes\":2"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"derived\":0,\"scanned\":1,\"probes\":1"),
+            std::string::npos)
+      << trace;
+
+  // sys.queries: rows_in is every body row visited, rows_out the facts.
+  std::optional<std::vector<json_rows::Row>> rows =
+      json_rows::ParseRows(exec.Execute("SHOW QUERIES JSON;").value());
+  ASSERT_TRUE(rows.has_value());
+  const json_rows::Row* derive =
+      json_rows::FindRow(*rows, {{"kind", "derive"}});
+  ASSERT_NE(derive, nullptr);
+  EXPECT_EQ(derive->at("rows_in"), "6");
+  EXPECT_EQ(derive->at("rows_out"), "3");
+}
+
 TEST(ExecutorObsTest, GraphBuildAndPatchAreTraced) {
   std::string snap = std::string(::testing::TempDir()) + "/obs_graph_snap.db";
   {

@@ -42,8 +42,8 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "==== ${preset}: test ===="
   ctest --preset "${preset}" -j "${jobs}"
-  # Each figure binary's stdout must match its committed golden file
-  # byte for byte (bench/golden/<binary>.txt).
+  # Each figure binary's stdout, and the knowledge_base example's, must
+  # match its committed golden file byte for byte (bench/golden/).
   echo "==== ${preset}: figure reproductions vs bench/golden ===="
   repro_out="$(mktemp)"
   for repro in "build/${preset}"/bench/repro_*; do
@@ -59,6 +59,16 @@ for preset in "${presets[@]}"; do
       exit 1
     }
   done
+  # DERIVE's derived relations through HQL, byte for byte.
+  echo "---- example_knowledge_base"
+  "build/${preset}/examples/knowledge_base" > "${repro_out}" || {
+    echo "FAIL: examples/knowledge_base" >&2
+    exit 1
+  }
+  diff -u bench/golden/example_knowledge_base.txt "${repro_out}" || {
+    echo "FAIL: knowledge_base stdout differs from bench/golden/example_knowledge_base.txt" >&2
+    exit 1
+  }
   rm -f "${repro_out}"
 
   if [ "${preset}" = "release" ]; then
