@@ -67,7 +67,7 @@ void BM_MutateThenGetGraph(benchmark::State& state) {
   cache.Get(*rel);  // warm the entry
 
   TupleId victim = rel->TupleIds().back();
-  Item item = rel->tuple(victim).item;
+  Item item = rel->ItemAt(victim).ToItem();
   for (auto _ : state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();
@@ -107,7 +107,7 @@ void BM_FullRebuildReferenceXL(benchmark::State& state) {
   SubsumptionCache& cache = db.subsumption_cache();
   cache.set_incremental(false);
   TupleId victim = rel->TupleIds().back();
-  Item item = rel->tuple(victim).item;
+  Item item = rel->ItemAt(victim).ToItem();
   for (auto _ : state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();

@@ -171,6 +171,28 @@ BENCHMARK(LayoutChunkScan)
     ->Args({10000})
     ->Args({100000});
 
+// ----- Browse-shaped footprint ----------------------------------------------
+//
+// The browse workload's stock relation in miniature: a depth-4, fanout-6
+// product tree, `skus` instances and browse's fact mix (see
+// testing::BuildBrowseShapedStock). Byte counts are deterministic, so
+// tools/ci.sh gates on the bytes_per_tuple counter.
+
+void BM_BrowseShapedStorage(benchmark::State& state) {
+  Database db;
+  HierarchicalRelation* stock = testing::BuildBrowseShapedStock(
+      db, static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stock->ApproxBytes());
+  }
+  double bytes = static_cast<double>(stock->ApproxBytes());
+  state.counters["tuples"] = static_cast<double>(stock->size());
+  state.counters["bytes"] = bytes;
+  state.counters["bytes_per_tuple"] = bytes / stock->size();
+}
+
+BENCHMARK(BM_BrowseShapedStorage)->Arg(10000);
+
 }  // namespace
 }  // namespace hirel
 

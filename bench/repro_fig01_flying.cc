@@ -38,7 +38,7 @@ int main() {
   repro::Banner("Fig. 1d: tuple-binding graph for Patricia");
   TupleBindingGraph tbg = BuildTupleBindingGraph(*f.flies, {f.patricia});
   for (size_t i = 0; i < tbg.nodes.size(); ++i) {
-    const HTuple& t = f.flies->tuple(tbg.nodes[i]);
+    TupleView t = f.flies->tuple(tbg.nodes[i]);
     std::cout << "  node: " << TruthToString(t.truth) << " "
               << ItemToString(f.flies->schema(), t.item) << "\n";
   }

@@ -36,7 +36,7 @@ int main() {
   std::cout << FormatRelation(*f.respects);
   CheckEq<size_t>(2, removed, "both redundant tuples eliminated");
   CheckEq<size_t>(1, f.respects->size(), "one tuple remains");
-  const HTuple& survivor = f.respects->tuple(f.respects->TupleIds()[0]);
+  TupleView survivor = f.respects->tuple(f.respects->TupleIds()[0]);
   Check(survivor.truth == Truth::kPositive &&
             survivor.item == (Item{f.obsequious, f.teacher->root()}),
         "the survivor is +(ALL obsequious, ALL teacher)");

@@ -25,7 +25,7 @@ int main() {
   (void)ConsolidateInPlace(result).value();
   std::cout << FormatRelation(result);
   CheckEq<size_t>(1, result.size(), "a single tuple answers the query");
-  const HTuple& t = result.tuple(result.TupleIds()[0]);
+  TupleView t = result.tuple(result.TupleIds()[0]);
   Check(t.truth == Truth::kPositive &&
             t.item == (Item{f.john, f.teacher->root()}),
         "+(john, ALL teacher)");

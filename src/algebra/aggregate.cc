@@ -105,7 +105,7 @@ Status SweepClaims(const HierarchicalRelation& relation,
   std::vector<std::vector<NodeId>> choices(arity);
   std::vector<size_t> idx(arity);
   for (size_t r = graph.nodes.size(); r-- > 0;) {
-    const HTuple& t = relation.tuple(graph.nodes[r]);
+    TupleView t = relation.tuple(graph.nodes[r]);
     ++stats.tuples;
     if (unary) {
       const Hierarchy& h = *schema.hierarchy(0);

@@ -62,15 +62,14 @@ Result<HierarchicalRelation> JoinOn(
                "; consolidate the arguments, select a sub-hierarchy first, "
                "or raise JoinOptions::max_items"));
   };
-  // Right items are materialised once (ascending id order) so the parallel
-  // left scan below never touches the right store concurrently.
-  std::vector<Item> right_items;
+  // Right items are listed once, in ascending id order, as views into the
+  // right store's arena; nothing mutates either store during the join.
+  std::vector<ItemView> right_items;
   right_items.reserve(right.size());
   for (TupleId rid : right.TupleIds()) {
     right_items.push_back(right.ItemAt(rid));
   }
-  obs::ScopedAllocTracking tracked(
-      right_items.size() * (sizeof(Item) + rs.size() * sizeof(NodeId)));
+  obs::ScopedAllocTracking tracked(right_items.size() * sizeof(ItemView));
 
   // Left tuples are scanned chunk by chunk in parallel; per-chunk candidate
   // vectors are concatenated in chunk order below, reproducing the serial
@@ -88,8 +87,8 @@ Result<HierarchicalRelation> JoinOn(
           std::vector<std::vector<NodeId>> choices(on.size());
           left.ForEachLiveInChunk(c, [&](TupleId lid) {
             if (!chunk_status.ok()) return;
-            const Item& litem = left.ItemAt(lid);
-            for (const Item& ritem : right_items) {
+            ItemView litem = left.ItemAt(lid);
+            for (ItemView ritem : right_items) {
               bool disjoint = false;
               for (size_t k = 0; k < on.size(); ++k) {
                 const Hierarchy* h = ls.hierarchy(on[k].first);

@@ -7,14 +7,14 @@
 namespace hirel {
 
 Result<Justification> Explain(const HierarchicalRelation& relation,
-                              const Item& item,
+                              ItemView item,
                               const InferenceOptions& options) {
   const Schema& schema = relation.schema();
   if (item.size() != schema.size()) {
     return Status::InvalidArgument("explain: item arity mismatch");
   }
   Justification out;
-  out.item = item;
+  out.item = item.ToItem();
   out.applicable = relation.TuplesSubsuming(item);
   // Most specific first: t before u when t's item is strictly below u's.
   std::stable_sort(out.applicable.begin(), out.applicable.end(),
@@ -56,7 +56,7 @@ std::string JustificationToString(const HierarchicalRelation& relation,
     out += StrCat(TruthToString(justification.verdict), "\n");
   }
   for (TupleId id : justification.applicable) {
-    const HTuple& t = relation.tuple(id);
+    TupleView t = relation.tuple(id);
     bool is_binder =
         std::find(justification.binders.begin(), justification.binders.end(),
                   id) != justification.binders.end();

@@ -36,7 +36,7 @@ struct Justification {
 
 /// Explains the truth value of `item` in `relation`.
 Result<Justification> Explain(const HierarchicalRelation& relation,
-                              const Item& item,
+                              ItemView item,
                               const InferenceOptions& options = {});
 
 /// Multi-line, figure-style rendering of a justification.

@@ -25,7 +25,7 @@ Result<bool> HasWitness(const HierarchicalRelation& relation,
   std::unordered_set<Item, ItemHash> probed;
   size_t probes = 0;
   for (TupleId id : relation.TupleIds()) {
-    const HTuple& t = relation.tuple(id);
+    TupleView t = relation.tuple(id);
     if (t.truth != Truth::kPositive) continue;
     bool applies = true;
     for (size_t k = 0; k < keep.size(); ++k) {
@@ -115,7 +115,7 @@ Result<HierarchicalRelation> Project(const HierarchicalRelation& relation,
   // Candidates: every tuple's kept projection.
   std::vector<Item> candidates;
   for (TupleId id : relation.TupleIds()) {
-    const HTuple& t = relation.tuple(id);
+    TupleView t = relation.tuple(id);
     Item projected(keep.size());
     for (size_t k = 0; k < keep.size(); ++k) projected[k] = t.item[keep[k]];
     candidates.push_back(std::move(projected));

@@ -21,7 +21,7 @@ Result<HierarchicalRelation> Rename(
   HierarchicalRelation result(StrCat(relation.name(), "_renamed"),
                               std::move(renamed));
   for (TupleId id : relation.TupleIds()) {
-    const HTuple& t = relation.tuple(id);
+    TupleView t = relation.tuple(id);
     HIREL_RETURN_IF_ERROR(result.Insert(t.item, t.truth).status());
   }
   return result;

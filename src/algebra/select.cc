@@ -42,9 +42,9 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
         for (size_t c = lo; c < hi; ++c) {
           relation.ForEachLiveInChunk(c, [&](TupleId id) {
             if (!cone.Test(relation.Component(id, attr))) return;
-            const Item& item = relation.ItemAt(id);
+            ItemView item = relation.ItemAt(id);
             for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
-              Item clamped = item;
+              Item clamped = item.ToItem();
               clamped[attr] = m;
               per_chunk[c].push_back(std::move(clamped));
             }
@@ -98,7 +98,7 @@ Result<HierarchicalRelation> SelectWhere(
   HierarchicalRelation result(StrCat(relation.name(), "_where"), schema);
   const Hierarchy* h = schema.hierarchy(attr);
   for (TupleId id : exploded.TupleIds()) {
-    const HTuple& t = exploded.tuple(id);
+    TupleView t = exploded.tuple(id);
     if (!predicate(h->InstanceValue(t.item[attr]))) continue;
     HIREL_RETURN_IF_ERROR(result.Insert(t.item, t.truth).status());
   }

@@ -35,8 +35,9 @@ Result<HierarchicalRelation> SetOp(
         per_chunk.size(), par,
         [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
           for (size_t c = lo; c < hi; ++c) {
-            rel.ForEachLiveInChunk(
-                c, [&](TupleId id) { per_chunk[c].push_back(rel.ItemAt(id)); });
+            rel.ForEachLiveInChunk(c, [&](TupleId id) {
+              per_chunk[c].push_back(rel.ItemAt(id).ToItem());
+            });
           }
           return Status::OK();
         }));

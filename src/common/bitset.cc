@@ -25,11 +25,6 @@ void DynamicBitset::Clear(size_t i) {
   words_[i / kBitsPerWord] &= ~(uint64_t{1} << (i % kBitsPerWord));
 }
 
-bool DynamicBitset::Test(size_t i) const {
-  assert(i < size_);
-  return (words_[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1;
-}
-
 void DynamicBitset::Reset() {
   for (auto& w : words_) w = 0;
 }

@@ -3,6 +3,7 @@
 #ifndef HIREL_COMMON_BITSET_H_
 #define HIREL_COMMON_BITSET_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -24,7 +25,13 @@ class DynamicBitset {
 
   void Set(size_t i);
   void Clear(size_t i);
-  bool Test(size_t i) const;
+
+  /// Inline: the tuple store reads its alive and truth bits on every
+  /// tuple access.
+  bool Test(size_t i) const {
+    assert(i < size_);
+    return (words_[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1;
+  }
 
   /// Sets every bit to zero without changing the size.
   void Reset();
@@ -49,6 +56,9 @@ class DynamicBitset {
 
   /// Number of 64-bit words backing the set.
   size_t num_words() const { return words_.size(); }
+
+  /// Heap bytes the set holds, at allocated capacity.
+  size_t Bytes() const { return words_.capacity() * sizeof(uint64_t); }
 
   /// The i-th backing word; bit b of word i is index i * 64 + b. Lets
   /// liveness scans skip whole dead words instead of testing bit by bit.

@@ -30,7 +30,7 @@ struct Applicable {
 };
 
 Applicable CollectApplicable(const HierarchicalRelation& relation,
-                             const Item& item, const ExcludeSet& exclude) {
+                             ItemView item, const ExcludeSet& exclude) {
   Applicable out;
   for (TupleId id : relation.TuplesSubsuming(item)) {
     if (exclude.contains(id)) continue;
@@ -48,7 +48,7 @@ Applicable CollectApplicable(const HierarchicalRelation& relation,
 std::vector<TupleId> OffPathBinders(const HierarchicalRelation& relation,
                                     const std::vector<TupleId>& applicable) {
   const Schema& schema = relation.schema();
-  std::vector<Item> items;
+  std::vector<ItemView> items;
   items.reserve(applicable.size());
   for (TupleId t : applicable) items.push_back(relation.ItemAt(t));
   std::vector<TupleId> binders;
@@ -71,13 +71,13 @@ std::vector<TupleId> OffPathBinders(const HierarchicalRelation& relation,
 /// nodes necessarily lie in the interval [from, to], i.e. they subsume `to`
 /// and are subsumed by `from`, so the search explores only that interval.
 Result<bool> HasUnblockedPath(const HierarchicalRelation& relation,
-                              const Item& from, const Item& to,
+                              ItemView from, ItemView to,
                               const ExcludeSet& exclude, size_t limit) {
   const Schema& schema = relation.schema();
   std::unordered_set<Item, ItemHash> seen;
   std::deque<Item> queue;
-  queue.push_back(from);
-  seen.insert(from);
+  queue.push_back(from.ToItem());
+  seen.insert(queue.back());
   while (!queue.empty()) {
     Item u = std::move(queue.front());
     queue.pop_front();
@@ -109,7 +109,7 @@ Result<bool> HasUnblockedPath(const HierarchicalRelation& relation,
 }
 
 Result<std::vector<TupleId>> OnPathBinders(
-    const HierarchicalRelation& relation, const Item& item,
+    const HierarchicalRelation& relation, ItemView item,
     const std::vector<TupleId>& applicable, const ExcludeSet& exclude,
     size_t limit) {
   std::vector<TupleId> binders;
@@ -126,7 +126,7 @@ Result<std::vector<TupleId>> OnPathBinders(
 }  // namespace
 
 Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
-                                        const Item& item,
+                                        ItemView item,
                                         const std::vector<bool>& exclude,
                                         TupleId also_exclude,
                                         const InferenceOptions& options) {
@@ -158,7 +158,7 @@ Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
 }
 
 Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
-                                        const Item& item,
+                                        ItemView item,
                                         const std::vector<bool>& exclude,
                                         const InferenceOptions& options) {
   return ComputeBindingExcluding(relation, item, exclude, kInvalidTuple,
@@ -166,7 +166,7 @@ Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
 }
 
 Result<Binding> ComputeBinding(const HierarchicalRelation& relation,
-                               const Item& item,
+                               ItemView item,
                                const InferenceOptions& options) {
   static const std::vector<bool> kNoExclusions;
   return ComputeBindingExcluding(relation, item, kNoExclusions, kInvalidTuple,
@@ -174,17 +174,14 @@ Result<Binding> ComputeBinding(const HierarchicalRelation& relation,
 }
 
 TupleBindingGraph BuildTupleBindingGraph(const HierarchicalRelation& relation,
-                                         const Item& item) {
+                                         ItemView item) {
   const Schema& schema = relation.schema();
   TupleBindingGraph graph;
-  graph.item = item;
+  graph.item = item.ToItem();
   graph.nodes = relation.TuplesSubsuming(item);
   graph.edges.resize(graph.nodes.size());
 
-  std::vector<Item> items;
-  items.reserve(graph.nodes.size());
-  for (TupleId id : graph.nodes) items.push_back(relation.ItemAt(id));
-  auto item_of = [&](size_t i) -> const Item& { return items[i]; };
+  auto item_of = [&](size_t i) { return relation.ItemAt(graph.nodes[i]); };
 
   // Hasse edges among applicable tuples: a -> b iff a strictly subsumes b
   // with no applicable tuple strictly between.
@@ -236,7 +233,7 @@ std::string TupleBindingGraphToString(const HierarchicalRelation& relation,
   std::string out = StrCat("tuple-binding graph for ",
                            ItemToString(schema, graph.item), ":\n");
   for (size_t i = 0; i < graph.nodes.size(); ++i) {
-    const HTuple& t = relation.tuple(graph.nodes[i]);
+    TupleView t = relation.tuple(graph.nodes[i]);
     out += StrCat("  [", i, "] ", TruthToString(t.truth), " ",
                   ItemToString(schema, t.item), " ->");
     if (graph.edges[i].empty()) out += " (none)";

@@ -73,13 +73,13 @@ struct Binding {
 /// interval search exceeds options.on_path_search_limit).
 /// None: all applicable tuples.
 Result<Binding> ComputeBinding(const HierarchicalRelation& relation,
-                               const Item& item,
+                               ItemView item,
                                const InferenceOptions& options = {});
 
 /// Like ComputeBinding but the tuples in `exclude` are treated as absent.
 /// Used by consolidation, which must recompute predecessors as it deletes.
 Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
-                                        const Item& item,
+                                        ItemView item,
                                         const std::vector<bool>& exclude,
                                         const InferenceOptions& options = {});
 
@@ -87,7 +87,7 @@ Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
 /// Lets parallel consolidation exclude the tuple under test without
 /// mutating the shared mask (kInvalidTuple excludes nothing extra).
 Result<Binding> ComputeBindingExcluding(const HierarchicalRelation& relation,
-                                        const Item& item,
+                                        ItemView item,
                                         const std::vector<bool>& exclude,
                                         TupleId also_exclude,
                                         const InferenceOptions& options = {});
@@ -109,7 +109,7 @@ struct TupleBindingGraph {
 
 /// Builds the item's tuple-binding graph under off-path semantics.
 TupleBindingGraph BuildTupleBindingGraph(const HierarchicalRelation& relation,
-                                         const Item& item);
+                                         ItemView item);
 
 /// Multi-line, Fig. 1d-style rendering of a tuple-binding graph.
 std::string TupleBindingGraphToString(const HierarchicalRelation& relation,

@@ -11,7 +11,7 @@ namespace {
 
 /// True iff the binders of `site` mix truth values.
 Result<bool> SiteConflicted(const HierarchicalRelation& relation,
-                            const Item& site, const InferenceOptions& options,
+                            ItemView site, const InferenceOptions& options,
                             std::vector<TupleId>* binders_out) {
   HIREL_ASSIGN_OR_RETURN(Binding binding,
                          ComputeBinding(relation, site, options));
@@ -37,9 +37,9 @@ Result<std::vector<ConflictSite>> FindConflicts(
   std::vector<ConflictSite> sites;
 
   for (size_t i = 0; i < ids.size() && sites.size() < max_sites; ++i) {
+    TupleView a = relation.tuple(ids[i]);
     for (size_t j = i + 1; j < ids.size() && sites.size() < max_sites; ++j) {
-      const HTuple& a = relation.tuple(ids[i]);
-      const HTuple& b = relation.tuple(ids[j]);
+      TupleView b = relation.tuple(ids[j]);
       if (a.truth == b.truth) continue;
       if (ItemBindsBelow(schema, a.item, b.item) ||
           ItemBindsBelow(schema, b.item, a.item)) {
@@ -148,8 +148,8 @@ Status CheckAmbiguity(const HierarchicalRelation& relation,
 }
 
 Result<std::vector<Item>> CompleteConflictResolutionSet(const Schema& schema,
-                                                        const Item& a,
-                                                        const Item& b,
+                                                        ItemView a,
+                                                        ItemView b,
                                                         size_t max_items) {
   // Per attribute: all common descendants of the two components.
   std::vector<std::vector<NodeId>> per_attr(schema.size());
@@ -196,12 +196,12 @@ Result<std::vector<Item>> CompleteConflictResolutionSet(const Schema& schema,
 }
 
 std::vector<Item> MinimalConflictResolutionSet(const Schema& schema,
-                                               const Item& a, const Item& b) {
+                                               ItemView a, ItemView b) {
   return ItemMaximalCommonDescendants(schema, a, b);
 }
 
-Status ResolveConflict(HierarchicalRelation& relation, const Item& a,
-                       const Item& b, Truth truth) {
+Status ResolveConflict(HierarchicalRelation& relation, ItemView a,
+                       ItemView b, Truth truth) {
   for (const Item& item :
        MinimalConflictResolutionSet(relation.schema(), a, b)) {
     if (relation.FindItem(item).has_value()) continue;

@@ -64,20 +64,21 @@ Status CheckAmbiguity(const HierarchicalRelation& relation,
 /// The complete conflict-resolution set of two conflicting items: every
 /// item subsumed by both (capped; kResourceExhausted beyond `max_items`).
 Result<std::vector<Item>> CompleteConflictResolutionSet(
-    const Schema& schema, const Item& a, const Item& b,
+    const Schema& schema, ItemView a, ItemView b,
     size_t max_items = 100'000);
 
 /// The minimal conflict-resolution set: the maximal elements of the
 /// complete set. "One tuple for each item in the minimal conflict
 /// resolution set will suffice to resolve the conflict at hand."
 std::vector<Item> MinimalConflictResolutionSet(const Schema& schema,
-                                               const Item& a, const Item& b);
+                                               ItemView a, ItemView b);
 
 /// Resolves the conflict between the two tuple items by asserting `truth`
 /// on every item of their minimal conflict-resolution set (skipping items
-/// that already carry a tuple).
-Status ResolveConflict(HierarchicalRelation& relation, const Item& a,
-                       const Item& b, Truth truth);
+/// that already carry a tuple). The set is computed before the first
+/// insert, so `a` and `b` may view `relation`'s own tuples.
+Status ResolveConflict(HierarchicalRelation& relation, ItemView a,
+                       ItemView b, Truth truth);
 
 }  // namespace hirel
 

@@ -21,7 +21,7 @@ namespace {
 Result<bool> RedundantGiven(const HierarchicalRelation& relation, TupleId id,
                             const std::vector<bool>& exclude,
                             const InferenceOptions& options) {
-  const Item& item = relation.ItemAt(id);
+  ItemView item = relation.ItemAt(id);
   const Truth truth = relation.TruthOf(id);
   Result<Binding> binding =
       ComputeBindingExcluding(relation, item, exclude, id, options);

@@ -13,7 +13,7 @@ namespace {
 /// Expands one tuple's class values on the explicated attributes into the
 /// enumerated items, in odometer order, truncated at `cap` items. Pure
 /// per-tuple work, safe to run for many tuples concurrently.
-std::vector<Item> ExpandTuple(const Schema& schema, const HTuple& t,
+std::vector<Item> ExpandTuple(const Schema& schema, const TupleView& t,
                               const std::vector<bool>& explicated,
                               size_t cap) {
   std::vector<std::vector<NodeId>> choices(schema.size());
@@ -98,7 +98,7 @@ Result<HierarchicalRelation> Explicate(const HierarchicalRelation& relation,
     // Serial: stream each tuple's enumeration straight into the result,
     // without materialising the expansion.
     for (size_t r = 0; r < n; ++r) {
-      const HTuple& t = relation.tuple(graph.nodes[n - 1 - r]);
+      TupleView t = relation.tuple(graph.nodes[n - 1 - r]);
       std::vector<std::vector<NodeId>> choices(schema.size());
       bool empty_class = false;
       for (size_t i = 0; i < schema.size(); ++i) {
@@ -189,7 +189,7 @@ Result<std::vector<Item>> Extension(const HierarchicalRelation& relation,
   std::vector<Item> items;
   items.reserve(flat.size());
   for (TupleId id : flat.TupleIds()) {
-    items.push_back(flat.tuple(id).item);
+    items.push_back(flat.ItemAt(id).ToItem());
   }
   std::sort(items.begin(), items.end());
   return items;

@@ -16,7 +16,7 @@ const char* PreemptionModeToString(PreemptionMode mode) {
   return "unknown";
 }
 
-Status HierarchicalRelation::ValidateItem(const Item& item) const {
+Status HierarchicalRelation::ValidateItem(ItemView item) const {
   if (item.size() != schema_.size()) {
     return Status::InvalidArgument(
         StrCat("relation '", name_, "': item arity ", item.size(),
@@ -32,11 +32,11 @@ Status HierarchicalRelation::ValidateItem(const Item& item) const {
   return Status::OK();
 }
 
-Result<TupleId> HierarchicalRelation::Insert(Item item, Truth truth) {
+Result<TupleId> HierarchicalRelation::Insert(ItemView item, Truth truth) {
   HIREL_RETURN_IF_ERROR(ValidateItem(item));
   std::optional<TupleId> existing = store_.Find(item);
   if (existing.has_value()) {
-    if (store_.tuple(*existing).truth == truth) {
+    if (store_.TruthOf(*existing) == truth) {
       return Status::AlreadyExists(
           StrCat("relation '", name_, "': duplicate tuple ",
                  ItemToString(schema_, item)));
@@ -45,14 +45,14 @@ Result<TupleId> HierarchicalRelation::Insert(Item item, Truth truth) {
         StrCat("relation '", name_, "': item ", ItemToString(schema_, item),
                " is already asserted with the opposite truth value"));
   }
-  TupleId id = store_.Append(std::move(item), truth);
+  TupleId id = store_.Append(item, truth);
   version_ = NextRevision();
   journal_.Append({MutationJournal::Record::Kind::kInsert, truth, id, version_,
                    Item{}});
   return id;
 }
 
-Result<TupleId> HierarchicalRelation::Upsert(Item item, Truth truth) {
+Result<TupleId> HierarchicalRelation::Upsert(ItemView item, Truth truth) {
   HIREL_RETURN_IF_ERROR(ValidateItem(item));
   std::optional<TupleId> existing = store_.Find(item);
   if (existing.has_value()) {
@@ -62,7 +62,7 @@ Result<TupleId> HierarchicalRelation::Upsert(Item item, Truth truth) {
                      version_, Item{}});
     return *existing;
   }
-  TupleId id = store_.Append(std::move(item), truth);
+  TupleId id = store_.Append(item, truth);
   version_ = NextRevision();
   journal_.Append({MutationJournal::Record::Kind::kInsert, truth, id, version_,
                    Item{}});
@@ -73,17 +73,18 @@ Status HierarchicalRelation::Erase(TupleId id) {
   if (!store_.alive(id)) {
     return Status::NotFound(StrCat("relation '", name_, "': tuple ", id));
   }
-  // Capture the item before the slot dies; delta consumers need it to find
-  // the erased tuple's former neighbours.
-  HTuple erased = store_.tuple(id);
+  // Copy the item out of the arena; delta consumers need it to find the
+  // erased tuple's former neighbours.
+  TupleView erased = store_.tuple(id);
+  Item item = erased.item.ToItem();
   store_.Erase(id);
   version_ = NextRevision();
   journal_.Append({MutationJournal::Record::Kind::kErase, erased.truth, id,
-                   version_, std::move(erased.item)});
+                   version_, std::move(item)});
   return Status::OK();
 }
 
-Status HierarchicalRelation::EraseItem(const Item& item) {
+Status HierarchicalRelation::EraseItem(ItemView item) {
   std::optional<TupleId> existing = store_.Find(item);
   if (!existing.has_value()) {
     return Status::NotFound(StrCat("relation '", name_, "': no tuple on ",
@@ -100,14 +101,14 @@ void HierarchicalRelation::Clear() {
   journal_.Cut(version_);
 }
 
-std::optional<TupleId> HierarchicalRelation::FindItem(const Item& item) const {
+std::optional<TupleId> HierarchicalRelation::FindItem(ItemView item) const {
   return store_.Find(item);
 }
 
-std::optional<Truth> HierarchicalRelation::TruthAt(const Item& item) const {
+std::optional<Truth> HierarchicalRelation::TruthAt(ItemView item) const {
   std::optional<TupleId> existing = store_.Find(item);
   if (!existing.has_value()) return std::nullopt;
-  return store_.tuple(*existing).truth;
+  return store_.TruthOf(*existing);
 }
 
 std::vector<TupleId> HierarchicalRelation::TupleIds() const {
@@ -115,28 +116,28 @@ std::vector<TupleId> HierarchicalRelation::TupleIds() const {
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesSubsuming(
-    const Item& item) const {
+    ItemView item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();  // the empty item subsumes itself
   return store_.TuplesSubsuming(schema_, item);
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesSubsumedBy(
-    const Item& item) const {
+    ItemView item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();
   return store_.TuplesSubsumedBy(schema_, item);
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesBindingAbove(
-    const Item& item) const {
+    ItemView item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();
   return store_.TuplesBindingAbove(schema_, item);
 }
 
 std::vector<TupleId> HierarchicalRelation::TuplesBindingBelow(
-    const Item& item) const {
+    ItemView item) const {
   if (store_.size() == 0 || item.size() != schema_.size()) return {};
   if (schema_.empty()) return TupleIds();
   return store_.TuplesBindingBelow(schema_, item);
@@ -145,7 +146,7 @@ std::vector<TupleId> HierarchicalRelation::TuplesBindingBelow(
 size_t HierarchicalRelation::CoveredAtomCount() const {
   size_t count = 0;
   for (TupleId id : store_.LiveIds()) {
-    const HTuple& t = store_.tuple(id);
+    TupleView t = store_.tuple(id);
     if (t.truth == Truth::kPositive) {
       count += ItemExtensionSize(schema_, t.item);
     }
@@ -156,7 +157,7 @@ size_t HierarchicalRelation::CoveredAtomCount() const {
 std::string HierarchicalRelation::ToString() const {
   std::string out = StrCat(name_, schema_.ToString(), "\n");
   for (TupleId id : store_.LiveIds()) {
-    const HTuple& t = store_.tuple(id);
+    TupleView t = store_.tuple(id);
     out += StrCat("  ", TruthToString(t.truth), " ");
     for (size_t i = 0; i < schema_.size(); ++i) {
       if (i > 0) out += ", ";

@@ -91,16 +91,16 @@ class HierarchicalRelation {
   ///  * kIntegrityViolation if the same item is present with the opposite
   ///    truth value (a direct contradiction: no binding order could ever
   ///    disambiguate it).
-  Result<TupleId> Insert(Item item, Truth truth);
+  Result<TupleId> Insert(ItemView item, Truth truth);
 
   /// Inserts, replacing any existing tuple on the same item.
-  Result<TupleId> Upsert(Item item, Truth truth);
+  Result<TupleId> Upsert(ItemView item, Truth truth);
 
   /// Erases the tuple with the given id; kNotFound if dead/out of range.
   Status Erase(TupleId id);
 
   /// Erases the tuple on `item`; kNotFound if absent.
-  Status EraseItem(const Item& item);
+  Status EraseItem(ItemView item);
 
   /// Removes all tuples.
   void Clear();
@@ -109,26 +109,27 @@ class HierarchicalRelation {
 
   bool alive(TupleId id) const { return store_.alive(id); }
 
-  /// The tuple with id `id`; must be alive. The reference is valid until
-  /// the next mutation of this relation.
-  const HTuple& tuple(TupleId id) const { return store_.tuple(id); }
+  /// The tuple with id `id`; must be alive. Its item is a view into the
+  /// store's arena, valid until the next insert or clear of this relation
+  /// (erases and truth changes leave it in place).
+  TupleView tuple(TupleId id) const { return store_.tuple(id); }
 
   /// The item of a live tuple (same lifetime as tuple()).
-  const Item& ItemAt(TupleId id) const { return store_.tuple(id).item; }
+  ItemView ItemAt(TupleId id) const { return store_.ItemAt(id); }
 
   /// The truth value of a live tuple.
-  Truth TruthOf(TupleId id) const { return store_.tuple(id).truth; }
+  Truth TruthOf(TupleId id) const { return store_.TruthOf(id); }
 
   /// Component `attr` of a live tuple.
   NodeId Component(TupleId id, size_t attr) const {
-    return store_.tuple(id).item[attr];
+    return store_.ItemAt(id)[attr];
   }
 
   /// The id of the tuple asserted exactly on `item`, if any.
-  std::optional<TupleId> FindItem(const Item& item) const;
+  std::optional<TupleId> FindItem(ItemView item) const;
 
   /// The truth value asserted exactly on `item`, if any (no inference).
-  std::optional<Truth> TruthAt(const Item& item) const;
+  std::optional<Truth> TruthAt(ItemView item) const;
 
   /// Ids of all live tuples, ascending.
   std::vector<TupleId> TupleIds() const;
@@ -136,17 +137,17 @@ class HierarchicalRelation {
   /// Ids of live tuples whose item subsumes `item` (including an exact
   /// match). These are the nodes of the item's tuple-binding graph.
   /// Served by the store's inverted component index, in ascending id order.
-  std::vector<TupleId> TuplesSubsuming(const Item& item) const;
+  std::vector<TupleId> TuplesSubsuming(ItemView item) const;
 
   /// Ids of live tuples whose item is subsumed by `item`.
-  std::vector<TupleId> TuplesSubsumedBy(const Item& item) const;
+  std::vector<TupleId> TuplesSubsumedBy(ItemView item) const;
 
   /// Ids of live tuples whose item binds at or above `item` (ItemBindsBelow,
   /// preference edges included; an exact match counts), ascending.
-  std::vector<TupleId> TuplesBindingAbove(const Item& item) const;
+  std::vector<TupleId> TuplesBindingAbove(ItemView item) const;
 
   /// Ids of live tuples whose item `item` binds at or above, ascending.
-  std::vector<TupleId> TuplesBindingBelow(const Item& item) const;
+  std::vector<TupleId> TuplesBindingBelow(ItemView item) const;
 
   // ----- Chunked iteration --------------------------------------------------
 
@@ -188,7 +189,7 @@ class HierarchicalRelation {
   std::string ToString() const;
 
  private:
-  Status ValidateItem(const Item& item) const;
+  Status ValidateItem(ItemView item) const;
 
   std::string name_;
   Schema schema_;

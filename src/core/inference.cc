@@ -5,7 +5,7 @@
 namespace hirel {
 
 Result<Truth> InferTruth(const HierarchicalRelation& relation,
-                         const Item& item, const InferenceOptions& options) {
+                         ItemView item, const InferenceOptions& options) {
   if (item.size() != relation.schema().size()) {
     return Status::InvalidArgument(
         StrCat("item arity ", item.size(), " does not match relation '",
@@ -36,7 +36,7 @@ Result<Truth> InferTruth(const HierarchicalRelation& relation,
   return truth;
 }
 
-Result<bool> Holds(const HierarchicalRelation& relation, const Item& item,
+Result<bool> Holds(const HierarchicalRelation& relation, ItemView item,
                    const InferenceOptions& options) {
   HIREL_ASSIGN_OR_RETURN(Truth truth, InferTruth(relation, item, options));
   return truth == Truth::kPositive;

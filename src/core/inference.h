@@ -25,12 +25,12 @@ namespace hirel {
 ///  * kInvalidArgument — the item does not match the relation's schema;
 ///  * kResourceExhausted — on-path search blow-up (see InferenceOptions).
 Result<Truth> InferTruth(const HierarchicalRelation& relation,
-                         const Item& item,
+                         ItemView item,
                          const InferenceOptions& options = {});
 
 /// Convenience: true iff `item` infers to positive. Conflicts and other
 /// errors propagate.
-Result<bool> Holds(const HierarchicalRelation& relation, const Item& item,
+Result<bool> Holds(const HierarchicalRelation& relation, ItemView item,
                    const InferenceOptions& options = {});
 
 }  // namespace hirel

@@ -13,21 +13,32 @@
 #include "core/binding.h"
 #include "core/conflict.h"
 #include "core/hierarchical_relation.h"
+#include "obs/trace.h"
 
 namespace hirel {
+
+/// CheckAmbiguity inside an "integrity.check" span of `trace` (noted with
+/// the relation's tuple count), so traces attribute the check's time. A
+/// null trace records nothing.
+Status CheckAmbiguityTraced(const HierarchicalRelation& relation,
+                            const InferenceOptions& options,
+                            obs::Trace* trace);
 
 /// Inserts (item, truth) and verifies the ambiguity constraint still holds.
 /// On a fresh conflict the insert is rolled back and kConflict is returned
 /// (describing the conflicted site and the minimal resolution set's size).
-Result<TupleId> GuardedInsert(HierarchicalRelation& relation, Item item,
-                              Truth truth, const InferenceOptions& options = {});
+/// The check runs in an "integrity.check" span of `trace`, if any.
+Result<TupleId> GuardedInsert(HierarchicalRelation& relation, ItemView item,
+                              Truth truth, const InferenceOptions& options = {},
+                              obs::Trace* trace = nullptr);
 
 /// Erases the tuple on `item` and verifies no conflict becomes exposed
 /// (removing a conflict-resolving tuple re-creates the conflict it
 /// resolved; cf. the Fig. 3 discussion in Section 3.2). Rolls back on
-/// failure.
-Status GuardedErase(HierarchicalRelation& relation, const Item& item,
-                    const InferenceOptions& options = {});
+/// failure. Traced like GuardedInsert.
+Status GuardedErase(HierarchicalRelation& relation, ItemView item,
+                    const InferenceOptions& options = {},
+                    obs::Trace* trace = nullptr);
 
 }  // namespace hirel
 

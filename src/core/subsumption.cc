@@ -202,7 +202,7 @@ void PatchSubsumptionGraph(const HierarchicalRelation& relation,
   for (TupleId id : delta.add) {
     if (slot_of[id] != kNoSlot) continue;
     ++placed;
-    const Item& item = relation.ItemAt(id);
+    ItemView item = relation.ItemAt(id);
     collect(relation.TuplesBindingAbove(item), id, up, above);
     collect(relation.TuplesBindingBelow(item), id, down, below);
     scanned += up.size() + down.size();
@@ -288,7 +288,7 @@ std::string SubsumptionGraphToString(const HierarchicalRelation& relation,
   std::string out = StrCat("subsumption graph of '", relation.name(), "':\n");
   out += "  [universal negated tuple]\n";
   for (size_t i = 0; i < graph.nodes.size(); ++i) {
-    const HTuple& t = relation.tuple(graph.nodes[i]);
+    TupleView t = relation.tuple(graph.nodes[i]);
     out += StrCat("  ", TruthToString(t.truth), " ",
                   ItemToString(schema, t.item), "  <- ");
     std::vector<std::string> preds;
@@ -296,7 +296,7 @@ std::string SubsumptionGraphToString(const HierarchicalRelation& relation,
       if (p == SubsumptionGraph::kUniversalNode) {
         preds.push_back("[universal]");
       } else {
-        const HTuple& pt = relation.tuple(graph.nodes[p]);
+        TupleView pt = relation.tuple(graph.nodes[p]);
         preds.push_back(StrCat(TruthToString(pt.truth), " ",
                                ItemToString(schema, pt.item)));
       }

@@ -1,7 +1,7 @@
 #include "core/transaction.h"
 
 #include "common/str_util.h"
-#include "core/conflict.h"
+#include "core/integrity.h"
 #include "obs/log.h"
 
 namespace hirel {
@@ -14,7 +14,7 @@ void Transaction::Erase(Item item) {
   ops_.push_back(Op{OpKind::kErase, std::move(item), Truth::kPositive});
 }
 
-Status Transaction::Commit() {
+Status Transaction::Commit(obs::Trace* trace) {
   size_t staged = ops_.size();
   std::vector<Undo> undo_log;
   undo_log.reserve(ops_.size());
@@ -54,7 +54,7 @@ Status Transaction::Commit() {
         rollback();
         return Status::NotFound("transaction erases a non-existent tuple");
       }
-      Truth prior = relation_->tuple(*id).truth;
+      Truth prior = relation_->TruthOf(*id);
       Status erased = relation_->Erase(*id);
       if (!erased.ok()) {
         rollback();
@@ -65,7 +65,7 @@ Status Transaction::Commit() {
     }
   }
 
-  Status check = CheckAmbiguity(*relation_, options_);
+  Status check = CheckAmbiguityTraced(*relation_, options_, trace);
   if (!check.ok()) {
     rollback();
     return check;

@@ -16,6 +16,7 @@
 #include "core/binding.h"
 #include "core/hierarchical_relation.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hirel {
 
@@ -52,8 +53,9 @@ class Transaction {
   /// constraint. If any operation fails or the final state is inconsistent,
   /// every applied operation is rolled back, the staged operations are
   /// discarded (the transaction aborts), and the error is returned. After
-  /// either outcome the transaction is empty and reusable.
-  Status Commit();
+  /// either outcome the transaction is empty and reusable. The check runs
+  /// in an "integrity.check" span of `trace`, if any.
+  Status Commit(obs::Trace* trace = nullptr);
 
   /// Discards staged operations without touching the relation.
   void Rollback() { ops_.clear(); }

@@ -1,11 +1,14 @@
 // TupleStore: the physical storage behind HierarchicalRelation.
 //
-// One HTuple per slot, an item hash index, and a per-attribute inverted
-// component index driving the subsumption scans. The store holds raw slots
-// only: schema validation, duplicate/contradiction policy, version stamps,
-// and error messages stay in HierarchicalRelation.
+// One arity-strided arena of node ids holds every tuple's item, with truth
+// and alive bitmaps beside it. An open-addressed table of tuple ids, hashed
+// and compared straight out of the arena, finds a tuple by its item; per
+// attribute, a flat open-addressed node map with pooled posting lists
+// drives the subsumption scans. The store holds raw slots only: schema
+// validation, duplicate/contradiction policy, version stamps, and error
+// messages stay in HierarchicalRelation.
 //
-// Contracts the parallel kernels and the subsumption-graph cache depend on:
+// Contracts the kernels and the subsumption-graph cache depend on:
 //  * Append allocates ids sequentially: the id of the n-th Append is n,
 //    dead slots included. Ids are never reused.
 //  * LiveIds and the four subsumption/binding scans return ascending ids,
@@ -20,8 +23,8 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitset.h"
@@ -36,14 +39,12 @@ using TupleId = uint32_t;
 
 inline constexpr TupleId kInvalidTuple = 0xffffffffu;
 
-/// A stored tuple: an item plus its truth value.
-struct HTuple {
-  Item item;
+/// A stored tuple read in place: a view of its item in the store's arena
+/// plus its truth value. The view is valid until the next Append or Clear
+/// of the store it came from.
+struct TupleView {
+  ItemView item;
   Truth truth = Truth::kPositive;
-
-  friend bool operator==(const HTuple& a, const HTuple& b) {
-    return a.truth == b.truth && a.item == b.item;
-  }
 };
 
 /// One line of a store's byte breakdown, for SHOW STORAGE.
@@ -61,28 +62,36 @@ class TupleStore {
   /// [c * kChunkTuples, min(capacity, (c + 1) * kChunkTuples)).
   static constexpr size_t kChunkTuples = 1024;
 
-  explicit TupleStore(size_t arity) : component_index_(arity) {}
+  explicit TupleStore(size_t arity) : arity_(arity), postings_(arity) {}
 
   /// Slots allocated so far (live + dead); the next Append returns this.
-  size_t capacity() const { return tuples_.size(); }
+  size_t capacity() const { return capacity_; }
 
   /// Number of live tuples.
   size_t size() const { return num_alive_; }
 
-  bool alive(TupleId id) const {
-    return id < tuples_.size() && alive_.Test(id);
+  bool alive(TupleId id) const { return id < capacity_ && alive_.Test(id); }
+
+  /// The item in slot `id`, which must be alive (or erased but not yet
+  /// overwritten: erased slots keep their item). Valid until the next
+  /// Append or Clear.
+  ItemView ItemAt(TupleId id) const {
+    return ItemView(arena_.data() + size_t{id} * arity_, arity_);
   }
 
-  /// The tuple in slot `id`, which must be alive. The reference is valid
-  /// until the next Append or Clear.
-  const HTuple& tuple(TupleId id) const { return tuples_[id]; }
+  Truth TruthOf(TupleId id) const {
+    return truth_.Test(id) ? Truth::kPositive : Truth::kNegative;
+  }
+
+  /// The tuple in slot `id`, which must be alive; same lifetime as ItemAt.
+  TupleView tuple(TupleId id) const { return {ItemAt(id), TruthOf(id)}; }
 
   /// Appends a tuple the caller has verified is not already present.
   /// Returns the new id, which is always the previous capacity().
-  TupleId Append(Item item, Truth truth);
+  TupleId Append(ItemView item, Truth truth);
 
   /// Replaces the truth value of a live tuple in place.
-  void SetTruth(TupleId id, Truth truth) { tuples_[id].truth = truth; }
+  void SetTruth(TupleId id, Truth truth);
 
   /// Marks a live tuple dead; its id is never reused.
   void Erase(TupleId id);
@@ -90,8 +99,9 @@ class TupleStore {
   /// Removes all tuples and resets capacity to empty.
   void Clear();
 
-  /// The id of the live tuple storing exactly `item`, if any.
-  std::optional<TupleId> Find(const Item& item) const;
+  /// The id of the live tuple storing exactly `item`, if any. Allocates
+  /// nothing.
+  std::optional<TupleId> Find(ItemView item) const;
 
   /// Ids of all live tuples, ascending.
   std::vector<TupleId> LiveIds() const { return alive_.ToVector(); }
@@ -104,31 +114,33 @@ class TupleStore {
   /// nodes (ancestors of item[i] here) carry the fewest postings, so a
   /// coarse leading attribute does not turn the scan into a full one.
   std::vector<TupleId> TuplesSubsuming(const Schema& schema,
-                                       const Item& item) const;
+                                       ItemView item) const;
 
   /// Ids of live tuples whose item is subsumed by `item`, ascending; same
   /// preconditions as TuplesSubsuming.
   std::vector<TupleId> TuplesSubsumedBy(const Schema& schema,
-                                        const Item& item) const;
+                                        ItemView item) const;
 
   /// Ids of live tuples whose item binds at or above `item`
   /// (ItemBindsBelow(tuple, item), preference edges included), ascending.
   /// Candidates come from Hierarchy::BindingAncestors; same preconditions
   /// as TuplesSubsuming.
   std::vector<TupleId> TuplesBindingAbove(const Schema& schema,
-                                          const Item& item) const;
+                                          ItemView item) const;
 
   /// Ids of live tuples whose item `item` binds at or above
   /// (ItemBindsBelow(item, tuple)), ascending; candidates come from
   /// Hierarchy::BindingDescendants.
   std::vector<TupleId> TuplesBindingBelow(const Schema& schema,
-                                          const Item& item) const;
+                                          ItemView item) const;
 
-  /// Approximate in-memory footprint in bytes, including indexes and
-  /// bitmaps — everything the store owns, not just tuple payloads.
+  /// In-memory footprint in bytes: every byte the store owns, at
+  /// allocated capacity (arena, bitmaps, table slots, posting pools and
+  /// headers), not just tuple payloads.
   size_t ApproxBytes() const;
 
-  /// Per-column (and per-index) byte breakdown for SHOW STORAGE.
+  /// Per-column (and per-index) byte breakdown for SHOW STORAGE; sums to
+  /// ApproxBytes().
   std::vector<StorageColumnInfo> ColumnInfo(const Schema& schema) const;
 
   /// Number of fixed-size scan chunks covering [0, capacity()).
@@ -141,24 +153,73 @@ class TupleStore {
                           const std::function<void(TupleId)>& fn) const;
 
  private:
-  std::vector<HTuple> tuples_;
-  DynamicBitset alive_;
-  size_t num_alive_ = 0;
+  /// One attribute's inverted index: component node -> ascending ids of
+  /// the live tuples using that node there. An open-addressed table of
+  /// three-word slots, sized by the distinct nodes in use; a node with one
+  /// posting keeps it inline, longer lists live in one pooled id array as
+  /// blocks of bit_ceil(count) ids.
+  class Postings {
+   public:
+    /// The ids posted under `node`; valid until the next Add or Remove.
+    std::span<const TupleId> Find(NodeId node) const;
 
-  std::unordered_map<Item, TupleId, ItemHash> item_index_;
+    /// Posts `id`, which exceeds every id already posted under `node`.
+    void Add(NodeId node, TupleId id);
+
+    /// Removes `id`, which is posted under `node`.
+    void Remove(NodeId node, TupleId id);
+
+    /// Table slots plus pool capacity, in bytes.
+    size_t Bytes() const;
+
+   private:
+    /// An empty slot has node == kInvalidNode. A slot whose count fell to
+    /// zero keeps its node, so probes pass it and the node can return to
+    /// it; rehashing drops it.
+    struct Slot {
+      NodeId node = kInvalidNode;
+      uint32_t count = 0;
+      uint32_t data = 0;  // the id when count == 1, else a pool offset
+    };
+
+    size_t Probe(NodeId node) const;
+    void Rehash();
+    void Compact();
+
+    std::vector<Slot> slots_;
+    size_t used_ = 0;  // slots with a node, including count == 0
+    std::vector<TupleId> pool_;
+    size_t pool_garbage_ = 0;  // pool ids no block owns
+  };
+
+  size_t HashAt(TupleId id) const;
+  void IndexItem(TupleId id);
+  void UnindexItem(TupleId id);
 
   /// The scan behind the four public ones: `nodes(i)` lists attribute i's
   /// candidate nodes, the attribute with the fewest postings supplies the
   /// candidates, and `keep(item)` verifies each one.
   template <typename NodesFn, typename KeepFn>
-  std::vector<TupleId> ScanMostSelective(size_t arity, NodesFn nodes,
-                                         KeepFn keep) const;
+  std::vector<TupleId> ScanMostSelective(NodesFn nodes, KeepFn keep) const;
 
-  // Inverted index: per attribute, component node -> live tuple ids using
-  // that node at that position. Drives the subsumption and binding scans
-  // behind every binding computation and the subsumption graph.
-  std::vector<std::unordered_map<NodeId, std::vector<TupleId>>>
-      component_index_;
+  size_t arity_;
+  size_t capacity_ = 0;
+  size_t num_alive_ = 0;
+
+  // Slot id's item is arena_[id * arity_, (id + 1) * arity_). Erased slots
+  // keep their components; ids are positions, so nothing moves.
+  std::vector<NodeId> arena_;
+  DynamicBitset alive_;
+  DynamicBitset truth_;  // set = positive
+
+  // Open-addressed (linear probing) set of live ids keyed by their arena
+  // items; a power-of-two size or empty. kInvalidTuple marks an empty slot,
+  // which ends a probe; kErasedSlot marks an erased entry, which does not.
+  static constexpr TupleId kErasedSlot = kInvalidTuple - 1;
+  std::vector<TupleId> item_slots_;
+  size_t item_used_ = 0;  // live entries plus erased markers
+
+  std::vector<Postings> postings_;
 };
 
 }  // namespace hirel

@@ -125,7 +125,7 @@ Result<size_t> CompressInPlace(HierarchicalRelation& relation) {
   size_t before = relation.size();
   relation.Clear();
   for (TupleId id : minimal.TupleIds()) {
-    const HTuple& t = minimal.tuple(id);
+    TupleView t = minimal.tuple(id);
     HIREL_RETURN_IF_ERROR(relation.Insert(t.item, t.truth).status());
   }
   return before - relation.size();

@@ -11,7 +11,7 @@ namespace {
 /// Enumerates the atomic items under `item` and folds `visit` over them,
 /// stopping early when `visit` returns false.
 template <typename Visitor>
-void ForEachAtomUnder(const Schema& schema, const Item& item,
+void ForEachAtomUnder(const Schema& schema, ItemView item,
                       Visitor&& visit) {
   std::vector<std::vector<NodeId>> choices(schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
@@ -66,7 +66,7 @@ Truth3 Not3(Truth3 a) {
 }
 
 Result<Truth3> InferOpenWorld(const HierarchicalRelation& relation,
-                              const Item& item,
+                              ItemView item,
                               const InferenceOptions& options) {
   if (item.size() != relation.schema().size()) {
     return Status::InvalidArgument(
@@ -90,7 +90,7 @@ Result<Truth3> InferOpenWorld(const HierarchicalRelation& relation,
 }
 
 Result<Truth3> ForAllHolds(const HierarchicalRelation& relation,
-                           const Item& item,
+                           ItemView item,
                            const InferenceOptions& options) {
   Truth3 result = Truth3::kTrue;  // vacuous truth over an empty class
   Status failure = Status::OK();
@@ -108,7 +108,7 @@ Result<Truth3> ForAllHolds(const HierarchicalRelation& relation,
 }
 
 Result<Truth3> ExistsHolds(const HierarchicalRelation& relation,
-                           const Item& item,
+                           ItemView item,
                            const InferenceOptions& options) {
   Truth3 result = Truth3::kFalse;  // no members, no witness
   Status failure = Status::OK();

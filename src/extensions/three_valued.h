@@ -39,7 +39,7 @@ Truth3 Not3(Truth3 a);
 /// positive/negative, kUnknown when no tuple applies. Conflicts are still
 /// errors (the ambiguity constraint is orthogonal to world assumptions).
 Result<Truth3> InferOpenWorld(const HierarchicalRelation& relation,
-                              const Item& item,
+                              ItemView item,
                               const InferenceOptions& options = {});
 
 /// Universal quantifier over the known members of a (possibly class-
@@ -47,14 +47,14 @@ Result<Truth3> InferOpenWorld(const HierarchicalRelation& relation,
 /// some member infers false; kUnknown otherwise (some member unknown).
 /// An item with no atomic members is vacuously kTrue.
 Result<Truth3> ForAllHolds(const HierarchicalRelation& relation,
-                           const Item& item,
+                           ItemView item,
                            const InferenceOptions& options = {});
 
 /// Existential quantifier: kTrue iff some atomic member infers true;
 /// kFalse iff every member infers false; kUnknown otherwise. An item with
 /// no atomic members is kFalse.
 Result<Truth3> ExistsHolds(const HierarchicalRelation& relation,
-                           const Item& item,
+                           ItemView item,
                            const InferenceOptions& options = {});
 
 }  // namespace hirel

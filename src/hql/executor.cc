@@ -629,20 +629,21 @@ Result<std::string> Executor::ExecuteStatementImpl(
       switch (stmt.kind) {
         case FactStmt::Kind::kAssert:
           HIREL_RETURN_IF_ERROR(
-              GuardedInsert(*relation, std::move(item), Truth::kPositive,
-                            self.options_)
+              GuardedInsert(*relation, item, Truth::kPositive, self.options_,
+                            self.active_trace_)
                   .status());
           db.metrics().counter("facts.asserted").Add();
           return StrCat("asserted into '", stmt.relation, "'\n");
         case FactStmt::Kind::kDeny:
           HIREL_RETURN_IF_ERROR(
-              GuardedInsert(*relation, std::move(item), Truth::kNegative,
-                            self.options_)
+              GuardedInsert(*relation, item, Truth::kNegative, self.options_,
+                            self.active_trace_)
                   .status());
           db.metrics().counter("facts.denied").Add();
           return StrCat("denied in '", stmt.relation, "'\n");
         case FactStmt::Kind::kRetract:
-          HIREL_RETURN_IF_ERROR(GuardedErase(*relation, item, self.options_));
+          HIREL_RETURN_IF_ERROR(GuardedErase(*relation, item, self.options_,
+                                             self.active_trace_));
           db.metrics().counter("facts.retracted").Add();
           return StrCat("retracted from '", stmt.relation, "'\n");
       }
@@ -839,7 +840,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       std::vector<Item> extension;
       extension.reserve(out.relation->size());
       for (TupleId id : out.relation->TupleIds()) {
-        extension.push_back(out.relation->tuple(id).item);
+        extension.push_back(out.relation->ItemAt(id).ToItem());
       }
       std::sort(extension.begin(), extension.end());
       return FormatExtension(out.relation->schema(), extension,
@@ -975,7 +976,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (self.txn_ == nullptr) {
         return Status::InvalidArgument("no open transaction");
       }
-      Status committed = self.txn_->Commit();
+      Status committed = self.txn_->Commit(self.active_trace_);
       self.txn_.reset();
       std::string relation = std::move(self.txn_relation_);
       self.txn_relation_.clear();

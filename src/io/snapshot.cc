@@ -205,7 +205,7 @@ Result<std::string> SerializeDatabase(const Database& db) {
     std::vector<TupleId> ids = relation->TupleIds();
     PutVarint64(&payload, ids.size());
     for (TupleId id : ids) {
-      const HTuple& t = relation->tuple(id);
+      TupleView t = relation->tuple(id);
       PutFixed8(&payload, t.truth == Truth::kPositive ? 1 : 0);
       for (size_t i = 0; i < schema.size(); ++i) {
         const NodeRemap& remap = remaps[schema.hierarchy(i)->name()];

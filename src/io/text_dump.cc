@@ -108,7 +108,7 @@ std::vector<DisplayRow> DisplayRows(const HierarchicalRelation& relation) {
   std::vector<DisplayRow> rows;
   rows.reserve(relation.size());
   for (TupleId id : relation.TupleIds()) {
-    const HTuple& t = relation.tuple(id);
+    TupleView t = relation.tuple(id);
     DisplayRow row;
     row.cells.reserve(schema.size() + 1);
     row.cells.push_back(TruthToString(t.truth));

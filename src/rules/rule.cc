@@ -540,13 +540,13 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
     std::vector<Item> rows;
     rows.reserve(relation.size());
     for (TupleId id : relation.TupleIds()) {
-      const HTuple& t = relation.tuple(id);
+      TupleView t = relation.tuple(id);
       if (t.truth != Truth::kPositive ||
           !ItemIsAtomic(relation.schema(), t.item)) {
         all_atomic_positive = false;
         break;
       }
-      rows.push_back(t.item);
+      rows.push_back(t.item.ToItem());
     }
     *atomic_positive = all_atomic_positive;
     if (all_atomic_positive) return rows;
@@ -567,7 +567,7 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
       std::vector<Item> items;
       items.reserve(out.relation->size());
       for (TupleId id : out.relation->TupleIds()) {
-        items.push_back(out.relation->tuple(id).item);
+        items.push_back(out.relation->ItemAt(id).ToItem());
       }
       std::sort(items.begin(), items.end());
       return items;
@@ -605,12 +605,12 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
             appendable = false;
             break;
           }
-          Item item = relation->ItemAt(r.id);
+          ItemView item = relation->ItemAt(r.id);
           if (!ItemIsAtomic(relation->schema(), item)) {
             appendable = false;
             break;
           }
-          appended.push_back(std::move(item));
+          appended.push_back(item.ToItem());
         }
       }
       if (appendable) {

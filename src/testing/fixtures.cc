@@ -168,7 +168,7 @@ RandomDatabase::RandomDatabase(uint64_t seed,
     if (!inserted.status().IsConflict()) continue;  // duplicate etc.: skip
     bool resolved = true;
     for (TupleId other : relation_->TupleIds()) {
-      const HTuple& o = relation_->tuple(other);
+      TupleView o = relation_->tuple(other);
       if (o.truth == truth) continue;
       if (ItemComparable(relation_->schema(), o.item, item)) continue;
       Status s = ResolveConflict(*relation_, item, o.item, truth);
@@ -215,6 +215,59 @@ Hierarchy* BuildTreeHierarchy(Database& db, const std::string& name,
     }
   }
   return h;
+}
+
+HierarchicalRelation* BuildBrowseShapedStock(Database& db, size_t skus,
+                                             uint64_t seed) {
+  constexpr size_t kDepth = 4;
+  constexpr size_t kFanout = 6;
+  Hierarchy* product = Must(db.CreateHierarchy("product"));
+  std::vector<std::vector<NodeId>> levels;
+  std::vector<NodeId> parents{product->root()};
+  size_t counter = 0;
+  for (size_t d = 0; d < kDepth; ++d) {
+    std::vector<NodeId> level;
+    for (NodeId parent : parents) {
+      for (size_t f = 0; f < kFanout; ++f) {
+        level.push_back(
+            Must(product->AddClass(StrCat("c", counter++), parent)));
+      }
+    }
+    levels.push_back(level);
+    parents = std::move(level);
+  }
+  const std::vector<NodeId>& leaves = levels.back();
+  std::vector<NodeId> sku_nodes;
+  for (size_t i = 0; i < skus; ++i) {
+    sku_nodes.push_back(Must(product->AddInstance(
+        Value::String(StrCat("s", i)), leaves[(i * 37) % leaves.size()])));
+  }
+  HierarchicalRelation* stock =
+      Must(db.CreateRelation("stock", {{"item", "product"}}));
+
+  Random rng(seed);
+  auto distinct = [&](std::vector<NodeId> nodes, size_t n) {
+    rng.Shuffle(nodes);
+    nodes.resize(std::min(n, nodes.size()));
+    return nodes;
+  };
+  for (NodeId line : distinct(levels[0], levels[0].size() - 1)) {
+    MustOk(stock->Insert({line}, Truth::kPositive).status());
+  }
+  std::vector<NodeId> lower;
+  for (size_t l = 1; l < levels.size(); ++l) {
+    lower.insert(lower.end(), levels[l].begin(), levels[l].end());
+  }
+  for (NodeId c : distinct(lower, skus / 50)) {
+    MustOk(stock->Insert({c}, Truth::kNegative).status());
+  }
+  std::vector<NodeId> own = distinct(sku_nodes, skus * 95 / 100);
+  for (size_t i = 0; i < own.size(); ++i) {
+    Truth truth =
+        i < own.size() * 85 / 100 ? Truth::kPositive : Truth::kNegative;
+    MustOk(stock->Insert({own[i]}, truth).status());
+  }
+  return stock;
 }
 
 }  // namespace testing

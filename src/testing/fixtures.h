@@ -132,6 +132,16 @@ Hierarchy* BuildTreeHierarchy(Database& db, const std::string& name,
                               size_t depth, size_t fanout,
                               size_t instances_per_leaf);
 
+/// A stock relation shaped like the browse workload's catalogue (see
+/// hqlbench): hierarchy `product` is a depth-4, fanout-6 class tree with
+/// `skus` instances spread evenly over its leaves; `stock (item: product)`
+/// asserts five of the six top-level lines, denies skus / 50 lower classes
+/// and gives 95% of the skus a fact of their own, 85% of those positive.
+/// Facts are inserted unguarded, as a snapshot load does. Storage tests and
+/// benches measure the store's footprint on it.
+HierarchicalRelation* BuildBrowseShapedStock(Database& db, size_t skus,
+                                             uint64_t seed = 3);
+
 }  // namespace testing
 }  // namespace hirel
 

@@ -5,7 +5,7 @@
 
 namespace hirel {
 
-bool ItemSubsumes(const Schema& schema, const Item& a, const Item& b) {
+bool ItemSubsumes(const Schema& schema, ItemView a, ItemView b) {
   assert(a.size() == schema.size() && b.size() == schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     if (!schema.hierarchy(i)->Subsumes(a[i], b[i])) return false;
@@ -13,15 +13,15 @@ bool ItemSubsumes(const Schema& schema, const Item& a, const Item& b) {
   return true;
 }
 
-bool ItemStrictlySubsumes(const Schema& schema, const Item& a, const Item& b) {
+bool ItemStrictlySubsumes(const Schema& schema, ItemView a, ItemView b) {
   return a != b && ItemSubsumes(schema, a, b);
 }
 
-bool ItemComparable(const Schema& schema, const Item& a, const Item& b) {
+bool ItemComparable(const Schema& schema, ItemView a, ItemView b) {
   return ItemSubsumes(schema, a, b) || ItemSubsumes(schema, b, a);
 }
 
-bool ItemBindsBelow(const Schema& schema, const Item& a, const Item& b) {
+bool ItemBindsBelow(const Schema& schema, ItemView a, ItemView b) {
   assert(a.size() == schema.size() && b.size() == schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     if (!schema.hierarchy(i)->BindsBelow(a[i], b[i])) return false;
@@ -29,7 +29,7 @@ bool ItemBindsBelow(const Schema& schema, const Item& a, const Item& b) {
   return true;
 }
 
-Item ItemMeet(const Schema& schema, const Item& a, const Item& b) {
+Item ItemMeet(const Schema& schema, ItemView a, ItemView b) {
   assert(a.size() == schema.size() && b.size() == schema.size());
   Item meet(schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
@@ -40,7 +40,7 @@ Item ItemMeet(const Schema& schema, const Item& a, const Item& b) {
   return meet;
 }
 
-bool ItemIsAtomic(const Schema& schema, const Item& item) {
+bool ItemIsAtomic(const Schema& schema, ItemView item) {
   assert(item.size() == schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     if (!schema.hierarchy(i)->is_instance(item[i])) return false;
@@ -48,7 +48,7 @@ bool ItemIsAtomic(const Schema& schema, const Item& item) {
   return true;
 }
 
-size_t ItemExtensionSize(const Schema& schema, const Item& item) {
+size_t ItemExtensionSize(const Schema& schema, ItemView item) {
   size_t size = 1;
   for (size_t i = 0; i < schema.size(); ++i) {
     size *= schema.hierarchy(i)->CountAtomsUnder(item[i]);
@@ -57,7 +57,7 @@ size_t ItemExtensionSize(const Schema& schema, const Item& item) {
 }
 
 std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
-                                               const Item& a, const Item& b) {
+                                               ItemView a, ItemView b) {
   assert(a.size() == schema.size() && b.size() == schema.size());
   // Per-attribute candidate sets; an empty set anywhere means the items are
   // disjoint as far as the hierarchies know.
@@ -85,7 +85,7 @@ std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
   }
 }
 
-bool ItemLeafDisjoint(const Schema& schema, const Item& a, const Item& b) {
+bool ItemLeafDisjoint(const Schema& schema, ItemView a, ItemView b) {
   assert(a.size() == schema.size() && b.size() == schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     if (schema.hierarchy(i)->LeafDisjoint(a[i], b[i])) return true;
@@ -120,7 +120,7 @@ Status CloseUnderMaximalCommonDescendants(const Schema& schema,
   return Status::OK();
 }
 
-std::string ItemToString(const Schema& schema, const Item& item) {
+std::string ItemToString(const Schema& schema, ItemView item) {
   std::string out = "(";
   for (size_t i = 0; i < item.size(); ++i) {
     if (i > 0) out += ", ";

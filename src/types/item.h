@@ -10,7 +10,10 @@
 #ifndef HIREL_TYPES_ITEM_H_
 #define HIREL_TYPES_ITEM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +23,28 @@
 namespace hirel {
 
 /// One hierarchy node per attribute, positionally aligned with the Schema.
+/// The owning form, for results and journal records.
 using Item = std::vector<NodeId>;
+
+/// A read-only view of an item's components held elsewhere: a tuple's slot
+/// in its relation's arena, or an Item (which converts implicitly). Views
+/// compare component-wise, with each other and with Items.
+class ItemView : public std::span<const NodeId> {
+ public:
+  using std::span<const NodeId>::span;
+
+  /// A view of a braced list, as in `relation.FindItem({a, b})`. The list
+  /// dies with the full expression, so the view must not outlive it.
+  ItemView(std::initializer_list<NodeId> list)
+      : std::span<const NodeId>(list.begin(), list.size()) {}
+
+  /// An owning copy.
+  Item ToItem() const { return Item(begin(), end()); }
+
+  friend bool operator==(ItemView a, ItemView b) {
+    return std::ranges::equal(a, b);
+  }
+};
 
 /// Truth value of a tuple: true for a positive (normal) tuple, false for a
 /// negated tuple (Section 2.1).
@@ -40,40 +64,40 @@ inline Truth Negate(Truth t) {
 
 /// True iff `a` subsumes `b` in the item hierarchy: component-wise
 /// subsumption in every attribute's hierarchy. Reflexive.
-bool ItemSubsumes(const Schema& schema, const Item& a, const Item& b);
+bool ItemSubsumes(const Schema& schema, ItemView a, ItemView b);
 
 /// True iff `a` subsumes `b` and the items differ.
-bool ItemStrictlySubsumes(const Schema& schema, const Item& a, const Item& b);
+bool ItemStrictlySubsumes(const Schema& schema, ItemView a, ItemView b);
 
 /// True iff one item subsumes the other.
-bool ItemComparable(const Schema& schema, const Item& a, const Item& b);
+bool ItemComparable(const Schema& schema, ItemView a, ItemView b);
 
 /// Like ItemSubsumes but honouring preference edges (Appendix): used when
 /// ordering binding strength, never for set semantics.
-bool ItemBindsBelow(const Schema& schema, const Item& a, const Item& b);
+bool ItemBindsBelow(const Schema& schema, ItemView a, ItemView b);
 
 /// Component-wise meet of two comparable-per-component items; empty vector
 /// if some component pair is incomparable.
-Item ItemMeet(const Schema& schema, const Item& a, const Item& b);
+Item ItemMeet(const Schema& schema, ItemView a, ItemView b);
 
 /// True iff every component is an instance node: the item denotes a single
 /// element of D*.
-bool ItemIsAtomic(const Schema& schema, const Item& item);
+bool ItemIsAtomic(const Schema& schema, ItemView item);
 
 /// Number of atomic items subsumed by `item` (the size of its extension).
-size_t ItemExtensionSize(const Schema& schema, const Item& item);
+size_t ItemExtensionSize(const Schema& schema, ItemView item);
 
 /// The maximal common subsumees of items a and b in the (virtual) product
 /// graph: all combinations of per-attribute maximal common descendants.
 /// Empty means hirel has no evidence the two items intersect — the paper's
 /// optimistic disjointness assumption.
 std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
-                                               const Item& a, const Item& b);
+                                               ItemView a, ItemView b);
 
 /// True when some attribute's components pass Hierarchy::LeafDisjoint, which
 /// proves ItemMaximalCommonDescendants(a, b) empty without computing it.
 /// Allocation-free; false proves nothing.
-bool ItemLeafDisjoint(const Schema& schema, const Item& a, const Item& b);
+bool ItemLeafDisjoint(const Schema& schema, ItemView a, ItemView b);
 
 /// Closes `items` under pairwise maximal common descendants, deduplicating.
 /// A set of asserted items closed under MCDs cannot harbour an off-path
@@ -85,11 +109,11 @@ Status CloseUnderMaximalCommonDescendants(const Schema& schema,
                                           size_t max_items = 100'000);
 
 /// "(bird, 3000)"-style rendering using node display names.
-std::string ItemToString(const Schema& schema, const Item& item);
+std::string ItemToString(const Schema& schema, ItemView item);
 
 /// Hash functor for unordered containers keyed by Item.
 struct ItemHash {
-  size_t operator()(const Item& item) const {
+  size_t operator()(ItemView item) const {
     size_t h = 0xcbf29ce484222325ULL;
     for (NodeId n : item) {
       h ^= n;

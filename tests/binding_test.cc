@@ -12,7 +12,7 @@ namespace {
 using testing::FlyingFixture;
 
 Item ItemOf(const HierarchicalRelation& r, TupleId id) {
-  return r.tuple(id).item;
+  return r.ItemAt(id).ToItem();
 }
 
 TEST(BindingTest, SelfBoundTupleWinsOutright) {

@@ -112,7 +112,7 @@ TEST(CompressTest, FullDomainIsOneTuple) {
   EXPECT_EQ(minimal.size(), 1u);
   // One positive tuple on some ancestor of all instances (bird or the
   // root — both cover exactly the four instances; the DP may pick either).
-  const HTuple& t = minimal.tuple(minimal.TupleIds()[0]);
+  TupleView t = minimal.tuple(minimal.TupleIds()[0]);
   EXPECT_EQ(t.truth, Truth::kPositive);
   EXPECT_TRUE(t.item[0] == zoo.bird || t.item[0] == zoo.animal->root());
 }

@@ -22,7 +22,7 @@ TEST(ExplicateTest, FullExplicationOfFlies) {
   for (TupleId id : flat.TupleIds()) {
     EXPECT_EQ(flat.tuple(id).truth, Truth::kPositive);
     EXPECT_TRUE(ItemIsAtomic(flat.schema(), flat.tuple(id).item));
-    items.push_back(flat.tuple(id).item);
+    items.push_back(flat.ItemAt(id).ToItem());
   }
   std::sort(items.begin(), items.end());
   std::vector<Item> expected{
@@ -59,7 +59,7 @@ TEST(ExplicateTest, PartialExplicationKeepsOtherAttributesHierarchical) {
   HierarchicalRelation partial =
       Explicate(*f.colors, {animal_attr}).value();
   for (TupleId id : partial.TupleIds()) {
-    const HTuple& t = partial.tuple(id);
+    TupleView t = partial.tuple(id);
     EXPECT_TRUE(f.animal->is_instance(t.item[0]));
   }
   // Negated tuples are NOT redundant in a partial explication and stay.

@@ -43,8 +43,8 @@ std::vector<std::pair<Item, Truth>> Content(
     const HierarchicalRelation& rel) {
   std::vector<std::pair<Item, Truth>> out;
   for (TupleId id : rel.TupleIds()) {
-    HTuple t = rel.tuple(id);
-    out.emplace_back(std::move(t.item), t.truth);
+    TupleView t = rel.tuple(id);
+    out.emplace_back(t.item.ToItem(), t.truth);
   }
   std::sort(out.begin(), out.end());
   return out;

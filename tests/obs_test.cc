@@ -810,6 +810,41 @@ TEST(ExecutorObsTest, CountShowsItsSweep) {
       << again;
 }
 
+/// Spans named `name` anywhere under `spans`.
+size_t CountSpans(const std::vector<std::unique_ptr<TraceSpan>>& spans,
+                  const std::string& name) {
+  size_t n = 0;
+  for (const auto& span : spans) {
+    n += (span->name == name) + CountSpans(span->children, name);
+  }
+  return n;
+}
+
+TEST(ExecutorObsTest, IntegrityChecksAreTraced) {
+  hql::Executor exec;
+  ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
+
+  // Each guarded fact statement runs the ambiguity check once, in its own
+  // span noted with the relation's size after the change.
+  ASSERT_TRUE(exec.Execute("ASSERT flies(peter);").ok());
+  EXPECT_EQ(CountSpans(exec.last_trace().spans(), "integrity.check"), 1u);
+  std::string json = exec.Execute("SHOW TRACE JSON;").value();
+  EXPECT_NE(json.find("\"name\":\"integrity.check\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"tuples\":4"), std::string::npos) << json;
+  ASSERT_TRUE(exec.Execute("RETRACT flies(peter);").ok());
+  EXPECT_EQ(CountSpans(exec.last_trace().spans(), "integrity.check"), 1u);
+
+  // Inside a transaction, staging checks nothing; COMMIT checks once.
+  ASSERT_TRUE(exec.Execute("BEGIN flies;").ok());
+  ASSERT_TRUE(exec.Execute("ASSERT flies(peter);").ok());
+  EXPECT_EQ(CountSpans(exec.last_trace().spans(), "integrity.check"), 0u);
+  ASSERT_TRUE(exec.Execute("COMMIT;").ok());
+  EXPECT_EQ(CountSpans(exec.last_trace().spans(), "integrity.check"), 1u);
+  EXPECT_NE(exec.Execute("SHOW TRACE;").value().find("integrity.check"),
+            std::string::npos);
+}
+
 TEST(ExecutorObsTest, WalCountersTrackAppendsAndReplay) {
   std::string dir = std::string(::testing::TempDir()) + "/obs_wal_test";
   std::filesystem::remove_all(dir);

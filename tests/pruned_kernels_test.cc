@@ -63,7 +63,7 @@ Result<HierarchicalRelation> ReferenceSelect(
   const Hierarchy* h = relation.schema().hierarchy(attr);
   std::vector<Item> candidates;
   for (TupleId id : relation.TupleIds()) {
-    Item item = relation.ItemAt(id);
+    Item item = relation.ItemAt(id).ToItem();
     for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
       Item clamped = item;
       clamped[attr] = m;
@@ -81,9 +81,13 @@ Result<HierarchicalRelation> ReferenceSetOp(
     const char* op_name, const std::function<bool(bool, bool)>& combine) {
   const Schema& schema = left.schema();
   std::vector<Item> lefts;
-  for (TupleId id : left.TupleIds()) lefts.push_back(left.ItemAt(id));
+  for (TupleId id : left.TupleIds()) {
+    lefts.push_back(left.ItemAt(id).ToItem());
+  }
   std::vector<Item> rights;
-  for (TupleId id : right.TupleIds()) rights.push_back(right.ItemAt(id));
+  for (TupleId id : right.TupleIds()) {
+    rights.push_back(right.ItemAt(id).ToItem());
+  }
   std::vector<Item> candidates = lefts;
   candidates.insert(candidates.end(), rights.begin(), rights.end());
   for (const Item& a : lefts) {
@@ -129,9 +133,9 @@ Result<HierarchicalRelation> ReferenceNaturalJoin(
   }
   std::vector<Item> candidates;
   for (TupleId lid : left.TupleIds()) {
-    Item litem = left.ItemAt(lid);
+    Item litem = left.ItemAt(lid).ToItem();
     for (TupleId rid : right.TupleIds()) {
-      Item ritem = right.ItemAt(rid);
+      Item ritem = right.ItemAt(rid).ToItem();
       std::vector<Item> partial(1, Item(schema.size()));
       for (size_t i = 0; i < ls.size(); ++i) partial[0][i] = litem[i];
       for (size_t j = 0; j < rs.size(); ++j) {

@@ -82,13 +82,13 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
     bool all_atomic_positive = true;
     std::vector<Item> rows;
     for (TupleId id : relation.TupleIds()) {
-      const HTuple& t = relation.tuple(id);
+      TupleView t = relation.tuple(id);
       if (t.truth != Truth::kPositive ||
           !ItemIsAtomic(relation.schema(), t.item)) {
         all_atomic_positive = false;
         break;
       }
-      rows.push_back(t.item);
+      rows.push_back(t.item.ToItem());
     }
     *atomic_positive = all_atomic_positive;
     if (all_atomic_positive) return rows;
@@ -104,7 +104,7 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
                              plan::ExecutePlan(*p, db, exec));
       std::vector<Item> items;
       for (TupleId id : out.relation->TupleIds()) {
-        items.push_back(out.relation->tuple(id).item);
+        items.push_back(out.relation->ItemAt(id).ToItem());
       }
       std::sort(items.begin(), items.end());
       return items;
@@ -131,7 +131,7 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
             appendable = false;
             break;
           }
-          Item item = relation->ItemAt(r.id);
+          Item item = relation->ItemAt(r.id).ToItem();
           if (!ItemIsAtomic(relation->schema(), item)) {
             appendable = false;
             break;

@@ -454,7 +454,7 @@ OracleOutcome RunRandomProgram(uint64_t seed, bool reference) {
           db.GetRelation(StrCat(prefix, n + 1)).value();
       std::string content;
       for (TupleId id : relation->TupleIds()) {
-        const HTuple& t = relation->tuple(id);
+        TupleView t = relation->tuple(id);
         content += StrCat(id, " ", TruthToString(t.truth),
                           ItemToString(relation->schema(), t.item), "; ");
       }

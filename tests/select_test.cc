@@ -36,7 +36,7 @@ TEST(SelectTest, Fig7WhoDoObsequiousStudentsRespect) {
   ASSERT_TRUE(ConsolidateInPlace(result).ok());
   // Obsequious students respect all teachers: one positive tuple.
   ASSERT_EQ(result.size(), 1u);
-  const HTuple& t = result.tuple(result.TupleIds()[0]);
+  TupleView t = result.tuple(result.TupleIds()[0]);
   EXPECT_EQ(t.truth, Truth::kPositive);
   EXPECT_EQ(t.item, (Item{f.obsequious, f.teacher->root()}));
 }
@@ -48,7 +48,7 @@ TEST(SelectTest, Fig8WhoDoesJohnRespect) {
   ASSERT_TRUE(ConsolidateInPlace(result).ok());
   // John respects all teachers.
   ASSERT_EQ(result.size(), 1u);
-  const HTuple& t = result.tuple(result.TupleIds()[0]);
+  TupleView t = result.tuple(result.TupleIds()[0]);
   EXPECT_EQ(t.truth, Truth::kPositive);
   EXPECT_EQ(t.item, (Item{f.john, f.teacher->root()}));
 }

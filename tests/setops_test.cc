@@ -59,7 +59,7 @@ TEST(SetOpsTest, Fig10cUnionJackAndJillBetweenThemLove) {
   ASSERT_TRUE(ConsolidateInPlace(result).ok());
   // Between them: all birds — one tuple after consolidation.
   ASSERT_EQ(result.size(), 1u);
-  const HTuple& t = result.tuple(result.TupleIds()[0]);
+  TupleView t = result.tuple(result.TupleIds()[0]);
   EXPECT_EQ(t.truth, Truth::kPositive);
   EXPECT_EQ(t.item, (Item{f.base.bird}));
   ExpectMatchesFlat(Op::kUnion, *f.jill, *f.jack);

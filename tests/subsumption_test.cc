@@ -25,7 +25,7 @@ TEST(SubsumptionTest, NodesInTopologicalOrder) {
   // bird+ must precede penguin-, which precedes afp+, which precedes
   // peter+.
   std::vector<Item> order;
-  for (TupleId id : g.nodes) order.push_back(f.flies->tuple(id).item);
+  for (TupleId id : g.nodes) order.push_back(f.flies->ItemAt(id).ToItem());
   EXPECT_EQ(order[0], (Item{f.bird}));
   EXPECT_EQ(order[1], (Item{f.penguin}));
   EXPECT_EQ(order[2], (Item{f.afp}));

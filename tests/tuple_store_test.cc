@@ -1,13 +1,17 @@
 // TupleStore contracts: stable ids across churn, copies that keep ids and
 // dead slots, ascending and exact subsumption scans, chunked iteration,
-// byte accounting, and tuple references that stay put across reads.
+// byte accounting, tuple views that stay put across reads, and a seeded
+// differential oracle against a std::map reference model.
 
 #include "core/tuple_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -199,7 +203,7 @@ TEST(TupleStoreTest, SubsumptionScansAreAscendingAndExact) {
           Item item{v, p};
           std::vector<TupleId> subsuming, subsumed, above, below;
           for (TupleId id : r.TupleIds()) {
-            const Item& other = r.ItemAt(id);
+            ItemView other = r.ItemAt(id);
             if (ItemSubsumes(schema, other, item)) subsuming.push_back(id);
             if (ItemSubsumes(schema, item, other)) subsumed.push_back(id);
             if (ItemBindsBelow(schema, other, item)) above.push_back(id);
@@ -228,7 +232,7 @@ TEST(TupleStoreTest, SubsumptionScansAreAscendingAndExact) {
   }
 }
 
-/// tuple(id) and ItemAt(id) return references into the store: repeated
+/// tuple(id) and ItemAt(id) return views into the store's arena: repeated
 /// reads, reads of other tuples, scans and lookups all leave them in place
 /// and unchanged.
 TEST(TupleStoreTest, TupleReturnsAStableReferenceAcrossReads) {
@@ -241,18 +245,19 @@ TEST(TupleStoreTest, TupleReturnsAStableReferenceAcrossReads) {
   }
   ASSERT_TRUE(r.Insert({h->Classes()[1]}, Truth::kNegative).ok());
 
-  const HTuple& first = r.tuple(3);
-  const HTuple copy = first;
-  EXPECT_EQ(&r.tuple(3), &first);
-  EXPECT_EQ(&r.ItemAt(3), &first.item);
+  TupleView first = r.tuple(3);
+  const Item copy = first.item.ToItem();
+  EXPECT_EQ(r.tuple(3).item.data(), first.item.data());
+  EXPECT_EQ(r.ItemAt(3).data(), first.item.data());
   for (TupleId id : r.TupleIds()) (void)r.tuple(id);
   (void)r.TuplesSubsuming(first.item);
   (void)r.TuplesSubsumedBy(Item{h->Classes()[1]});
   (void)r.FindItem({atoms[7]});
   (void)r.ToString();
-  EXPECT_EQ(&r.tuple(3), &first);
-  EXPECT_EQ(first, copy);
+  EXPECT_EQ(r.tuple(3).item.data(), first.item.data());
+  EXPECT_EQ(first.item, copy);
   EXPECT_EQ(first.item, (Item{atoms[3]}));
+  EXPECT_EQ(first.truth, Truth::kPositive);
 }
 
 /// ApproxBytes must account for index structures, not just payloads: the
@@ -280,6 +285,183 @@ TEST(TupleStoreTest, ApproxBytesIncludesIndexes) {
   // Payload alone underestimates: the full footprint is strictly larger
   // than the raw per-tuple data.
   EXPECT_GT(r.ApproxBytes(), r.size() * sizeof(NodeId));
+}
+
+// ----- Differential oracle ---------------------------------------------------
+
+/// Reference model of a TupleStore: the live tuples by id plus the next id.
+struct ModelStore {
+  size_t capacity = 0;
+  std::map<TupleId, std::pair<Item, Truth>> live;
+
+  std::optional<TupleId> Find(const Item& item) const {
+    for (const auto& [id, tuple] : live) {
+      if (tuple.first == item) return id;
+    }
+    return std::nullopt;
+  }
+};
+
+/// Compares every read of `store` with the model: size, capacity, LiveIds,
+/// chunked iteration, tuple(id), Find on each probe, and, when `scans` is
+/// set, the four subsumption/binding scans on each probe against a brute
+/// force pass over the model.
+void ExpectStoreMatches(const TupleStore& store, const ModelStore& model,
+                        const Schema& schema, const std::vector<Item>& probes,
+                        bool scans, const std::string& at) {
+  ASSERT_EQ(store.capacity(), model.capacity) << at;
+  ASSERT_EQ(store.size(), model.live.size()) << at;
+  std::vector<TupleId> ids;
+  for (const auto& [id, tuple] : model.live) ids.push_back(id);
+  EXPECT_EQ(store.LiveIds(), ids) << at;
+  std::vector<TupleId> chunked;
+  for (size_t c = 0; c < store.num_chunks(); ++c) {
+    store.ForEachLiveInChunk(c, [&](TupleId id) { chunked.push_back(id); });
+  }
+  EXPECT_EQ(chunked, ids) << at;
+  for (const auto& [id, tuple] : model.live) {
+    ASSERT_TRUE(store.alive(id)) << at << " id " << id;
+    EXPECT_EQ(store.tuple(id).item, tuple.first) << at << " id " << id;
+    EXPECT_EQ(store.tuple(id).truth, tuple.second) << at << " id " << id;
+  }
+  for (const Item& probe : probes) {
+    std::string where = StrCat(at, " probe ", ItemToString(schema, probe));
+    EXPECT_EQ(store.Find(probe), model.Find(probe)) << where;
+    if (!scans) continue;
+    std::vector<TupleId> subsuming, subsumed, above, below;
+    for (const auto& [id, tuple] : model.live) {
+      const Item& other = tuple.first;
+      if (ItemSubsumes(schema, other, probe)) subsuming.push_back(id);
+      if (ItemSubsumes(schema, probe, other)) subsumed.push_back(id);
+      if (ItemBindsBelow(schema, other, probe)) above.push_back(id);
+      if (ItemBindsBelow(schema, probe, other)) below.push_back(id);
+    }
+    EXPECT_EQ(store.TuplesSubsuming(schema, probe), subsuming) << where;
+    EXPECT_EQ(store.TuplesSubsumedBy(schema, probe), subsumed) << where;
+    EXPECT_EQ(store.TuplesBindingAbove(schema, probe), above) << where;
+    EXPECT_EQ(store.TuplesBindingBelow(schema, probe), below) << where;
+  }
+}
+
+/// Seeded random Append / Erase / SetTruth / Clear / copy / move sequences
+/// at arity 1-3, checked against the model after every step (scans every
+/// 150 steps and at the end). Small per-attribute hierarchies make posting
+/// lists long and items collide, so pooled lists grow, shrink and compact
+/// and the item table reuses erased slots; half-way through, preference
+/// edges are added so the binding scans differ from the subsumption ones.
+TEST(TupleStoreOracleTest, RandomOpsMatchAReferenceModel) {
+  // Per arity: tree depth, fanout and instances per leaf of each
+  // attribute's hierarchy (193, 15 and 7 nodes).
+  const size_t shapes[3][3] = {{2, 3, 20}, {2, 2, 2}, {1, 2, 2}};
+  constexpr size_t kSteps = 1200;
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      Database db;
+      std::vector<Hierarchy*> hierarchies;
+      std::vector<Attribute> attrs;
+      for (size_t i = 0; i < arity; ++i) {
+        const size_t* shape = shapes[arity - 1];
+        hierarchies.push_back(testing::BuildTreeHierarchy(
+            db, StrCat("h", i), shape[0], shape[1], shape[2]));
+        attrs.push_back({StrCat("a", i), hierarchies.back()});
+      }
+      Schema schema(attrs);
+      Random rng(seed * 10 + arity);
+      auto random_item = [&]() {
+        Item item;
+        for (Hierarchy* h : hierarchies) {
+          std::vector<NodeId> nodes = h->Nodes();
+          item.push_back(nodes[rng.Index(nodes.size())]);
+        }
+        return item;
+      };
+      auto random_live = [&](const ModelStore& model) {
+        auto it = model.live.begin();
+        std::advance(it, rng.Index(model.live.size()));
+        return it->first;
+      };
+
+      TupleStore store(arity);
+      ModelStore model;
+      for (size_t step = 0; step < kSteps; ++step) {
+        std::string at = StrCat("arity ", arity, " seed ", seed, " step ",
+                                step);
+        Truth truth =
+            rng.Bernoulli(0.3) ? Truth::kNegative : Truth::kPositive;
+        uint64_t op = rng.Uniform(100);
+        if (op < 50) {
+          Item item = random_item();
+          if (!model.Find(item).has_value()) {
+            ASSERT_EQ(store.Append(item, truth), model.capacity) << at;
+            model.live[static_cast<TupleId>(model.capacity++)] = {item,
+                                                                 truth};
+          }
+        } else if (op < 75) {
+          if (!model.live.empty()) {
+            TupleId id = random_live(model);
+            store.Erase(id);
+            model.live.erase(id);
+          }
+        } else if (op < 83) {
+          if (!model.live.empty()) {
+            TupleId id = random_live(model);
+            store.SetTruth(id, truth);
+            model.live[id].second = truth;
+          }
+        } else if (op < 90) {
+          // Re-append an erased slot's item straight from its arena view.
+          if (model.capacity > model.live.size()) {
+            TupleId dead;
+            do {
+              dead = static_cast<TupleId>(rng.Index(model.capacity));
+            } while (model.live.count(dead) > 0);
+            Item item = store.ItemAt(dead).ToItem();
+            if (!model.Find(item).has_value()) {
+              ASSERT_EQ(store.Append(store.ItemAt(dead), truth),
+                        model.capacity)
+                  << at;
+              model.live[static_cast<TupleId>(model.capacity++)] = {item,
+                                                                   truth};
+            }
+          }
+        } else if (op < 95) {
+          TupleStore copy(store);
+          ExpectStoreMatches(copy, model, schema, {}, false, at + " copy");
+          store = std::move(copy);
+        } else if (op < 99) {
+          TupleStore moved(std::move(store));
+          store = moved;
+        } else if (rng.Bernoulli(0.3)) {
+          store.Clear();
+          model = ModelStore();
+        }
+
+        if (step == kSteps / 2) {
+          for (Hierarchy* h : hierarchies) {
+            std::vector<NodeId> nodes = h->Nodes();
+            for (int e = 0; e < 3; ++e) {
+              (void)h->AddPreferenceEdge(nodes[rng.Index(nodes.size())],
+                                         nodes[rng.Index(nodes.size())]);
+            }
+          }
+        }
+
+        std::vector<Item> probes;
+        for (int p = 0; p < 8; ++p) probes.push_back(random_item());
+        for (const auto& [id, tuple] : model.live) {
+          if (rng.Bernoulli(0.1)) probes.push_back(tuple.first);
+        }
+        bool scans = step % 150 == 149 || step + 1 == kSteps;
+        ExpectStoreMatches(store, model, schema, probes, scans, at);
+        if (::testing::Test::HasFailure()) return;
+      }
+      size_t preference_edges = 0;
+      for (Hierarchy* h : hierarchies) {
+        preference_edges += h->num_preference_edges();
+      }
+      EXPECT_GT(preference_edges, 0u);
+    }
+  }
 }
 
 }  // namespace

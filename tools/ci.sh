@@ -77,6 +77,19 @@ for preset in "${presets[@]}"; do
     echo "==== ${preset}: 10^5-tuple subsumption-graph build ===="
     "build/${preset}/bench/bench_incremental" \
         --benchmark_filter='BM_BuildSubsumptionGraph/100000' > /dev/null
+    # The store's footprint on a browse-shaped relation. Byte counts are
+    # deterministic, so the gate holds on any host.
+    echo "==== ${preset}: browse-shaped store footprint (<= 80 B/tuple) ===="
+    footprint="$("build/${preset}/bench/bench_storage" \
+        --benchmark_filter='BM_BrowseShapedStorage/10000' |
+        grep -o '{"bench".*' |
+        sed -n 's/.*"bytes_per_tuple":\([0-9.e+]*\).*/\1/p')"
+    if [ -z "${footprint}" ] ||
+        ! awk -v b="${footprint}" 'BEGIN { exit !(b <= 80) }'; then
+      echo "FAIL: browse-shaped store: '${footprint}' B/tuple, limit 80" >&2
+      exit 1
+    fi
+    echo "browse-shaped store: ${footprint} B/tuple"
   fi
 
   echo "==== ${preset}: observability smoke ===="
