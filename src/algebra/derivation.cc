@@ -1,74 +1,16 @@
 #include "algebra/derivation.h"
 
-#include <atomic>
-
-#include "common/thread_pool.h"
-
 namespace hirel {
-
-namespace {
-
-/// Evaluates `truth_of` for every candidate, in parallel across the shared
-/// pool. Each chunk runs with a private copy of `inference` whose
-/// probe_counter targets a chunk-local tally; tallies drain into one atomic
-/// that the caller flushes after the join, keeping totals exact. A chunk
-/// stops at its first failure, and ParallelFor reports the lowest failing
-/// chunk, so the surfaced error is the lowest-indexed failing candidate —
-/// the same one serial evaluation would report.
-Status EvaluateParallel(
-    const std::vector<Item>& candidates, const InferenceOptions& inference,
-    const std::function<Result<Truth>(const Item&, const InferenceOptions&)>&
-        truth_of,
-    std::vector<Truth>& truths) {
-  std::atomic<uint64_t> probes{0};
-  ParallelOptions par;
-  par.threads = inference.threads;
-  Status status = ParallelFor(
-      candidates.size(), par,
-      [&](size_t /*chunk*/, size_t begin, size_t end) -> Status {
-        uint64_t local_probes = 0;
-        InferenceOptions local = inference;
-        local.probe_counter = &local_probes;
-        Status chunk_status;
-        for (size_t i = begin; i < end; ++i) {
-          Result<Truth> truth = truth_of(candidates[i], local);
-          if (!truth.ok()) {
-            chunk_status = truth.status();
-            break;
-          }
-          truths[i] = *truth;
-        }
-        probes.fetch_add(local_probes, std::memory_order_relaxed);
-        return chunk_status;
-      });
-  if (inference.probe_counter != nullptr) {
-    *inference.probe_counter += probes.load(std::memory_order_relaxed);
-  }
-  return status;
-}
-
-}  // namespace
 
 Result<HierarchicalRelation> DeriveRelation(
     std::string name, const Schema& schema, std::vector<Item> candidates,
-    const InferenceOptions& inference,
-    const std::function<Result<Truth>(const Item&, const InferenceOptions&)>&
-        truth_of,
+    const std::function<Result<Truth>(const Item&)>& truth_of,
     size_t max_items) {
   HIREL_RETURN_IF_ERROR(
       CloseUnderMaximalCommonDescendants(schema, candidates, max_items));
   HierarchicalRelation result(std::move(name), schema);
-  if (inference.threads != 1 && candidates.size() > 1) {
-    std::vector<Truth> truths(candidates.size(), Truth::kNegative);
-    HIREL_RETURN_IF_ERROR(
-        EvaluateParallel(candidates, inference, truth_of, truths));
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      HIREL_RETURN_IF_ERROR(result.Insert(candidates[i], truths[i]).status());
-    }
-    return result;
-  }
   for (const Item& item : candidates) {
-    HIREL_ASSIGN_OR_RETURN(Truth truth, truth_of(item, inference));
+    HIREL_ASSIGN_OR_RETURN(Truth truth, truth_of(item));
     HIREL_RETURN_IF_ERROR(result.Insert(item, truth).status());
   }
   return result;

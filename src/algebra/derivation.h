@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/binding.h"
 #include "core/hierarchical_relation.h"
 #include "types/item.h"
 
@@ -33,20 +32,9 @@ namespace hirel {
 /// Assigns every candidate item the truth produced by `truth_of` and
 /// returns the resulting relation. Candidates are deduplicated and closed
 /// under maximal common descendants first (capped at `max_items`).
-///
-/// When inference.threads > 1 the per-candidate truth probes run on the
-/// shared ThreadPool: `truth_of` is invoked with per-chunk copies of
-/// `inference` whose probe_counter targets a chunk-local tally (flushed
-/// into inference.probe_counter exactly once after the join), so the
-/// callback must consult the options it is handed, not a captured copy.
-/// Candidates are inserted in order on the calling thread afterwards, so
-/// the result is byte-identical to serial execution; on error the failure
-/// of the lowest-indexed failing candidate is reported, same as serial.
 Result<HierarchicalRelation> DeriveRelation(
     std::string name, const Schema& schema, std::vector<Item> candidates,
-    const InferenceOptions& inference,
-    const std::function<Result<Truth>(const Item&, const InferenceOptions&)>&
-        truth_of,
+    const std::function<Result<Truth>(const Item&)>& truth_of,
     size_t max_items = 100'000);
 
 }  // namespace hirel

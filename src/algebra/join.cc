@@ -1,11 +1,9 @@
 #include "algebra/join.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "algebra/derivation.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/inference.h"
 #include "obs/query_stats.h"
 
@@ -71,91 +69,65 @@ Result<HierarchicalRelation> JoinOn(
   }
   obs::ScopedAllocTracking tracked(right_items.size() * sizeof(ItemView));
 
-  // Left tuples are scanned chunk by chunk in parallel; per-chunk candidate
-  // vectors are concatenated in chunk order below, reproducing the serial
-  // nested-loop order at any thread count. Each chunk holds at most
-  // max_items + 1 candidates, so the overflow check stays memory-bounded.
-  std::vector<std::vector<Item>> per_chunk(left.num_chunks());
-  ParallelOptions par;
-  par.threads = options.inference.threads;
-  HIREL_RETURN_IF_ERROR(ParallelFor(
-      per_chunk.size(), par,
-      [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-        for (size_t c = lo; c < hi; ++c) {
-          Status chunk_status;
-          // Per-join-attribute alignment choices, reused across pairs.
-          std::vector<std::vector<NodeId>> choices(on.size());
-          left.ForEachLiveInChunk(c, [&](TupleId lid) {
-            if (!chunk_status.ok()) return;
-            ItemView litem = left.ItemAt(lid);
-            for (ItemView ritem : right_items) {
-              bool disjoint = false;
-              for (size_t k = 0; k < on.size(); ++k) {
-                const Hierarchy* h = ls.hierarchy(on[k].first);
-                NodeId l = litem[on[k].first];
-                NodeId r = ritem[on[k].second];
-                if (h->LeafDisjoint(l, r)) {
-                  disjoint = true;
-                  break;
-                }
-                choices[k] = h->MaximalCommonDescendants(l, r);
-                if (choices[k].empty()) {
-                  disjoint = true;
-                  break;
-                }
-              }
-              if (disjoint) continue;
-
-              Item base(schema.size());
-              for (size_t i = 0; i < ls.size(); ++i) base[i] = litem[i];
-              for (size_t j = 0; j < rs.size(); ++j) {
-                if (tail_positions[j] != SIZE_MAX) {
-                  base[tail_positions[j]] = ritem[j];
-                }
-              }
-              std::vector<size_t> idx(on.size(), 0);
-              while (true) {
-                Item item = base;
-                for (size_t k = 0; k < on.size(); ++k) {
-                  item[on[k].first] = choices[k][idx[k]];
-                }
-                if (per_chunk[c].size() > options.max_items) {
-                  chunk_status = overflow();
-                  return;
-                }
-                per_chunk[c].push_back(std::move(item));
-                size_t k = on.size();
-                bool done = on.empty();
-                while (k > 0) {
-                  --k;
-                  if (++idx[k] < choices[k].size()) break;
-                  idx[k] = 0;
-                  if (k == 0) done = true;
-                }
-                if (done) break;
-              }
-            }
-          });
-          HIREL_RETURN_IF_ERROR(chunk_status);
-        }
-        return Status::OK();
-      }));
-  size_t total = 0;
-  for (const std::vector<Item>& chunk : per_chunk) total += chunk.size();
-  if (total > options.max_items) return overflow();
+  // Candidate order is the nested loop's: left ids ascending, then right
+  // ids ascending.
   std::vector<Item> candidates;
-  candidates.reserve(total);
-  for (std::vector<Item>& chunk : per_chunk) {
-    candidates.insert(candidates.end(),
-                      std::make_move_iterator(chunk.begin()),
-                      std::make_move_iterator(chunk.end()));
+  // Per-join-attribute alignment choices, reused across pairs.
+  std::vector<std::vector<NodeId>> choices(on.size());
+  for (TupleId lid : left.TupleIds()) {
+    ItemView litem = left.ItemAt(lid);
+    for (ItemView ritem : right_items) {
+      bool disjoint = false;
+      for (size_t k = 0; k < on.size(); ++k) {
+        const Hierarchy* h = ls.hierarchy(on[k].first);
+        NodeId l = litem[on[k].first];
+        NodeId r = ritem[on[k].second];
+        if (h->LeafDisjoint(l, r)) {
+          disjoint = true;
+          break;
+        }
+        choices[k] = h->MaximalCommonDescendants(l, r);
+        if (choices[k].empty()) {
+          disjoint = true;
+          break;
+        }
+      }
+      if (disjoint) continue;
+
+      Item base(schema.size());
+      for (size_t i = 0; i < ls.size(); ++i) base[i] = litem[i];
+      for (size_t j = 0; j < rs.size(); ++j) {
+        if (tail_positions[j] != SIZE_MAX) {
+          base[tail_positions[j]] = ritem[j];
+        }
+      }
+      std::vector<size_t> idx(on.size(), 0);
+      while (true) {
+        if (candidates.size() >= options.max_items) return overflow();
+        Item item = base;
+        for (size_t k = 0; k < on.size(); ++k) {
+          item[on[k].first] = choices[k][idx[k]];
+        }
+        candidates.push_back(std::move(item));
+        size_t k = on.size();
+        bool done = on.empty();
+        while (k > 0) {
+          --k;
+          if (++idx[k] < choices[k].size()) break;
+          idx[k] = 0;
+          if (k == 0) done = true;
+        }
+        if (done) break;
+      }
+    }
   }
-  tracked.Grow(total * (sizeof(Item) + schema.size() * sizeof(NodeId)));
+  tracked.Grow(candidates.size() *
+               (sizeof(Item) + schema.size() * sizeof(NodeId)));
 
   Result<HierarchicalRelation> derived = DeriveRelation(
       StrCat(left.name(), "_join_", right.name()), schema,
-      std::move(candidates), options.inference,
-      [&](const Item& item, const InferenceOptions& opts) -> Result<Truth> {
+      std::move(candidates),
+      [&](const Item& item) -> Result<Truth> {
         Item litem(ls.size());
         for (size_t i = 0; i < ls.size(); ++i) litem[i] = item[i];
         Item ritem(rs.size());
@@ -164,8 +136,10 @@ Result<HierarchicalRelation> JoinOn(
                          ? item[right_join_of[j]]
                          : item[tail_positions[j]];
         }
-        HIREL_ASSIGN_OR_RETURN(Truth lt, InferTruth(left, litem, opts));
-        HIREL_ASSIGN_OR_RETURN(Truth rt, InferTruth(right, ritem, opts));
+        HIREL_ASSIGN_OR_RETURN(Truth lt,
+                               InferTruth(left, litem, options.inference));
+        HIREL_ASSIGN_OR_RETURN(Truth rt,
+                               InferTruth(right, ritem, options.inference));
         return (lt == Truth::kPositive && rt == Truth::kPositive)
                    ? Truth::kPositive
                    : Truth::kNegative;

@@ -15,8 +15,7 @@ namespace {
 Result<bool> HasWitness(const HierarchicalRelation& relation,
                         const std::vector<size_t>& keep,
                         const std::vector<size_t>& removed, const Item& kept,
-                        const ProjectOptions& options,
-                        const InferenceOptions& inference) {
+                        const ProjectOptions& options) {
   const Schema& schema = relation.schema();
 
   // Witnesses can only be true under some positive tuple that applies to
@@ -69,7 +68,7 @@ Result<bool> HasWitness(const HierarchicalRelation& relation,
                      "ProjectOptions::max_witness_probes"));
         }
         HIREL_ASSIGN_OR_RETURN(Truth truth,
-                               InferTruth(relation, full, inference));
+                               InferTruth(relation, full, options.inference));
         if (truth == Truth::kPositive) return true;
       }
       size_t k = removed.size();
@@ -123,11 +122,10 @@ Result<HierarchicalRelation> Project(const HierarchicalRelation& relation,
 
   return DeriveRelation(
       StrCat(relation.name(), "_project"), result_schema,
-      std::move(candidates), options.inference,
-      [&](const Item& item, const InferenceOptions& opts) -> Result<Truth> {
+      std::move(candidates),
+      [&](const Item& item) -> Result<Truth> {
         HIREL_ASSIGN_OR_RETURN(
-            bool witnessed,
-            HasWitness(relation, keep, removed, item, options, opts));
+            bool witnessed, HasWitness(relation, keep, removed, item, options));
         return witnessed ? Truth::kPositive : Truth::kNegative;
       },
       options.max_items);

@@ -1,10 +1,7 @@
 #include "algebra/select.h"
 
-#include <iterator>
-
 #include "algebra/derivation.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/explicate.h"
 #include "core/inference.h"
 #include "obs/query_stats.h"
@@ -28,45 +25,25 @@ Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,
   // (via maximal common descendants, so tuples on classes that merely
   // overlap the selection class still contribute). A component outside the
   // overlap cone shares no descendant with `node`, so its MCD set is empty
-  // and the tuple is skipped before its item is materialised. The scan
-  // walks the store's fixed-size chunks in parallel; chunk boundaries and
-  // the chunk-order concatenation below depend only on the append count, so
-  // the candidate list is identical at any thread count.
+  // and the tuple is skipped before its item is materialised.
   const DynamicBitset cone = h->OverlapCone(node);
-  std::vector<std::vector<Item>> per_chunk(relation.num_chunks());
-  ParallelOptions par;
-  par.threads = options.threads;
-  HIREL_RETURN_IF_ERROR(ParallelFor(
-      per_chunk.size(), par,
-      [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-        for (size_t c = lo; c < hi; ++c) {
-          relation.ForEachLiveInChunk(c, [&](TupleId id) {
-            if (!cone.Test(relation.Component(id, attr))) return;
-            ItemView item = relation.ItemAt(id);
-            for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
-              Item clamped = item.ToItem();
-              clamped[attr] = m;
-              per_chunk[c].push_back(std::move(clamped));
-            }
-          });
-        }
-        return Status::OK();
-      }));
   std::vector<Item> candidates;
-  for (std::vector<Item>& chunk : per_chunk) {
-    candidates.insert(candidates.end(),
-                      std::make_move_iterator(chunk.begin()),
-                      std::make_move_iterator(chunk.end()));
+  for (TupleId id : relation.TupleIds()) {
+    if (!cone.Test(relation.Component(id, attr))) continue;
+    ItemView item = relation.ItemAt(id);
+    for (NodeId m : h->MaximalCommonDescendants(item[attr], node)) {
+      Item clamped = item.ToItem();
+      clamped[attr] = m;
+      candidates.push_back(std::move(clamped));
+    }
   }
   obs::ScopedAllocTracking tracked(
       candidates.size() * (sizeof(Item) + schema.size() * sizeof(NodeId)));
 
   return DeriveRelation(
       StrCat(relation.name(), "_select_", h->NodeName(node)), schema,
-      std::move(candidates), options,
-      [&](const Item& item, const InferenceOptions& opts) {
-        return InferTruth(relation, item, opts);
-      });
+      std::move(candidates),
+      [&](const Item& item) { return InferTruth(relation, item, options); });
 }
 
 Result<HierarchicalRelation> SelectEquals(const HierarchicalRelation& relation,

@@ -1,11 +1,9 @@
 #include "algebra/setops.h"
 
 #include <functional>
-#include <iterator>
 
 #include "algebra/derivation.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/inference.h"
 
 namespace hirel {
@@ -23,33 +21,13 @@ Result<HierarchicalRelation> SetOp(
   }
   const Schema& schema = left.schema();
 
-  // Chunk-parallel collection of each relation's items; per-chunk vectors
-  // are concatenated in chunk order, matching the serial ascending-id scan
-  // at any thread count.
-  auto collect = [&](const HierarchicalRelation& rel,
-                     std::vector<Item>& out) -> Status {
-    std::vector<std::vector<Item>> per_chunk(rel.num_chunks());
-    ParallelOptions par;
-    par.threads = options.inference.threads;
-    HIREL_RETURN_IF_ERROR(ParallelFor(
-        per_chunk.size(), par,
-        [&](size_t /*chunk*/, size_t lo, size_t hi) -> Status {
-          for (size_t c = lo; c < hi; ++c) {
-            rel.ForEachLiveInChunk(c, [&](TupleId id) {
-              per_chunk[c].push_back(rel.ItemAt(id).ToItem());
-            });
-          }
-          return Status::OK();
-        }));
-    for (std::vector<Item>& chunk : per_chunk) {
-      out.insert(out.end(), std::make_move_iterator(chunk.begin()),
-                 std::make_move_iterator(chunk.end()));
-    }
-    return Status::OK();
-  };
   std::vector<Item> candidates;
-  HIREL_RETURN_IF_ERROR(collect(left, candidates));
-  HIREL_RETURN_IF_ERROR(collect(right, candidates));
+  for (TupleId id : left.TupleIds()) {
+    candidates.push_back(left.ItemAt(id).ToItem());
+  }
+  for (TupleId id : right.TupleIds()) {
+    candidates.push_back(right.ItemAt(id).ToItem());
+  }
   // Cross MCDs: where overlapping-but-incomparable classes from the two
   // relations meet, the combined truth can differ from either default (e.g.
   // an intersection is true only inside the overlap).
@@ -77,10 +55,12 @@ Result<HierarchicalRelation> SetOp(
 
   return DeriveRelation(
       StrCat(left.name(), "_", op_name, "_", right.name()), schema,
-      std::move(candidates), options.inference,
-      [&](const Item& item, const InferenceOptions& opts) -> Result<Truth> {
-        HIREL_ASSIGN_OR_RETURN(Truth lt, InferTruth(left, item, opts));
-        HIREL_ASSIGN_OR_RETURN(Truth rt, InferTruth(right, item, opts));
+      std::move(candidates),
+      [&](const Item& item) -> Result<Truth> {
+        HIREL_ASSIGN_OR_RETURN(Truth lt,
+                               InferTruth(left, item, options.inference));
+        HIREL_ASSIGN_OR_RETURN(Truth rt,
+                               InferTruth(right, item, options.inference));
         return combine(lt == Truth::kPositive, rt == Truth::kPositive)
                    ? Truth::kPositive
                    : Truth::kNegative;

@@ -29,27 +29,20 @@ struct InferenceOptions {
   /// Safety cap on the product-interval search used by on-path preemption.
   size_t on_path_search_limit = 100000;
 
-  /// Degree of parallelism for the kernels built on inference (consolidate,
-  /// explicate, select/project/join/setops, DERIVE rounds): 1 is serial,
-  /// 0 means one thread per hardware thread. Results are byte-identical at
-  /// any value. Inference itself (one strongest-binding computation) is
-  /// always sequential; kernels partition their per-item probes across the
-  /// shared ThreadPool. Concurrent probes are safe because they only read
-  /// the relation and the hierarchies' immutable ReachabilitySnapshots.
-  size_t threads = 1;
+  /// Always 1: every kernel is one serial pass. A constant, not a knob;
+  /// kept only for hqlbench/probes.cc, which passes it to
+  /// SubsumptionCache::Get, and goes when ROADMAP item 1 switches that
+  /// probe to Get(relation).
+  static constexpr size_t threads = 1;
 
   /// When non-null, incremented once per strongest-binding computation (the
   /// unit of subsumption work). The plan executor points this at per-node
   /// counters so EXPLAIN ANALYZE can report probe counts.
   ///
   /// Threading contract: the counter is bumped with a plain (non-atomic)
-  /// increment, so a given InferenceOptions value must only ever be used
-  /// from one thread at a time. Parallel kernels therefore never share
-  /// this pointer across workers: each chunk of work runs with a copy of
-  /// the options whose probe_counter targets a chunk-local tally, and the
-  /// tallies are summed into the original counter after the parallel
-  /// region joins — on the calling thread, exactly once. Totals (and thus
-  /// EXPLAIN ANALYZE) are exact and identical to serial execution.
+  /// increment, so a given InferenceOptions value, and the counter it
+  /// points at, must only be used from one thread at a time. Every kernel
+  /// probes on its calling thread, so one query's totals are exact.
   uint64_t* probe_counter = nullptr;
 };
 

@@ -3,51 +3,9 @@
 #include <algorithm>
 
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/subsumption.h"
 
 namespace hirel {
-
-namespace {
-
-/// Expands one tuple's class values on the explicated attributes into the
-/// enumerated items, in odometer order, truncated at `cap` items. Pure
-/// per-tuple work, safe to run for many tuples concurrently.
-std::vector<Item> ExpandTuple(const Schema& schema, const TupleView& t,
-                              const std::vector<bool>& explicated,
-                              size_t cap) {
-  std::vector<std::vector<NodeId>> choices(schema.size());
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (explicated[i] && schema.hierarchy(i)->is_class(t.item[i])) {
-      choices[i] = schema.hierarchy(i)->AtomsUnder(t.item[i]);
-      if (choices[i].empty()) {
-        return {};  // a class with no instances denotes nothing
-      }
-    } else {
-      choices[i] = {t.item[i]};
-    }
-  }
-
-  std::vector<Item> items;
-  Item current(schema.size());
-  std::vector<size_t> idx(schema.size(), 0);
-  while (items.size() < cap) {
-    for (size_t i = 0; i < schema.size(); ++i) current[i] = choices[i][idx[i]];
-    items.push_back(current);
-    size_t k = schema.size();
-    bool done = false;
-    while (k > 0) {
-      --k;
-      if (++idx[k] < choices[k].size()) break;
-      idx[k] = 0;
-      if (k == 0) done = true;
-    }
-    if (done) break;
-  }
-  return items;
-}
-
-}  // namespace
 
 Result<HierarchicalRelation> Explicate(const HierarchicalRelation& relation,
                                        const std::vector<size_t>& attrs,
@@ -94,74 +52,41 @@ Result<HierarchicalRelation> Explicate(const HierarchicalRelation& relation,
     return result.Insert(current, truth).status();
   };
 
-  if (options.inference.threads == 1) {
-    // Serial: stream each tuple's enumeration straight into the result,
-    // without materialising the expansion.
-    for (size_t r = 0; r < n; ++r) {
-      TupleView t = relation.tuple(graph.nodes[n - 1 - r]);
-      std::vector<std::vector<NodeId>> choices(schema.size());
-      bool empty_class = false;
-      for (size_t i = 0; i < schema.size(); ++i) {
-        if (explicated[i] && schema.hierarchy(i)->is_class(t.item[i])) {
-          choices[i] = schema.hierarchy(i)->AtomsUnder(t.item[i]);
-          if (choices[i].empty()) {
-            empty_class = true;  // a class with no instances denotes nothing
-            break;
-          }
-        } else {
-          choices[i] = {t.item[i]};
+  // Stream each tuple's enumeration straight into the result, without
+  // materialising the expansion.
+  for (size_t r = 0; r < n; ++r) {
+    TupleView t = relation.tuple(graph.nodes[n - 1 - r]);
+    std::vector<std::vector<NodeId>> choices(schema.size());
+    bool empty_class = false;
+    for (size_t i = 0; i < schema.size(); ++i) {
+      if (explicated[i] && schema.hierarchy(i)->is_class(t.item[i])) {
+        choices[i] = schema.hierarchy(i)->AtomsUnder(t.item[i]);
+        if (choices[i].empty()) {
+          empty_class = true;  // a class with no instances denotes nothing
+          break;
         }
-      }
-      if (empty_class) continue;
-
-      Item current(schema.size());
-      std::vector<size_t> idx(schema.size(), 0);
-      while (true) {
-        for (size_t i = 0; i < schema.size(); ++i) {
-          current[i] = choices[i][idx[i]];
-        }
-        HIREL_RETURN_IF_ERROR(merge_item(current, t.truth));
-        size_t k = schema.size();
-        bool done = false;
-        while (k > 0) {
-          --k;
-          if (++idx[k] < choices[k].size()) break;
-          idx[k] = 0;
-          if (k == 0) done = true;
-        }
-        if (done) break;
+      } else {
+        choices[i] = {t.item[i]};
       }
     }
-  } else {
-    // Phase 1: enumerate every tuple's items, most specific tuple first.
-    // The per-tuple odometer expansions run on the pool; they touch
-    // nothing shared. Each expansion is truncated at max_result_tuples + 1
-    // items: a tuple's items are pairwise distinct, so if the serial sweep
-    // would overflow while on some tuple, at least one of its first max+1
-    // items is absent from a full result — the truncated merge below hits
-    // the identical error at the identical point.
-    std::vector<std::vector<Item>> expansions(n);
-    ParallelOptions par;
-    par.threads = options.inference.threads;
-    HIREL_RETURN_IF_ERROR(ParallelFor(
-        n, par, [&](size_t /*chunk*/, size_t begin, size_t end) -> Status {
-          for (size_t r = begin; r < end; ++r) {
-            expansions[r] = ExpandTuple(schema,
-                                        relation.tuple(graph.nodes[n - 1 - r]),
-                                        explicated,
-                                        options.max_result_tuples + 1);
-          }
-          return Status::OK();
-        }));
+    if (empty_class) continue;
 
-    // Phase 2: serial merge, first claim of an item wins.
-    for (size_t r = 0; r < n; ++r) {
-      Truth truth = relation.tuple(graph.nodes[n - 1 - r]).truth;
-      for (const Item& current : expansions[r]) {
-        HIREL_RETURN_IF_ERROR(merge_item(current, truth));
+    Item current(schema.size());
+    std::vector<size_t> idx(schema.size(), 0);
+    while (true) {
+      for (size_t i = 0; i < schema.size(); ++i) {
+        current[i] = choices[i][idx[i]];
       }
-      expansions[r].clear();
-      expansions[r].shrink_to_fit();
+      HIREL_RETURN_IF_ERROR(merge_item(current, t.truth));
+      size_t k = schema.size();
+      bool done = false;
+      while (k > 0) {
+        --k;
+        if (++idx[k] < choices[k].size()) break;
+        idx[k] = 0;
+        if (k == 0) done = true;
+      }
+      if (done) break;
     }
   }
 

@@ -153,7 +153,7 @@ class HierarchicalRelation {
 
   /// Number of fixed-size scan chunks (TupleStore::kChunkTuples ids each)
   /// covering every slot, live or dead. A pure function of the append
-  /// count, so parallel chunk scans are deterministic.
+  /// count.
   size_t num_chunks() const { return store_.num_chunks(); }
 
   /// Invokes `fn` for every live id in chunk `chunk`, ascending.

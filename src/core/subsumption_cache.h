@@ -98,7 +98,8 @@ class SubsumptionCache {
 
   /// Source-compatible form for callers written against the former
   /// thread-count parameter (hqlbench/probes.cc); the count is ignored,
-  /// since graph builds are serial.
+  /// since graph builds are serial. Goes when ROADMAP item 1 switches that
+  /// probe to Get(relation).
   const SubsumptionGraph& Get(const HierarchicalRelation& relation,
                               size_t /*threads*/) {
     return Get(relation);

@@ -11,11 +11,9 @@
 // Contracts the kernels and the subsumption-graph cache depend on:
 //  * Append allocates ids sequentially: the id of the n-th Append is n,
 //    dead slots included. Ids are never reused.
-//  * LiveIds and the four subsumption/binding scans return ascending ids,
-//    so results are byte-identical across thread counts.
+//  * LiveIds and the four subsumption/binding scans return ascending ids.
 //  * Copies preserve ids, dead slots, and iteration order exactly.
-//  * Chunk boundaries are a pure function of capacity() and kChunkTuples,
-//    never of thread count, so chunked ParallelFor scans are deterministic.
+//  * Chunk boundaries are a pure function of capacity() and kChunkTuples.
 
 #ifndef HIREL_CORE_TUPLE_STORE_H_
 #define HIREL_CORE_TUPLE_STORE_H_

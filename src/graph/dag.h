@@ -34,7 +34,8 @@ inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 /// An immutable view answering "is v reachable from u?" for one version of
 /// a Dag. Built once per version stamp and shared via shared_ptr, so any
 /// number of threads can query it concurrently with no synchronization:
-/// this is what makes parallel strongest-binding probes safe and fast.
+/// readers on other threads (sessions sharing a Database) probe it while
+/// the owning Dag moves on to a new version.
 ///
 /// Two representations, chosen by graph size (Dag::closure_node_limit):
 ///  * closure-backed — one transitive-closure bitset row per node; every

@@ -182,12 +182,6 @@ struct SetPreemptionStmt {
   std::string mode;
 };
 
-/// SET THREADS n: session worker count for the parallel kernels
-/// (1 = serial, 0 = one per hardware thread).
-struct SetThreadsStmt {
-  int64_t threads = 1;
-};
-
 /// RULE 'head(args) :- body.': register a Datalog rule.
 struct RuleStmt {
   std::string text;
@@ -245,7 +239,7 @@ struct SetLogStmt {
 };
 
 /// EXPORT TRACE 'file.json': write the last query's trace (plus captured
-/// pool chunk spans) as Chrome trace-event JSON.
+/// wait spans) as Chrome trace-event JSON.
 struct ExportTraceStmt {
   std::string path;
 };
@@ -311,8 +305,8 @@ using Statement =
                  ConsolidateStmt, ExplicateStmt, ExtensionStmt, ShowStmt,
                  DropStmt, SaveStmt, LoadStmt, HelpStmt, CompressStmt,
                  BeginStmt, CommitStmt, AbortStmt, SetPreemptionStmt,
-                 SetThreadsStmt, RuleStmt, DeriveStmt, CountStmt,
-                 ShowBindingStmt, EliminateStmt, ExplainPlanStmt,
+                 RuleStmt, DeriveStmt, CountStmt, ShowBindingStmt,
+                 EliminateStmt, ExplainPlanStmt,
                  ResetMetricsStmt, SetSlowQueryStmt, SetLogStmt,
                  ExportTraceStmt, SetIncrementalStmt, SetTelemetryStmt,
                  CreateAlertStmt, DropAlertStmt, ExportDiagnosticsStmt,

@@ -13,7 +13,6 @@
 #include "algebra/select.h"
 #include "algebra/setops.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/consolidate.h"
 #include "core/explicate.h"
 #include "core/integrity.h"
@@ -90,9 +89,6 @@ struct TraceName {
   const char* operator()(const AbortStmt&) const { return "abort"; }
   const char* operator()(const SetPreemptionStmt&) const {
     return "set preemption";
-  }
-  const char* operator()(const SetThreadsStmt&) const {
-    return "set threads";
   }
   const char* operator()(const RuleStmt&) const { return "rule"; }
   const char* operator()(const DeriveStmt&) const { return "derive"; }
@@ -218,8 +214,9 @@ void LogSlowQuery(Database& db, const std::string& text,
   std::string nodes;
   AppendNodeActuals(root, stats, nodes);
   // Split the wall time into attributed wait vs execute so the log says
-  // whether a slow statement was working or waiting. Attributed waits on
-  // pool workers can overlap the caller's wall clock, so clamp at zero.
+  // whether a slow statement was working or waiting. The attributed-wait
+  // counter is process-wide, so waits on other threads can exceed this
+  // statement's wall clock; clamp at zero.
   const uint64_t wait_ns = stats.wait_ns > ns ? ns : stats.wait_ns;
   HIREL_LOG(obs::LogLevel::kWarn, "query", "slow_query",
             {{"text", text},
@@ -251,7 +248,6 @@ Result<std::string> Executor::Execute(std::string_view source) {
   HIREL_RETURN_IF_ERROR(parsed.status());
 
   active_trace_ = &trace;
-  ThreadPool::Shared().StartChunkCapture();
   obs::WaitEventRegistry::Global().StartCapture();
   bool keep_trace = false;
   std::string output;
@@ -274,13 +270,10 @@ Result<std::string> Executor::Execute(std::string_view source) {
   }
   active_trace_ = nullptr;
   current_statement_text_.clear();
-  std::vector<ThreadPool::ChunkSpan> chunks =
-      ThreadPool::Shared().StopChunkCapture();
   std::vector<obs::WaitEventRegistry::WaitSpan> waits =
       obs::WaitEventRegistry::Global().StopCapture();
   if (keep_trace) {
     trace_ = std::move(trace);
-    pool_spans_ = std::move(chunks);
     wait_spans_ = std::move(waits);
   }
   HIREL_RETURN_IF_ERROR(failure);
@@ -291,7 +284,6 @@ Result<std::string> Executor::ExecuteStatement(const Statement& statement) {
   if (active_trace_ != nullptr) return ExecuteTracked(statement);
   obs::Trace trace;
   active_trace_ = &trace;
-  ThreadPool::Shared().StartChunkCapture();
   obs::WaitEventRegistry::Global().StartCapture();
   db_->metrics().counter("query.statements").Add();
   Result<std::string> result = [&]() {
@@ -299,14 +291,11 @@ Result<std::string> Executor::ExecuteStatement(const Statement& statement) {
     return ExecuteTracked(statement);
   }();
   active_trace_ = nullptr;
-  std::vector<ThreadPool::ChunkSpan> chunks =
-      ThreadPool::Shared().StopChunkCapture();
   std::vector<obs::WaitEventRegistry::WaitSpan> waits =
       obs::WaitEventRegistry::Global().StopCapture();
   if (!result.ok()) db_->metrics().counter("query.errors").Add();
   if (TraceWorthy(statement)) {
     trace_ = std::move(trace);
-    pool_spans_ = std::move(chunks);
     wait_spans_ = std::move(waits);
   }
   return result;
@@ -323,10 +312,6 @@ void Executor::InstallSystemCatalog() {
   telemetry_.SetAlertManager(&alerts_);
   obs::RegisterSystemCatalog(*db_, &history_, &telemetry_, &alerts_,
                              [this] { return SessionSettings(); });
-  // A fresh registry carries the session gauge from the start, so
-  // sys.metrics (and `ALL exec`) resolves before any SET THREADS.
-  db_->metrics().gauge("exec.threads")
-      .Set(static_cast<int64_t>(options_.threads));
 }
 
 std::vector<obs::SessionSetting> Executor::SessionSettings() const {
@@ -334,7 +319,6 @@ std::vector<obs::SessionSetting> Executor::SessionSettings() const {
   auto on_off = [](bool on) { return Value::String(on ? "on" : "off"); };
   std::string dir = alerts_.diagnostics_dir();
   return {
-      {"threads", num(ThreadPool::EffectiveThreads(options_.threads))},
       {"incremental", on_off(incremental_)},
       {"preemption",
        Value::String(PreemptionModeToString(options_.preemption))},
@@ -371,7 +355,6 @@ Result<std::string> Executor::ExecuteTracked(const Statement& statement) {
   stats.subsumption_probes = pending_.subsumption_probes;
   stats.peak_tracked_bytes = obs::TrackedPeakBytes();
   stats.plan_digest = pending_.digest;
-  stats.threads = ThreadPool::EffectiveThreads(options_.threads);
   history_.Append(std::move(stats));
   DrainAlertCaptures();
   return result;
@@ -467,7 +450,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       }
       plan::ExecOptions exec;
       exec.inference = self.options_;
-      exec.threads = self.options_.threads;
       exec.cache = &db.subsumption_cache();
       exec.trace = self.active_trace_;
       // Arming the slow-query log collects per-node actuals for every
@@ -679,7 +661,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       // each node's actual rows, wall time, and subsumption probes.
       plan::ExecOptions exec;
       exec.inference = self.options_;
-      exec.threads = self.options_.threads;
       exec.cache = &db.subsumption_cache();
       exec.trace = self.active_trace_;
       exec.collect_node_stats = true;
@@ -1089,26 +1070,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
                     PreemptionModeToString(self.options_.preemption), "\n");
     }
 
-    Result<std::string> operator()(const SetThreadsStmt& stmt) {
-      if (stmt.threads < 0 || stmt.threads > 1024) {
-        return Status::InvalidArgument(
-            StrCat("SET THREADS expects 0 (auto) or 1..1024, got ",
-                   stmt.threads));
-      }
-      self.options_.threads = static_cast<size_t>(stmt.threads);
-      db.metrics().gauge("exec.threads")
-          .Set(static_cast<int64_t>(self.options_.threads));
-      HIREL_LOG(obs::LogLevel::kInfo, "pool", "resize",
-                {{"threads", StrCat(self.options_.threads)},
-                 {"effective",
-                  StrCat(ThreadPool::EffectiveThreads(self.options_.threads))}});
-      if (stmt.threads == 0) {
-        return StrCat("threads: auto (",
-                      ThreadPool::EffectiveThreads(0), " effective)\n");
-      }
-      return StrCat("threads: ", self.options_.threads, "\n");
-    }
-
     Result<std::string> operator()(const SaveStmt& stmt) {
       HIREL_RETURN_IF_ERROR(SaveDatabase(db, stmt.path));
       return StrCat("saved to '", stmt.path, "'\n");
@@ -1139,7 +1100,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
     Result<std::string> operator()(const ResetMetricsStmt&) {
       db.metrics().Reset();
       db.subsumption_cache().ResetStats();
-      ThreadPool::Shared().ResetStats();
       obs::WaitEventRegistry::Global().Reset();
       return std::string("metrics reset\n");
     }
@@ -1203,8 +1163,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
     }
 
     Result<std::string> operator()(const ExportTraceStmt& stmt) {
-      std::string json = obs::ChromeTraceJson(self.trace_, self.pool_spans_,
-                                              self.wait_spans_);
+      std::string json = obs::ChromeTraceJson(self.trace_, self.wait_spans_);
       std::FILE* file = std::fopen(stmt.path.c_str(), "w");
       if (file == nullptr) {
         return Status::IoError(

@@ -11,7 +11,6 @@
 
 #include "catalog/database.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/binding.h"
 #include "core/transaction.h"
 #include "hql/ast.h"
@@ -53,12 +52,6 @@ class Executor {
   /// The last completed query's span tree (what SHOW TRACE renders).
   const obs::Trace& last_trace() const { return trace_; }
 
-  /// Pool chunk spans captured while the last trace-worthy script ran
-  /// (what EXPORT TRACE places on per-worker tracks).
-  const std::vector<ThreadPool::ChunkSpan>& last_pool_spans() const {
-    return pool_spans_;
-  }
-
   /// The per-query resource-accounting ring (what sys.queries and SHOW
   /// QUERIES expose). Every executed statement is recorded, pass or fail.
   const obs::QueryHistoryRing& query_history() const { return history_; }
@@ -86,9 +79,8 @@ class Executor {
     std::string digest;  // last plan's digest
   };
 
-  /// Registers the sys.* virtual-relation providers on db_ and publishes
-  /// the exec.threads gauge into its registry. Called from both
-  /// constructors and again after LOAD replaces the database.
+  /// Registers the sys.* virtual-relation providers on db_. Called from
+  /// both constructors and again after LOAD replaces the database.
   void InstallSystemCatalog();
 
   /// The sys.session rows: current settings and sampler state.
@@ -146,11 +138,8 @@ class Executor {
   // each statement in turn) — what the slow-query log records.
   std::string current_statement_text_;
 
-  // Pool chunk spans recorded while trace_ was captured.
-  std::vector<ThreadPool::ChunkSpan> pool_spans_;
-
   // Wait spans recorded while trace_ was captured (EXPORT TRACE places
-  // them on the same per-worker tracks as the chunk spans).
+  // them on the session track).
   std::vector<obs::WaitEventRegistry::WaitSpan> wait_spans_;
 
   // The trace being recorded for the current Execute call (null outside

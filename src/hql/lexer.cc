@@ -55,7 +55,7 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
 
     if (IsIdentStart(c)) {
       size_t start = pos;
-      // Dots join qualified names (sys.metrics, pool.thread0) into one
+      // Dots join qualified names (sys.metrics, cache.patched) into one
       // identifier, but only when another identifier character follows, so
       // a sentence-ending dot is left to the punctuation error path.
       while (pos < source.size() &&

@@ -547,14 +547,6 @@ class Parser {
       return Statement(ResetMetricsStmt{});
     }
     if (AcceptKeyword("SET")) {
-      if (AcceptKeyword("THREADS")) {
-        if (Peek().type != TokenType::kInteger) {
-          return Error("SET THREADS expects an integer");
-        }
-        SetThreadsStmt stmt;
-        stmt.threads = Advance().int_value;
-        return Statement(stmt);
-      }
       if (AcceptKeyword("SLOW_QUERY_MS")) {
         SetSlowQueryStmt stmt;
         if (Check(TokenType::kInteger)) {

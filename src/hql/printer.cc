@@ -34,7 +34,6 @@ std::string HelpText() {
     COUNT r [BY attr];                           -- extension statistics
     COMPRESS r;                                  -- re-encode minimally
     SET PREEMPTION offpath;                      -- or onpath / none
-    SET THREADS 4;                               -- parallel kernels; 0 = auto, 1 = serial
     SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
                                                  -- consolidate, semi-naive DERIVE
     SHOW STORAGE [JSON];                         -- sys.relations + sys.columns
@@ -82,20 +81,19 @@ std::string HelpText() {
 
   system catalog (read-only virtual relations; SELECT/JOIN like any other)
     sys.metrics    -- every counter/gauge/histogram; name is hierarchical,
-                   -- so SELECT ... WHERE name = ALL pool covers the subtree
+                   -- so SELECT ... WHERE name = ALL cache covers the subtree
     sys.log        -- event-log ring; severity hierarchy debug>info>warn>error
     sys.relations  -- stored + virtual relations with kind, tuples and bytes
     sys.columns    -- per-column byte breakdown
     sys.cache      -- subsumption-cache entries with version stamps
-    sys.pool       -- per-thread busy time
     sys.queries    -- per-query accounting (ok, wall, wait, rows, probes, peak bytes)
     sys.waits      -- wait-event aggregates with p50/p90/p99; site hierarchy classed by
                    -- cpu_queue/latch/lock/io, so WHERE site = ALL latch works
     sys.metrics_history -- the telemetry sampler's rings; name shares the
-                   -- sys.metrics hierarchy, so WHERE name = ALL pool works
+                   -- sys.metrics hierarchy, so WHERE name = ALL cache works
     sys.alerts     -- alert rules + state; severity chain info>warn>crit,
                    -- so WHERE severity = ALL warn covers warn and crit
-    sys.health     -- one verdict per component (pool/wal/cache/queries/telemetry)
+    sys.health     -- one verdict per component (wal/cache/queries/telemetry)
                    -- plus an overall row, each naming its worst firing alert
     sys.session    -- session settings and telemetry sampler state (key, value)
 )";

@@ -20,7 +20,7 @@ constexpr std::array kReservedWords = {
     "SET",         "PREEMPTION", "RULE",      "DERIVE",    "RULES",
     "COUNT",       "BY",        "SUBSUMPTION", "BINDING",   "PLAN",
     "ANALYZE",     "METRICS",   "TRACE",     "RESET",     "JSON",
-    "THREADS",     "LOG",       "EXPORT",    "PROMETHEUS",
+    "LOG",         "EXPORT",    "PROMETHEUS",
     "SLOW_QUERY_MS", "STORAGE",   "QUERIES",   "INCREMENTAL",
     "TELEMETRY",   "INTERVAL",
 };

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_stats.h"
@@ -58,7 +58,6 @@ LogLevel SeverityLogLevel(AlertSeverity severity) {
 }
 
 constexpr char kWatchdogSlowQuery[] = "watchdog.slow_query";
-constexpr char kWatchdogPoolQueue[] = "watchdog.pool_queue";
 constexpr char kWatchdogIoShare[] = "watchdog.io_wait_share";
 constexpr char kWatchdogLatchShare[] = "watchdog.latch_wait_share";
 
@@ -137,9 +136,6 @@ const char* HealthVerdictName(HealthVerdict verdict) {
 }
 
 const char* AlertComponent(std::string_view metric) {
-  if (HasPrefix(metric, "pool.") || metric == kWatchdogPoolQueue) {
-    return "pool";
-  }
   if (HasPrefix(metric, "wal.") || HasPrefix(metric, "snapshot.") ||
       metric == kWatchdogIoShare) {
     return "wal";
@@ -187,10 +183,10 @@ ComponentHealth FoldHealth(std::string component,
 
 std::vector<ComponentHealth> DeriveHealth(
     const std::vector<AlertSnapshot>& alerts) {
-  static constexpr const char* kComponents[] = {"pool", "wal", "cache",
-                                                "queries", "telemetry"};
+  static constexpr const char* kComponents[] = {"wal", "cache", "queries",
+                                                "telemetry"};
   std::vector<ComponentHealth> out;
-  out.reserve(5);
+  out.reserve(std::size(kComponents));
   for (const char* component : kComponents) {
     out.push_back(FoldHealth(component, alerts, [&](const AlertSnapshot& a) {
       return std::string_view(AlertComponent(a.rule.metric)) == component;
@@ -221,7 +217,6 @@ AlertManager::AlertManager() {
     rules_.emplace(rs.rule.name, std::move(rs));
   };
   builtin("watchdog_slow_query", kWatchdogSlowQuery, AlertSeverity::kWarn);
-  builtin("watchdog_pool_queue", kWatchdogPoolQueue, AlertSeverity::kWarn);
   builtin("watchdog_io_wait", kWatchdogIoShare, AlertSeverity::kWarn);
   builtin("watchdog_latch_wait", kWatchdogLatchShare, AlertSeverity::kWarn);
 }
@@ -365,18 +360,6 @@ void AlertManager::EvaluateWatchdogLocked(RuleState& rs, uint64_t seq,
     }
     last_query_id_ = max_id;
     ObserveLocked(rs, breach, breach ? worst_ms : 0, seq, epoch_ms);
-    return;
-  }
-  if (metric == kWatchdogPoolQueue) {
-    rs.rule.threshold = watchdog_.pool_queue_depth;
-    if (watchdog_.pool_queue_depth < 0) {
-      ObserveLocked(rs, false, rs.last_value, seq, epoch_ms);
-      return;
-    }
-    int64_t depth = static_cast<int64_t>(
-        ThreadPool::Shared().GetStats().queue_depth);
-    ObserveLocked(rs, depth > watchdog_.pool_queue_depth, depth, seq,
-                  epoch_ms);
     return;
   }
   // The wait-share rules need per-tick deltas, prepared by OnTick into

@@ -15,16 +15,16 @@
 //
 // A built-in stall watchdog rides the same tick: completed queries whose
 // wall time exceeds a configurable budget (from the query-history ring),
-// pool queue saturation, and io/latch wait-class shares of wall time over
-// a threshold (per-tick deltas from the WaitEventRegistry). Watchdog
-// rules look exactly like user rules in SHOW ALERTS / sys.alerts but are
-// marked builtin and cannot be dropped.
+// and io/latch wait-class shares of wall time over a threshold (per-tick
+// deltas from the WaitEventRegistry). Watchdog rules look exactly like
+// user rules in SHOW ALERTS / sys.alerts but are marked builtin and cannot
+// be dropped.
 //
 // Severities form a subsumption chain (info ⊂ warn ⊂ crit) mirrored as a
 // hidden hierarchy behind sys.alerts, so `WHERE severity = ALL warn`
 // selects warn+crit rows — the paper's hierarchy machinery applied to the
 // engine's own health. SHOW HEALTH / sys.health fold the firing set into
-// one verdict per component (pool, wal, cache, queries, telemetry).
+// one verdict per component (wal, cache, queries, telemetry).
 //
 // When `SET DIAGNOSTICS_DIR` is active, each fire transition enqueues at
 // most one capture request; the executor drains the queue after the next
@@ -94,7 +94,6 @@ struct AlertSnapshot {
 /// built-in rule then reads as ok (and resolves if it was firing).
 struct WatchdogConfig {
   int64_t query_budget_ms = 10000;  // completed-query wall-time budget
-  int64_t pool_queue_depth = 1024;  // unclaimed pool chunks at tick time
   double io_share = 0.95;     // io wait ns / wall ns between ticks
   double latch_share = 0.95;  // latch wait ns / wall ns between ticks
 };
@@ -114,7 +113,7 @@ struct ComponentHealth {
 const char* AlertComponent(std::string_view metric);
 
 /// Folds an alert snapshot into one verdict per component. Always emits
-/// the five fixed components (pool, wal, cache, queries, telemetry) so
+/// the four fixed components (wal, cache, queries, telemetry) so
 /// SHOW HEALTH reads the same whether or not anything is wrong.
 std::vector<ComponentHealth> DeriveHealth(
     const std::vector<AlertSnapshot>& alerts);

@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/str_util.h"
@@ -11,10 +10,11 @@ namespace obs {
 
 namespace {
 
-// Query spans render on tid 1; pool thread i (0 = callers) on tid 100 + i,
-// far enough apart that the two groups never collide.
+// Query spans render on tid 1, wait spans on tid 2 (the session track): a
+// wait may be recorded by another thread while the trace is captured, so
+// it need not nest inside the query spans.
 constexpr int kQueryTid = 1;
-constexpr int kPoolTidBase = 100;
+constexpr int kSessionTid = 2;
 
 void AppendMicros(std::string& out, uint64_t ns) {
   char buf[32];
@@ -139,7 +139,7 @@ void AppendHelpLine(std::string& out, const std::string& name,
 }  // namespace
 
 std::string ChromeTraceJson(
-    const Trace& trace, const std::vector<ThreadPool::ChunkSpan>& pool,
+    const Trace& trace,
     const std::vector<WaitEventRegistry::WaitSpan>& waits) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -153,29 +153,17 @@ std::string ChromeTraceJson(
   sep();
   AppendMetaEvent(out, kQueryTid, "thread_name", "query");
 
-  // Pool spans are stamped on the absolute steady clock; the trace epoch
+  // Wait spans are stamped on the absolute steady clock; the trace epoch
   // (also steady) anchors them to the same zero as the span offsets.
   uint64_t epoch = trace.epoch_ns();
   if (epoch == 0) {
-    for (const auto& c : pool) {
-      if (epoch == 0 || c.start_ns < epoch) epoch = c.start_ns;
-    }
     for (const auto& w : waits) {
       if (epoch == 0 || w.start_ns < epoch) epoch = w.start_ns;
     }
   }
-
-  std::vector<size_t> pool_threads;
-  for (const auto& c : pool) pool_threads.push_back(c.worker);
-  for (const auto& w : waits) pool_threads.push_back(w.track);
-  std::sort(pool_threads.begin(), pool_threads.end());
-  pool_threads.erase(std::unique(pool_threads.begin(), pool_threads.end()),
-                     pool_threads.end());
-  for (size_t t : pool_threads) {
+  if (!waits.empty()) {
     sep();
-    AppendMetaEvent(out, kPoolTidBase + static_cast<int>(t), "thread_name",
-                    t == 0 ? std::string("pool caller")
-                           : StrCat("pool worker ", t - 1));
+    AppendMetaEvent(out, kSessionTid, "thread_name", "session");
   }
 
   for (const auto& span : trace.spans()) {
@@ -183,22 +171,9 @@ std::string ChromeTraceJson(
     AppendSpanEvent(out, *span);
   }
 
-  for (const auto& c : pool) {
-    sep();
-    out += StrCat("{\"ph\":\"X\",\"pid\":1,\"tid\":",
-                  kPoolTidBase + static_cast<int>(c.worker),
-                  ",\"name\":\"chunk\",\"ts\":");
-    AppendMicros(out, c.start_ns >= epoch ? c.start_ns - epoch : 0);
-    out += ",\"dur\":";
-    AppendMicros(out, c.dur_ns);
-    out += StrCat(",\"args\":{\"chunk\":", c.chunk, ",\"region\":", c.region,
-                  "}}");
-  }
-
   for (const auto& w : waits) {
     sep();
-    out += StrCat("{\"ph\":\"X\",\"pid\":1,\"tid\":",
-                  kPoolTidBase + static_cast<int>(w.track),
+    out += StrCat("{\"ph\":\"X\",\"pid\":1,\"tid\":", kSessionTid,
                   ",\"name\":\"wait:", w.site, "\",\"cat\":\"wait\",\"ts\":");
     AppendMicros(out, w.start_ns >= epoch ? w.start_ns - epoch : 0);
     out += ",\"dur\":";

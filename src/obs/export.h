@@ -1,11 +1,10 @@
 // Exporters: the engine's own observability state rendered in the two
 // interchange formats external tools actually consume.
 //
-//  * ChromeTraceJson turns the last query's span tree (plus the thread
-//    pool's captured chunk spans) into Chrome trace-event JSON, loadable
-//    in chrome://tracing or Perfetto. Query spans land on one track; each
-//    pool thread (caller + workers) gets its own named track, so parallel
-//    kernels render as the timeline they really were.
+//  * ChromeTraceJson turns the last query's span tree (plus the wait
+//    spans captured while it ran) into Chrome trace-event JSON, loadable
+//    in chrome://tracing or Perfetto. Query spans land on one track and
+//    wait spans on a second, session track.
 //  * PrometheusText renders a MetricsRegistry in the Prometheus text
 //    exposition format: `# TYPE` lines, sanitized metric names, and
 //    cumulative histogram buckets with `le` labels; with a wait registry
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/wait.h"
@@ -30,16 +28,14 @@
 namespace hirel {
 namespace obs {
 
-/// Chrome trace-event JSON for `trace`, the pool chunk spans, and the
-/// wait spans captured while it ran. Span start offsets come from
-/// TraceSpan::start_ns; pool and wait spans carry absolute steady-clock
-/// stamps and are aligned by subtracting trace.epoch_ns() (or the
-/// earliest pool stamp when the trace is empty). Wait spans render as
-/// "wait:<site>" events on the pool-thread track their wait happened on
-/// (track 0 = the caller/session thread), so working and waiting
-/// interleave on the same timeline.
+/// Chrome trace-event JSON for `trace` and the wait spans captured while
+/// it ran. Span start offsets come from TraceSpan::start_ns; wait spans
+/// carry absolute steady-clock stamps and are aligned by subtracting
+/// trace.epoch_ns() (or the earliest wait stamp when the trace is empty).
+/// Wait spans render as "wait:<site>" events on the session track, beside
+/// the query spans on one timeline.
 std::string ChromeTraceJson(
-    const Trace& trace, const std::vector<ThreadPool::ChunkSpan>& pool,
+    const Trace& trace,
     const std::vector<WaitEventRegistry::WaitSpan>& waits = {});
 
 /// Prometheus text exposition of every metric in `metrics`. Names are

@@ -142,8 +142,8 @@ Logger::Logger(LogLevel min_level, size_t ring_capacity)
 }
 
 Logger& Logger::Global() {
-  // Leaked like ThreadPool::Shared(): pool workers may log during static
-  // teardown, when a destroyed logger would be a use-after-free.
+  // Leaked on purpose: a background thread may log during static teardown,
+  // when a destroyed logger would be a use-after-free.
   static Logger* logger = new Logger();
   return *logger;
 }

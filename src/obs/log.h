@@ -16,9 +16,9 @@
 // a single predicted branch (a relaxed atomic level compare) before any
 // argument is evaluated, so a disabled logger costs one compare per site.
 //
-// The logger is process-wide (`Logger::Global()`), like the thread pool:
-// the components it observes — WAL, snapshots, the pool itself — are not
-// all owned by one Database. Independent instances can be constructed for
+// The logger is process-wide (`Logger::Global()`): the components it
+// observes — WAL, snapshots, the subsumption cache — are not all owned by
+// one Database. Independent instances can be constructed for
 // tests.
 
 #ifndef HIREL_OBS_LOG_H_
@@ -58,7 +58,7 @@ struct LogEvent {
   uint64_t seq = 0;           // per-logger, monotonically increasing
   uint64_t unix_micros = 0;   // wall-clock timestamp
   LogLevel level = LogLevel::kInfo;
-  std::string component;      // "wal", "txn", "catalog", "pool", ...
+  std::string component;      // "wal", "txn", "catalog", "alerts", ...
   std::string event;          // "checkpoint", "commit", "drop_relation", ...
   std::vector<std::pair<std::string, std::string>> fields;
 
@@ -122,7 +122,7 @@ using LogFields =
     std::initializer_list<std::pair<std::string_view, std::string>>;
 
 /// Owner of sinks and the minimum level. Thread-safe: events may be
-/// emitted from pool workers concurrently with queries.
+/// emitted from the telemetry sampler concurrently with queries.
 class Logger {
  public:
   /// Constructs a logger with one RingSink of `ring_capacity` events.

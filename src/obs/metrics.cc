@@ -161,7 +161,6 @@ std::map<std::string, HelpEntry, std::less<>>& HelpTable() {
       {"plan.", {"query-plan compilation and rewrite activity", true}},
       {"cache.", {"subsumption-cache activity", true}},
       {"subsumption_cache.", {"subsumption-cache occupancy", true}},
-      {"pool.", {"thread-pool scheduling activity", true}},
       {"wal.", {"write-ahead-log activity", true}},
       {"snapshot.", {"database snapshot save/load activity", true}},
       {"storage.", {"tuple-store occupancy", true}},
@@ -173,7 +172,6 @@ std::map<std::string, HelpEntry, std::less<>>& HelpTable() {
       {"watchdog.", {"stall-watchdog observations", true}},
       {"process.uptime_ms", {"milliseconds since process start", false}},
       {"process.rss_bytes", {"resident set size in bytes", false}},
-      {"exec.threads", {"configured worker thread count", false}},
   };
   return *table;
 }

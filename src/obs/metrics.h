@@ -224,8 +224,8 @@ void UpdateProcessGauges(MetricsRegistry& registry);
 /// Metric-description registry backing the Prometheus exporter's `# HELP`
 /// lines. Descriptions are process-wide (metric names are a shared
 /// namespace across registries). Lookup resolves an exact name first, then
-/// the longest registered dotted-prefix rule ("pool." covers
-/// pool.thread3.busy_ms), then a generic fallback, so every exported
+/// the longest registered dotted-prefix rule ("cache." covers
+/// cache.patched), then a generic fallback, so every exported
 /// metric has help text.
 void RegisterMetricHelp(std::string_view name, std::string_view help);
 std::string MetricHelp(std::string_view name);

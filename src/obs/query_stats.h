@@ -46,7 +46,6 @@ struct QueryStats {
   uint64_t subsumption_probes = 0;  // exact; matches EXPLAIN ANALYZE totals
   uint64_t peak_tracked_bytes = 0;  // kernel candidate-buffer peak
   std::string plan_digest;       // structural digest; empty if unplanned
-  size_t threads = 0;            // effective worker count
 };
 
 /// Bounded history of the last `capacity` queries: one writer, any number

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -30,8 +29,8 @@ struct SysDomains {
 };
 
 /// Interns a metric name into the metric-name hierarchy: one class per
-/// dotted prefix ("pool", "pool.thread0"), the full name as an instance
-/// under the deepest prefix. `ALL pool` then covers the pool.* subtree.
+/// dotted prefix ("waits", "waits.io"), the full name as an instance
+/// under the deepest prefix. `ALL waits` then covers the waits.* subtree.
 NodeId InternMetricName(Hierarchy& h, const std::string& name) {
   NodeId parent = h.root();
   size_t pos = 0;
@@ -380,42 +379,6 @@ class SysCacheProvider : public SysProviderBase {
   const Database* db_;
 };
 
-// ----- sys.pool -------------------------------------------------------------
-
-class SysPoolProvider : public SysProviderBase {
- public:
-  using SysProviderBase::SysProviderBase;
-
-  size_t EstimatedRows() override {
-    return ThreadPool::Shared().GetStats().per_thread_busy_ns.size();
-  }
-
-  Result<HierarchicalRelation> Materialize() override {
-    HierarchicalRelation rel = NewRelation();
-    ThreadPool::Stats stats = ThreadPool::Shared().GetStats();
-    for (size_t i = 0; i < stats.per_thread_busy_ns.size(); ++i) {
-      HIREL_RETURN_IF_ERROR(AddRow(
-          rel, Item{Label(ThreadName(i)),
-                    Num(stats.per_thread_busy_ns[i] / 1'000'000)}));
-    }
-    return rel;
-  }
-
- protected:
-  void RefreshDomains() override {
-    ThreadPool::Stats stats = ThreadPool::Shared().GetStats();
-    for (size_t i = 0; i < stats.per_thread_busy_ns.size(); ++i) {
-      Label(ThreadName(i));
-      Num(stats.per_thread_busy_ns[i] / 1'000'000);
-    }
-  }
-
- private:
-  static std::string ThreadName(size_t i) {
-    return i == 0 ? std::string("caller") : StrCat("worker", i - 1);
-  }
-};
-
 // ----- sys.queries ----------------------------------------------------------
 
 class SysQueriesProvider : public SysProviderBase {
@@ -463,8 +426,7 @@ class SysQueriesProvider : public SysProviderBase {
                 Num(q.rows_out),
                 Num(q.subsumption_probes),
                 Num(q.peak_tracked_bytes),
-                Label(q.plan_digest.empty() ? "-" : q.plan_digest),
-                Num(q.threads)};
+                Label(q.plan_digest.empty() ? "-" : q.plan_digest)};
   }
 
   const QueryHistoryRing* history_;
@@ -787,10 +749,6 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                   {"patched", domains.num},
                   {"rebuilt", domains.num}}),
       domains, &db));
-  (void)db.RegisterVirtualRelation(std::make_unique<SysPoolProvider>(
-      "sys.pool",
-      MakeSchema({{"thread", domains.label}, {"busy_ms", domains.num}}),
-      domains));
   (void)db.RegisterVirtualRelation(std::make_unique<SysQueriesProvider>(
       "sys.queries",
       MakeSchema({{"id", domains.num},
@@ -803,8 +761,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                   {"rows_out", domains.num},
                   {"probes", domains.num},
                   {"peak_bytes", domains.num},
-                  {"digest", domains.label},
-                  {"threads", domains.num}}),
+                  {"digest", domains.label}}),
       domains, history));
   (void)db.RegisterVirtualRelation(std::make_unique<SysWaitsProvider>(
       "sys.waits",
@@ -875,21 +832,6 @@ void SyncEngineGauges(const Database& db) {
   m.gauge("cache.rebuilt").Set(static_cast<int64_t>(cache.stats().rebuilds));
   m.gauge("cache.journal_overflows")
       .Set(static_cast<int64_t>(cache.stats().journal_overflows));
-  ThreadPool::Stats pool = ThreadPool::Shared().GetStats();
-  m.gauge("pool.workers").Set(static_cast<int64_t>(pool.workers));
-  m.gauge("pool.regions").Set(static_cast<int64_t>(pool.regions));
-  m.gauge("pool.tasks_run").Set(static_cast<int64_t>(pool.tasks_run));
-  m.gauge("pool.steals").Set(static_cast<int64_t>(pool.steals));
-  m.gauge("pool.max_queue_depth")
-      .Set(static_cast<int64_t>(pool.max_queue_depth));
-  m.gauge("pool.busy_ms")
-      .Set(static_cast<int64_t>(pool.busy_ns / 1'000'000));
-  m.gauge("pool.queue_depth")
-      .Set(static_cast<int64_t>(pool.queue_depth));
-  for (size_t i = 0; i < pool.per_thread_busy_ns.size(); ++i) {
-    m.gauge(StrCat("pool.thread", i, ".busy_ms"))
-        .Set(static_cast<int64_t>(pool.per_thread_busy_ns[i] / 1'000'000));
-  }
   // Per-class wait-event totals (the coarse rollup of sys.waits), so the
   // metric surface — and with it the telemetry sampler — sees where the
   // engine blocks.

@@ -10,8 +10,8 @@
 //
 //   sys.metrics    (name, kind, value, bucket)   metric registry; names
 //                  live in a metric-name hierarchy built from their dotted
-//                  prefixes, so `WHERE name = ALL pool` selects the whole
-//                  pool.* subtree. Histograms explode into one row per
+//                  prefixes, so `WHERE name = ALL cache` selects the whole
+//                  cache.* subtree. Histograms explode into one row per
 //                  count/sum_ns/max_ns plus each non-empty bucket.
 //   sys.log        (seq, ts_us, level, component, message)   the event
 //                  ring; levels form the severity hierarchy debug ⊃ info ⊃
@@ -24,10 +24,8 @@
 //                  breakdown of every stored relation.
 //   sys.cache      (relation, version, graph_nodes)   SubsumptionCache
 //                  entries with their version stamps.
-//   sys.pool       (thread, busy_ms)   per-thread busy time of the shared
-//                  worker pool ("caller", "worker0", ...).
 //   sys.queries    (id, kind, statement, ok, wall_us, wait_us, rows_in,
-//                  rows_out, probes, peak_bytes, digest, threads)
+//                  rows_out, probes, peak_bytes, digest)
 //                  the executor's bounded query-history ring; ok is
 //                  "false" for a failed statement, wait_us the attributed
 //                  wait share of wall_us.
@@ -39,7 +37,7 @@
 //   sys.metrics_history  (name, seq, ts_ms, epoch_ms, value)   the
 //                  TelemetrySampler rings (SET TELEMETRY ON); `name`
 //                  shares the sys.metrics dotted-name hierarchy, so
-//                  `WHERE name = ALL pool` selects a subtree's history by
+//                  `WHERE name = ALL cache` selects a subtree's history by
 //                  subsumption; epoch_ms is the wall clock of the sample.
 //   sys.alerts     (alert, severity, state, metric, value, op, threshold,
 //                  for_samples, fires, builtin)   every alert rule (user +
@@ -48,10 +46,10 @@
 //                  `WHERE severity = ALL warn` selects warn and crit
 //                  alerts by subsumption.
 //   sys.health     (component, verdict, firing, worst_alert)   one verdict
-//                  per engine component (pool, wal, cache, queries,
-//                  telemetry) derived from the firing alerts, plus an
-//                  "overall" row folding every firing alert.
-//   sys.session    (key, value)   the session settings (threads,
+//                  per engine component (wal, cache, queries, telemetry)
+//                  derived from the firing alerts, plus an "overall" row
+//                  folding every firing alert.
+//   sys.session    (key, value)   the session settings (incremental,
 //                  preemption, telemetry, slow_query_ms, ...) and sampler
 //                  state (telemetry_ticks, telemetry_ring_capacity);
 //                  numeric settings are Int values.
@@ -100,7 +98,7 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
                            SessionSettingsFn session = nullptr);
 
 /// Refreshes the engine gauges derived from live structures — subsumption
-/// cache stats, thread-pool state, stored relation/byte totals,
+/// cache stats, wait-class totals, stored relation/byte totals,
 /// and the process gauges — so a sys.metrics scan (and SHOW METRICS
 /// PROMETHEUS) reflects current state.
 void SyncEngineGauges(const Database& db);

@@ -14,7 +14,7 @@
 // Exposure: the sys.metrics_history virtual relation (what SHOW
 // TELEMETRY [JSON] renders) explodes the rings into (name, seq, ts_ms,
 // epoch_ms, value) rows with `name` interned into the dotted metric-name
-// hierarchy, so `WHERE name = ALL pool` selects a whole subtree's history
+// hierarchy, so `WHERE name = ALL cache` selects a whole subtree's history
 // by subsumption.
 
 #ifndef HIREL_OBS_TELEMETRY_H_

@@ -57,8 +57,8 @@ class Trace {
   }
 
   /// Steady-clock nanosecond stamp of the first span's open (0 while the
-  /// trace is empty). Pool chunk spans recorded against the same clock can
-  /// be aligned to span start_ns offsets by subtracting this.
+  /// trace is empty). Wait spans recorded against the same clock can be
+  /// aligned to span start_ns offsets by subtracting this.
   uint64_t epoch_ns() const { return epoch_ns_; }
 
   /// Indented tree, one span per line with its wall time and notes.

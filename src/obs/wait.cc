@@ -8,13 +8,6 @@
 namespace hirel {
 namespace obs {
 
-namespace {
-
-// Track ordinal for span capture; workers overwrite at startup.
-thread_local size_t t_wait_track = 0;
-
-}  // namespace
-
 const char* WaitClassName(WaitClass cls) {
   switch (cls) {
     case WaitClass::kCpuQueue:
@@ -80,7 +73,7 @@ void WaitEventRegistry::RecordForOwner(const Site& site, uint64_t start_ns,
     std::lock_guard<std::mutex> lock(capture_mutex_);
     if (captured_.size() < kMaxCapturedWaits) {
       captured_.push_back(
-          WaitSpan{site.name_, site.cls_, t_wait_track, start_ns, dur_ns});
+          WaitSpan{site.name_, site.cls_, start_ns, dur_ns});
     }
   }
 }
@@ -169,8 +162,6 @@ void WaitEventRegistry::Reset() {
     class_ns_[i].store(0, std::memory_order_relaxed);
   }
 }
-
-void WaitEventRegistry::SetThreadTrack(size_t track) { t_wait_track = track; }
 
 void WaitEventRegistry::StartCapture() {
   std::lock_guard<std::mutex> lock(capture_mutex_);

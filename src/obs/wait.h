@@ -7,7 +7,7 @@
 // histogram (same bucket bounds as obs::Histogram), and roll up into four
 // wait classes:
 //
-//   cpu_queue  waiting for the thread pool to schedule or finish work
+//   cpu_queue  waiting for CPU work to be scheduled (no site today)
 //   latch      short-term structure protection (subsumption-cache locks)
 //   lock       longer-held coordination locks (query-history ring)
 //   io         disk waits (WAL flush, snapshot save/load)
@@ -21,15 +21,14 @@
 // the executor snapshots around statements and the plan walker around
 // nodes, giving per-query and per-node wait_ns deltas (the same
 // snapshot-diff scheme as tracked allocation peaks). Sites registered
-// with attributed=false — a pool worker idling for work that may belong
-// to no query — still aggregate into sys.waits but are excluded from the
-// attribution counter so an idle pool does not bill its sleep to whatever
+// with attributed=false — a background thread idling for work that may
+// belong to no query — still aggregate into sys.waits but are excluded
+// from the attribution counter so idle time is not billed to whatever
 // statement happens to be running.
 //
-// Capture. StartCapture/StopCapture bound-buffer individual wait spans
-// (with a per-thread track ordinal matching the thread pool's chunk
-// capture) so EXPORT TRACE can draw waiting alongside working on the same
-// Chrome-trace thread tracks.
+// Capture. StartCapture/StopCapture bound-buffer individual wait spans so
+// EXPORT TRACE can draw waiting alongside working on one Chrome-trace
+// timeline.
 
 #ifndef HIREL_OBS_WAIT_H_
 #define HIREL_OBS_WAIT_H_
@@ -65,8 +64,7 @@ class WaitEventRegistry {
 
     /// Accounts one finished wait of `dur_ns` that began at `start_ns`
     /// (steady-clock ns; used only by span capture). Callers normally go
-    /// through ScopedWait, but accumulated waits (the pool's steal scan)
-    /// call this directly.
+    /// through ScopedWait.
     void Record(uint64_t start_ns, uint64_t dur_ns);
 
    private:
@@ -86,7 +84,7 @@ class WaitEventRegistry {
   };
 
   /// The engine-wide registry. Wait sites live in code that has no
-  /// registry to thread a handle through (thread pool, cache latches), so
+  /// registry to thread a handle through (cache latches, snapshot I/O), so
   /// unlike MetricsRegistry this one is a process singleton.
   static WaitEventRegistry& Global();
 
@@ -138,15 +136,9 @@ class WaitEventRegistry {
   struct WaitSpan {
     const char* site;
     WaitClass cls;
-    size_t track;  // 0 = session thread, 1 + i = pool worker i
     uint64_t start_ns;
     uint64_t dur_ns;
   };
-
-  /// Pool workers set their track ordinal once at startup so captured
-  /// waits land on the same trace tracks as captured chunks. Threads that
-  /// never call this (the session thread) report track 0.
-  static void SetThreadTrack(size_t track);
 
   void StartCapture();
   std::vector<WaitSpan> StopCapture();
@@ -170,8 +162,7 @@ class WaitEventRegistry {
   void RecordForOwner(const Site& site, uint64_t start_ns, uint64_t dur_ns);
 };
 
-/// Steady-clock nanoseconds; exposed so accumulated-wait call sites use
-/// the same clock as ScopedWait.
+/// Steady-clock nanoseconds: the clock ScopedWait stamps waits with.
 uint64_t WaitNowNs();
 
 /// RAII wait timer. Construction on the enabled path stamps the clock;

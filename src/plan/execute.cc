@@ -10,7 +10,6 @@
 #include "algebra/select.h"
 #include "algebra/setops.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "core/consolidate.h"
 #include "core/explicate.h"
 #include "obs/trace.h"
@@ -104,13 +103,10 @@ class Walker {
   }
 
   /// Inference options for one node's kernel: the shared options with the
-  /// worker count applied and the probe counter pointed at the node's (or
-  /// the run's) tally.
+  /// probe counter pointed at the node's (or the run's) tally.
   InferenceOptions InferFor(PlanNodeStats* ns) {
     InferenceOptions inference = options_.inference;
-    inference.threads = options_.threads;
     if (ns != nullptr) {
-      ns->workers = ThreadPool::EffectiveThreads(options_.threads);
       inference.probe_counter = &ns->subsumption_probes;
     } else if (stats_ != nullptr) {
       inference.probe_counter = &stats_->subsumption_probes;

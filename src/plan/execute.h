@@ -30,11 +30,6 @@ struct ExecOptions {
   /// Preemption mode etc., forwarded to every kernel.
   InferenceOptions inference;
 
-  /// Worker count for the parallel kernels (1 = serial, 0 = one per
-  /// hardware thread); forwarded as InferenceOptions::threads to every
-  /// node's kernel. Results are byte-identical at any value.
-  size_t threads = 1;
-
   /// Subsumption-graph cache consulted for base-relation inputs; null
   /// disables caching (each kernel builds its own graph).
   SubsumptionCache* cache = nullptr;
@@ -65,9 +60,7 @@ struct PlanNodeStats {
   /// Wall time, inclusive of children (Postgres-style actual time).
   uint64_t wall_ns = 0;
   /// Attributed wait time (queue/latch/lock/io; obs/wait.h) recorded while
-  /// this node ran, inclusive of children like wall_ns. Waits on pool
-  /// workers overlap the node's wall clock, so wait_ns can exceed the
-  /// serial share of wall_ns on parallel nodes.
+  /// this node ran, inclusive of children like wall_ns.
   uint64_t wait_ns = 0;
   /// Strongest-binding computations performed by this node's own kernel
   /// (exclusive of children).
@@ -83,9 +76,6 @@ struct PlanNodeStats {
   /// Whether the cache's incremental patch path was enabled at lookup
   /// time (the SET INCREMENTAL switch); rendered as `incremental=on|off`.
   bool cache_incremental = false;
-  /// Effective worker count the node's kernel may fan out to; 0 or 1 means
-  /// it ran serially. EXPLAIN ANALYZE renders values > 1 as `workers=N`.
-  size_t workers = 0;
   /// Fixed-size scan chunks covering the slots of the relation a Scan node
   /// produced; EXPLAIN ANALYZE renders it on Scan lines only.
   size_t chunks = 0;

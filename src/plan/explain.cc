@@ -74,9 +74,6 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
           out += " patched=false";
         }
       }
-      if (ns.workers > 1) {
-        out += StrCat(" workers=", ns.workers);
-      }
       if (node.op == PlanOp::kScan) {
         out += StrCat(" chunks=", ns.chunks);
       }

@@ -560,7 +560,6 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
       HIREL_RETURN_IF_ERROR(plan::AnnotatePlan(*p, *db_));
       plan::ExecOptions exec;
       exec.inference = options.inference;
-      exec.threads = options.inference.threads;
       exec.cache = options.subsumption_cache;
       HIREL_ASSIGN_OR_RETURN(plan::PlanOutput out,
                              plan::ExecutePlan(*p, *db_, exec));

@@ -62,8 +62,6 @@ TEST(AlertRuleTest, ParseSeverityAndOp) {
 }
 
 TEST(AlertRuleTest, ComponentMapping) {
-  EXPECT_STREQ(AlertComponent("pool.tasks"), "pool");
-  EXPECT_STREQ(AlertComponent("watchdog.pool_queue"), "pool");
   EXPECT_STREQ(AlertComponent("wal.appends"), "wal");
   EXPECT_STREQ(AlertComponent("snapshot.saves"), "wal");
   EXPECT_STREQ(AlertComponent("cache.hits"), "cache");
@@ -74,9 +72,9 @@ TEST(AlertRuleTest, ComponentMapping) {
   EXPECT_STREQ(AlertComponent("log.events"), "telemetry");
 }
 
-TEST(AlertRuleTest, DeriveHealthAlwaysEmitsFiveComponents) {
+TEST(AlertRuleTest, DeriveHealthAlwaysEmitsFourComponents) {
   std::vector<ComponentHealth> health = DeriveHealth({});
-  ASSERT_EQ(health.size(), 5u);
+  ASSERT_EQ(health.size(), 4u);
   for (const ComponentHealth& c : health) {
     EXPECT_EQ(c.verdict, HealthVerdict::kOk);
     EXPECT_EQ(c.firing, 0u);
@@ -89,14 +87,14 @@ TEST(AlertRuleTest, DeriveHealthAlwaysEmitsFiveComponents) {
   warn.state = AlertState::kFiring;
   AlertSnapshot crit = warn;
   crit.rule.name = "c";
-  crit.rule.metric = "pool.tasks";
+  crit.rule.metric = "cache.patched";
   crit.rule.severity = AlertSeverity::kCrit;
   health = DeriveHealth({warn, crit});
   for (const ComponentHealth& c : health) {
     if (c.component == "queries") {
       EXPECT_EQ(c.verdict, HealthVerdict::kDegraded);
       EXPECT_EQ(c.worst_alert, "w");
-    } else if (c.component == "pool") {
+    } else if (c.component == "cache") {
       EXPECT_EQ(c.verdict, HealthVerdict::kCritical);
       EXPECT_EQ(c.worst_alert, "c");
     } else {
@@ -148,10 +146,10 @@ TEST(AlertStatementTest, ParseAndValidationErrors) {
           .ok());
   // Duplicate name.
   ASSERT_TRUE(exec.Execute("CREATE ALERT a ON query.statements > 1;").ok());
-  EXPECT_FALSE(exec.Execute("CREATE ALERT a ON pool.tasks > 1;").ok());
+  EXPECT_FALSE(exec.Execute("CREATE ALERT a ON cache.patched > 1;").ok());
   // Colliding with a built-in.
   EXPECT_FALSE(
-      exec.Execute("CREATE ALERT watchdog_slow_query ON pool.tasks > 1;")
+      exec.Execute("CREATE ALERT watchdog_slow_query ON cache.patched > 1;")
           .ok());
   // Dropping built-ins and unknowns.
   EXPECT_FALSE(exec.Execute("DROP ALERT watchdog_slow_query;").ok());
@@ -314,7 +312,7 @@ TEST(AlertStatementTest, HealthVerdictFollowsFiringSet) {
 
   // SHOW HEALTH is sys.health: the text form carries the same rows.
   std::string out = exec.Execute("SHOW HEALTH;").value();
-  EXPECT_EQ(out.find("sys.health (6 tuples)"), 0u);
+  EXPECT_EQ(out.find("sys.health (5 tuples)"), 0u);  // four + overall
   EXPECT_NE(out.find("critical"), std::string::npos);
   EXPECT_NE(out.find("telemetry"), std::string::npos);
 }
@@ -366,8 +364,9 @@ TEST(AlertStatementTest, ExportDiagnosticsWritesValidBundle) {
   // Session settings, alerts + health, metrics, waits, query history,
   // telemetry and the log each arrive as their sys.* relation.
   const auto& rel = bundle->relations;
-  EXPECT_NE(json_rows::FindRow(rel.at("sys.session"), {{"key", "threads"}}),
-            nullptr);
+  EXPECT_NE(
+      json_rows::FindRow(rel.at("sys.session"), {{"key", "preemption"}}),
+      nullptr);
   EXPECT_NE(json_rows::FindRow(rel.at("sys.alerts"),
                                {{"alert", "hot"}, {"state", "firing"}}),
             nullptr);

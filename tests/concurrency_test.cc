@@ -14,7 +14,6 @@
 
 #include "algebra/select.h"
 #include "algebra/setops.h"
-#include "common/thread_pool.h"
 #include "core/explicate.h"
 #include "core/inference.h"
 #include "core/subsumption_cache.h"
@@ -449,26 +448,6 @@ TEST(ConcurrencyTest, ParallelReadersOfPatchedCacheEntry) {
     ASSERT_TRUE(f.flies->Erase(added).ok());
   }
   EXPECT_GT(cache.stats().patches, 0u);
-}
-
-TEST(ConcurrencyTest, ParallelForRegionChurn) {
-  // Many short regions back to back. Each region lives on the caller's
-  // stack and dies as soon as ParallelFor returns, so a worker that still
-  // touches it after releasing its share of the work (e.g. locking the
-  // region's mutex to notify) races the destruction; TSan reports it.
-  ParallelOptions options;
-  options.threads = 8;
-  for (int region = 0; region < 2000; ++region) {
-    std::vector<int> hits(64, 0);
-    Status status = ParallelFor(
-        hits.size(), options,
-        [&](size_t /*chunk*/, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) ++hits[i];
-          return Status::OK();
-        });
-    ASSERT_TRUE(status.ok()) << status;
-    for (int h : hits) ASSERT_EQ(h, 1) << "region " << region;
-  }
 }
 
 }  // namespace

@@ -146,6 +146,24 @@ TEST(ConsolidateTest, PartitionedSubsetKeptConservatively) {
   EXPECT_EQ(r->size(), 3u);
 }
 
+TEST(ConsolidateTest, ProbeTotalIsOnePerTuple) {
+  // The sweep computes one strongest binding per tuple, removed or not,
+  // and EXPLAIN ANALYZE reports exactly that count.
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    testing::RandomFixtureOptions options;
+    options.num_classes = 16;
+    options.num_instances = 40;
+    options.num_tuples = 24;
+    testing::RandomDatabase rdb(seed, options);
+    uint64_t probes = 0;
+    InferenceOptions inference;
+    inference.probe_counter = &probes;
+    ASSERT_TRUE(Consolidated(*rdb.relation(), inference).ok())
+        << "seed " << seed;
+    EXPECT_EQ(probes, rdb.relation()->size()) << "seed " << seed;
+  }
+}
+
 TEST(ConsolidateTest, ExtensionPreservedOnRandomDatabases) {
   for (uint64_t seed = 0; seed < 30; ++seed) {
     testing::RandomFixtureOptions options;

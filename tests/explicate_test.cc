@@ -98,6 +98,15 @@ TEST(ExplicateTest, ResultSizeCapEnforced) {
   options.max_result_tuples = 2;
   Result<HierarchicalRelation> r = Explicate(*f.flies, {}, options);
   EXPECT_TRUE(r.status().IsResourceExhausted());
+  EXPECT_EQ(r.status().message(), "explication of 'flies' exceeds 2 tuples");
+
+  // The cap counts explicated tuples before the closing consolidate: all
+  // five instances (paul negatively) fit in five, not in four.
+  options.max_result_tuples = 5;
+  EXPECT_TRUE(Explicate(*f.flies, {}, options).ok());
+  options.max_result_tuples = 4;
+  EXPECT_EQ(Explicate(*f.flies, {}, options).status().message(),
+            "explication of 'flies' exceeds 4 tuples");
 }
 
 TEST(ExplicateTest, InvalidAttributePosition) {

@@ -272,8 +272,8 @@ TEST(MetricHelpTest, ExactPrefixOverrideAndFallback) {
   EXPECT_EQ(MetricHelp("no.such.metric"), "engine metric no.such.metric");
   EXPECT_NE(MetricHelp("query.statements"),
             "engine metric query.statements");
-  EXPECT_NE(MetricHelp("pool.thread3.busy_ms"),
-            "engine metric pool.thread3.busy_ms");
+  EXPECT_NE(MetricHelp("waits.latch.total_ns"),
+            "engine metric waits.latch.total_ns");
   RegisterMetricHelp("test.custom.metric", "custom help text");
   EXPECT_EQ(MetricHelp("test.custom.metric"), "custom help text");
 }
@@ -353,7 +353,6 @@ TEST(WaitRegistryTest, CaptureCollectsSpansOnSessionTrack) {
     if (std::string_view(s.site) != "test.wait_capture") continue;
     found = true;
     EXPECT_EQ(s.cls, WaitClass::kIo);
-    EXPECT_EQ(s.track, 0u);  // never SetThreadTrack'd: session track
     EXPECT_EQ(s.dur_ns, 2000u);
   }
   EXPECT_TRUE(found);
@@ -505,33 +504,38 @@ TEST(LoggerTest, ParseLogLevelRoundTrips) {
 // ---------------------------------------------------------------------------
 // Exporters.
 
-TEST(ExportTest, ChromeTraceJsonRendersSpansAndPoolTracks) {
+TEST(ExportTest, ChromeTraceJsonRendersSpansAndSessionWaits) {
   Trace trace;
   {
     Trace::Scope outer(&trace, "execute");
     outer.Note("rows", 7);
     { Trace::Scope inner(&trace, "plan"); }
   }
-  std::vector<ThreadPool::ChunkSpan> pool;
-  pool.push_back({0, trace.epoch_ns() + 1000, 500, 3, 1});
-  pool.push_back({2, trace.epoch_ns() + 2000, 400, 4, 1});
+  std::vector<WaitEventRegistry::WaitSpan> waits;
+  waits.push_back(
+      {"cache.map_latch", WaitClass::kLatch, trace.epoch_ns() + 1000, 500});
 
-  std::string json = ChromeTraceJson(trace, pool);
+  std::string json = ChromeTraceJson(trace, waits);
   EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"execute\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"plan\""), std::string::npos);
   EXPECT_NE(json.find("\"rows\":7"), std::string::npos);
-  EXPECT_NE(json.find("pool caller"), std::string::npos);
-  EXPECT_NE(json.find("pool worker 1"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"chunk\""), std::string::npos);
+  // The wait span lands on the session track (tid 2), named as such.
+  EXPECT_NE(json.find("\"tid\":2,\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"session\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\":2,\"name\":\"wait:cache.map_latch\","
+                      "\"cat\":\"wait\",\"ts\":1.000,\"dur\":0.500"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"class\":\"latch\""), std::string::npos);
 }
 
 TEST(ExportTest, PrometheusTextExposition) {
   MetricsRegistry reg;
   reg.counter("query.statements").Add(3);
-  reg.gauge("pool.threads").Set(2);
+  reg.gauge("cache.entries").Set(2);
   reg.histogram("query.latency_ns").Record(1500);
 
   std::string text = PrometheusText(reg);
@@ -539,7 +543,7 @@ TEST(ExportTest, PrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("hirel_query_statements{name=\"query.statements\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE hirel_pool_threads gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE hirel_cache_entries gauge\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE hirel_query_latency_ns histogram\n"),
             std::string::npos);
   // 1500 ns lands in [1024, 2048): cumulative buckets step 0 -> 1.
@@ -557,7 +561,7 @@ TEST(ExportTest, PrometheusTextExposition) {
 TEST(ExportTest, PrometheusHelpLinePrecedesEveryTypeLine) {
   MetricsRegistry reg;
   reg.counter("query.statements").Add(3);
-  reg.gauge("pool.queue_depth").Set(1);
+  reg.gauge("cache.entries").Set(1);
   reg.histogram("wal.flush_ns").Record(10);
   RegisterMetricHelp("wal.flush_ns", "time spent in WAL flushes");
 
@@ -894,8 +898,8 @@ TEST(ExecutorObsTest, ResetMetricsKeepsHandlesValid) {
 
 TEST(ExecutorObsTest, ShowLogEmptyRendersNoRows) {
   hql::Executor exec;
-  // The first statement lazily constructs the shared thread pool, which
-  // logs a pool.start event; clear after so the ring is genuinely empty.
+  // The logger is process-wide and earlier tests may have filled it;
+  // clear after the first statement so the ring is genuinely empty.
   ASSERT_TRUE(exec.Execute("SHOW METRICS;").ok());
   Logger::Global().ring().Clear();
   std::string out = exec.Execute("SHOW LOG;").value();
@@ -968,7 +972,7 @@ TEST(ExecutorObsTest, ShowMetricsPrometheusRendersExposition) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE hirel_query_execute_ns histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("hirel_pool_queue_depth"), std::string::npos);
+  EXPECT_NE(text.find("hirel_subsumption_cache_entries"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
 }
 
@@ -1138,7 +1142,6 @@ TEST(ExecutorObsTest, ResultsIdenticalWithWaitInstrumentationOff) {
     hql::Executor exec;
     std::string out;
     out += exec.Execute(kFlyingScript).value();
-    out += exec.Execute("SET THREADS 4;").value();
     out += exec.Execute("SELECT * FROM flies;").value();
     out += exec.Execute("SELECT * FROM flies WHERE who = penguin;").value();
     out += exec.Execute("COUNT flies;").value();

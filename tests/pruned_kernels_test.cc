@@ -27,8 +27,6 @@
 namespace hirel {
 namespace {
 
-const size_t kThreadCounts[] = {1, 4};
-
 using TruthFn = std::function<Result<Truth>(const Item&)>;
 
 // ----- Unpruned reference kernels ---------------------------------------
@@ -182,14 +180,10 @@ void ExpectSelectsMatch(const HierarchicalRelation& r, const std::string& ctx) {
   for (size_t attr = 0; attr < r.schema().size(); ++attr) {
     const Hierarchy* h = r.schema().hierarchy(attr);
     for (NodeId node : h->Nodes()) {
-      std::string want = Render(ReferenceSelect(r, attr, node));
-      for (size_t t : kThreadCounts) {
-        InferenceOptions options;
-        options.threads = t;
-        EXPECT_EQ(Render(SelectEquals(r, attr, node, options)), want)
-            << ctx << " select " << r.schema().name(attr) << " = "
-            << h->NodeName(node) << " threads " << t;
-      }
+      EXPECT_EQ(Render(SelectEquals(r, attr, node)),
+                Render(ReferenceSelect(r, attr, node)))
+          << ctx << " select " << r.schema().name(attr) << " = "
+          << h->NodeName(node);
     }
   }
 }
@@ -202,27 +196,15 @@ void ExpectSetOpsMatch(const HierarchicalRelation& r,
       r, s, "intersect", [](bool a, bool b) { return a && b; }));
   std::string want_difference = Render(ReferenceSetOp(
       r, s, "difference", [](bool a, bool b) { return a && !b; }));
-  for (size_t t : kThreadCounts) {
-    SetOpOptions options;
-    options.inference.threads = t;
-    EXPECT_EQ(Render(Union(r, s, options)), want_union)
-        << ctx << " threads " << t;
-    EXPECT_EQ(Render(Intersect(r, s, options)), want_intersect)
-        << ctx << " threads " << t;
-    EXPECT_EQ(Render(Difference(r, s, options)), want_difference)
-        << ctx << " threads " << t;
-  }
+  EXPECT_EQ(Render(Union(r, s)), want_union) << ctx;
+  EXPECT_EQ(Render(Intersect(r, s)), want_intersect) << ctx;
+  EXPECT_EQ(Render(Difference(r, s)), want_difference) << ctx;
 }
 
 void ExpectJoinMatches(const HierarchicalRelation& r,
                        const HierarchicalRelation& s, const std::string& ctx) {
-  std::string want = Render(ReferenceNaturalJoin(r, s));
-  for (size_t t : kThreadCounts) {
-    JoinOptions options;
-    options.inference.threads = t;
-    EXPECT_EQ(Render(NaturalJoin(r, s, options)), want)
-        << ctx << " threads " << t;
-  }
+  EXPECT_EQ(Render(NaturalJoin(r, s)), Render(ReferenceNaturalJoin(r, s)))
+      << ctx;
 }
 
 /// Fills `rel` with random tuples over its schema's hierarchies, then drops

@@ -98,7 +98,6 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
       HIREL_RETURN_IF_ERROR(plan::AnnotatePlan(*p, db));
       plan::ExecOptions exec;
       exec.inference = options.inference;
-      exec.threads = options.inference.threads;
       exec.cache = options.subsumption_cache;
       HIREL_ASSIGN_OR_RETURN(plan::PlanOutput out,
                              plan::ExecutePlan(*p, db, exec));

@@ -47,6 +47,27 @@ TEST(RulesTest, TweetyCanTravelFar) {
             Truth::kNegative);
 }
 
+TEST(RulesTest, CachedFixpointMatchesUncached) {
+  // With a subsumption cache DERIVE reads each body's extension through
+  // the plan executor; the fixpoint must be the one the direct path finds.
+  std::string uncached;
+  for (bool cached : {false, true}) {
+    RulesFixture f;
+    ASSERT_TRUE(f.engine.AddRule("travels_far(?x) :- flies(?x).").ok());
+    RuleOptions options;
+    if (cached) options.subsumption_cache = &f.zoo.db.subsumption_cache();
+    EXPECT_EQ(f.engine.Evaluate(options).value(), 4u) << "cached " << cached;
+    EXPECT_EQ(Extension(*f.travels_far).value(),
+              Extension(*f.zoo.flies).value())
+        << "cached " << cached;
+    if (!cached) {
+      uncached = f.travels_far->ToString();
+    } else {
+      EXPECT_EQ(f.travels_far->ToString(), uncached);
+    }
+  }
+}
+
 TEST(RulesTest, EvaluationIsIdempotent) {
   RulesFixture f;
   ASSERT_TRUE(f.engine.AddRule("travels_far(?x) :- flies(?x).").ok());

@@ -73,6 +73,20 @@ TEST(SelectTest, SelectingPenguinsKeepsExceptionStructure) {
   EXPECT_EQ(extension, expected);
 }
 
+TEST(SelectTest, ProbeTotalIsOnePerResultTuple) {
+  // Every candidate left after the MCD closure is one result tuple, and
+  // its truth takes one strongest-binding computation.
+  testing::LovesFixture f;
+  for (NodeId node : {f.base.bird, f.base.penguin, f.base.paul}) {
+    uint64_t probes = 0;
+    InferenceOptions options;
+    options.probe_counter = &probes;
+    HierarchicalRelation result =
+        SelectEquals(*f.jill, 0, node, options).value();
+    EXPECT_EQ(probes, result.size()) << f.base.animal->NodeName(node);
+  }
+}
+
 TEST(SelectTest, MatchesFlatSemanticsOnFixtures) {
   FlyingFixture f;
   ExpectSelectMatchesFlat(*f.flies, 0, f.bird);

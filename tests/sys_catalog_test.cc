@@ -1,5 +1,5 @@
 // System catalog: the sys.* virtual relations (metrics, log, relations,
-// columns, cache, pool, queries, session), subsumption-aware selection
+// columns, cache, queries, session), subsumption-aware selection
 // over the telemetry hierarchies, per-query resource accounting in the
 // history ring, the read-only guards on the sys. namespace, and the
 // contract that every introspection SHOW and EXPORT DIAGNOSTICS renders
@@ -119,23 +119,25 @@ TEST(SysCatalogTest, StorageColumnsHaveNoLayoutDimension) {
   EXPECT_EQ(columns(queries.front()),
             (std::set<std::string>{"id", "kind", "statement", "ok", "wall_us",
                                    "wait_us", "rows_in", "rows_out", "probes",
-                                   "peak_bytes", "digest", "threads"}));
+                                   "peak_bytes", "digest"}));
 
   std::vector<json_rows::Row> session =
       json_rows::SysRows(exec.database(), "sys.session");
-  EXPECT_NE(json_rows::FindRow(session, {{"key", "threads"}}), nullptr);
+  EXPECT_NE(json_rows::FindRow(session, {{"key", "preemption"}}), nullptr);
+  EXPECT_EQ(json_rows::FindRow(session, {{"key", "threads"}}), nullptr);
   EXPECT_EQ(json_rows::FindRow(session, {{"key", "storage"}}), nullptr);
 }
 
 TEST(SysCatalogTest, MetricNameSubtreeSelection) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
-  // `ALL pool` names the class covering every pool.* metric: subsumption
-  // clamps each row into the subtree, so only pool metrics survive.
+  // `ALL cache` names the class covering every cache.* metric: subsumption
+  // clamps each row into the subtree, so only cache metrics survive.
   std::string out =
-      exec.Execute("SELECT * FROM sys.metrics WHERE name = ALL pool;")
+      exec.Execute("SELECT * FROM sys.metrics WHERE name = ALL cache;")
           .value();
-  EXPECT_NE(out.find("pool.workers"), std::string::npos);
+  EXPECT_NE(out.find("cache.patched"), std::string::npos);
+  EXPECT_EQ(out.find("subsumption_cache."), std::string::npos);
   EXPECT_EQ(out.find("query.statements"), std::string::npos);
   EXPECT_EQ(out.find("storage.bytes"), std::string::npos);
 }
@@ -309,22 +311,25 @@ TEST(SysCatalogTest, IntCellsSortNumerically) {
   }
 }
 
-TEST(SysCatalogTest, ExecThreadsGaugeNeedsNoShowMetrics) {
-  const std::string kQuery = "SELECT * FROM sys.metrics WHERE name = ALL exec;";
+TEST(SysCatalogTest, CacheGaugesNeedNoShowMetrics) {
+  const std::string kQuery =
+      "SELECT * FROM sys.metrics WHERE name = ALL cache;";
+  const std::vector<std::string> kCacheGauges = {
+      "cache.journal_overflows", "cache.patched", "cache.rebuilt"};
   hql::Executor exec;
   Result<std::string> fresh = exec.Execute(kQuery);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_NE(fresh->find("exec.threads"), std::string::npos);
+  EXPECT_EQ(TableColumn(*fresh, 1), kCacheGauges);
 
-  // A LOADed database brings a fresh registry; the session gauge follows.
-  std::string snap = std::string(::testing::TempDir()) + "/sys_exec_threads.db";
-  ASSERT_TRUE(exec.Execute("SET THREADS 3; SAVE '" + snap + "'; LOAD '" +
-                           snap + "';")
-                  .ok());
+  // A LOADed database brings a fresh registry; the scan syncs it too.
+  std::string snap = std::string(::testing::TempDir()) + "/sys_cache_gauges.db";
+  ASSERT_TRUE(
+      exec.Execute("SAVE '" + snap + "'; LOAD '" + snap + "';").ok());
   Result<std::string> loaded = exec.Execute(kQuery);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(TableColumn(*loaded, 1), std::vector<std::string>{"exec.threads"});
-  EXPECT_EQ(TableColumn(*loaded, 3), std::vector<std::string>{"3"});
+  EXPECT_EQ(TableColumn(*loaded, 1), kCacheGauges);
+  EXPECT_EQ(TableColumn(*loaded, 3),
+            (std::vector<std::string>{"0", "0", "0"}));
   std::remove(snap.c_str());
 }
 
@@ -417,14 +422,13 @@ TEST(SysCatalogTest, ExportDiagnosticsHoldsEverySysRelation) {
 
 TEST(SysCatalogTest, SysSessionReportsSettings) {
   hql::Executor exec;
-  ASSERT_TRUE(exec.Execute("SET THREADS 1; SET SLOW_QUERY_MS 7;"
+  ASSERT_TRUE(exec.Execute("SET SLOW_QUERY_MS 7;"
                            "SET INCREMENTAL off; SET TELEMETRY TICK;")
                   .ok());
   std::vector<json_rows::Row> rows =
       json_rows::SysRows(exec.database(), "sys.session");
   for (const auto& [key, value] :
        std::vector<std::pair<std::string, std::string>>{
-           {"threads", "1"},
            {"slow_query_ms", "7"},
            {"incremental", "off"},
            {"telemetry", "off"},
@@ -435,7 +439,7 @@ TEST(SysCatalogTest, SysSessionReportsSettings) {
     ASSERT_NE(row, nullptr) << key;
     EXPECT_EQ(row->at("value"), value) << key;
   }
-  EXPECT_TRUE(json_rows::FindRow(rows, {{"key", "threads"}})
+  EXPECT_TRUE(json_rows::FindRow(rows, {{"key", "slow_query_ms"}})
                   ->is_number("value"));
   // WHERE terms resolve against the session domain like any other.
   std::string out =
@@ -446,9 +450,9 @@ TEST(SysCatalogTest, SysSessionReportsSettings) {
 
 TEST(SysCatalogTest, ShowRelationMaterializesVirtual) {
   hql::Executor exec;
-  std::string out = exec.Execute("SHOW RELATION sys.pool;").value();
-  EXPECT_NE(out.find("caller"), std::string::npos);
-  EXPECT_NE(out.find("busy_ms"), std::string::npos);
+  std::string out = exec.Execute("SHOW RELATION sys.session;").value();
+  EXPECT_NE(out.find("preemption"), std::string::npos);
+  EXPECT_NE(out.find("value"), std::string::npos);
 }
 
 TEST(SysCatalogTest, SysCacheListsEntriesAfterConsolidate) {
@@ -540,7 +544,7 @@ TEST(SysCatalogTest, SysWaitsAggregatesAndClassSubsumption) {
 TEST(SysCatalogTest, SysMetricsHistorySubtreeSelection) {
   hql::Executor exec;
   ASSERT_TRUE(exec.Execute(kFlyingScript).ok());
-  // Populate pool.* (and everything else) via the gauge sync, then take
+  // Populate cache.* (and everything else) via the gauge sync, then take
   // two deterministic manual samples.
   obs::SyncEngineGauges(exec.database());
   exec.telemetry().Tick();
@@ -549,16 +553,16 @@ TEST(SysCatalogTest, SysMetricsHistorySubtreeSelection) {
   std::string out =
       exec.Execute("SELECT * FROM sys.metrics_history;").value();
   EXPECT_NE(out.find("query.statements"), std::string::npos);
-  EXPECT_NE(out.find("pool.workers"), std::string::npos);
+  EXPECT_NE(out.find("cache.patched"), std::string::npos);
 
   // The name attribute shares the sys.metrics dotted hierarchy, so
-  // `ALL pool` clamps the history to the pool.* subtree.
-  std::string pool =
+  // `ALL cache` clamps the history to the cache.* subtree.
+  std::string cache =
       exec.Execute(
-              "SELECT * FROM sys.metrics_history WHERE name = ALL pool;")
+              "SELECT * FROM sys.metrics_history WHERE name = ALL cache;")
           .value();
-  EXPECT_NE(pool.find("pool.workers"), std::string::npos);
-  EXPECT_EQ(pool.find("query.statements"), std::string::npos);
+  EXPECT_NE(cache.find("cache.patched"), std::string::npos);
+  EXPECT_EQ(cache.find("query.statements"), std::string::npos);
 }
 
 TEST(SysCatalogTest, SysQueriesReportsWaitColumn) {

@@ -54,10 +54,10 @@ echo "wrote $(wc -l < "${summary}") benchmark results to ${summary}"
 baselines=( BENCH_*.json )
 
 # The committed baselines embed the recording host's context. If this
-# machine has a different core count, per-op times (especially the
-# parallel suites) are not comparable — warn loudly so nobody reads the
-# diff below as a regression. num_cpus is extracted with sed, not
-# python3, so the warning fires on minimal hosts too.
+# machine has a different core count, per-op times are not comparable —
+# warn loudly so nobody reads the diff below as a regression. num_cpus is
+# extracted with sed, not python3, so the warning fires on minimal hosts
+# too.
 if [ -e "${baselines[0]}" ]; then
   host_cores=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 0)
   for baseline in "${baselines[@]}"; do
@@ -107,7 +107,7 @@ with open(summary_path) as f:
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 for path in baseline_paths:
-    # BENCH_parallel.json holds runs of bench_parallel.
+    # BENCH_<suite>.json holds runs of bench_<suite>.
     bench = "bench_" + os.path.basename(path)[len("BENCH_"):-len(".json")]
     with open(path) as f:
         baseline = json.load(f)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI: configure, build, and test the release, asan-ubsan, and tsan
 # presets. The tsan lane is narrow by design: it builds and runs only the
-# threading-sensitive suites (concurrency, plan property, parallel
-# determinism) so the sweep stays fast while still exercising every lock,
-# latch, and snapshot-publication path under ThreadSanitizer.
+# threading-sensitive suites (concurrency, plan property, incremental) so
+# the sweep stays fast while still exercising every lock, latch, and
+# snapshot-publication path under ThreadSanitizer.
 #
 #   tools/ci.sh            # all three presets
 #   tools/ci.sh release    # just one
@@ -17,9 +17,8 @@ fi
 
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
-tsan_targets=(hirel_concurrency_test hirel_plan_test
-              hirel_parallel_determinism_test hirel_incremental_test)
-tsan_filter='ConcurrencyTest|PlanProperty|ParallelDeterminismTest|Incremental'
+tsan_targets=(hirel_concurrency_test hirel_plan_test hirel_incremental_test)
+tsan_filter='ConcurrencyTest|PlanProperty|Incremental'
 
 for preset in "${presets[@]}"; do
   echo "==== ${preset}: configure ===="
@@ -30,12 +29,6 @@ for preset in "${presets[@]}"; do
         --target "${tsan_targets[@]}"
     echo "==== ${preset}: test (threaded suites) ===="
     ctest --preset "${preset}" -R "${tsan_filter}"
-    # ParallelFor regions live on the caller's stack; churning many short
-    # ones is how a worker touching a finished region shows up under TSan.
-    echo "==== ${preset}: ParallelFor region churn x100 ===="
-    "build/${preset}/tests/hirel_concurrency_test" \
-        --gtest_filter=ConcurrencyTest.ParallelForRegionChurn \
-        --gtest_repeat=100 > /dev/null
     continue
   fi
   echo "==== ${preset}: build ===="
