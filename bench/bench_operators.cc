@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "bench_json_main.h"
 
 #include "algebra/join.h"
@@ -52,23 +54,35 @@ void BM_HierarchicalSelect(benchmark::State& state) {
 /// classes, 8 skus each): one positive tuple per sku plus a negative tuple
 /// on every level-2 class, the shape of a product catalogue with
 /// class-level exceptions. Most tuples lie outside any selected subtree, so
-/// the select cost is dominated by the scan.
+/// the select cost is dominated by the scan. With `brands`, every sku also
+/// sits under one of 24 brand classes below the root, which makes each sku
+/// a join node and the hierarchy a DAG.
 struct CatalogSetup {
-  CatalogSetup() {
+  explicit CatalogSetup(bool brands = false) {
     hierarchy = testing::BuildTreeHierarchy(db, "d", /*depth=*/4,
                                             /*fanout=*/6,
                                             /*instances_per_leaf=*/8);
     relation = db.CreateRelation("stock", {{"item", "d"}}).value();
     std::vector<NodeId> skus = hierarchy->Instances();
     skus.resize(10'000);
+    if (brands) {
+      std::vector<NodeId> brand;
+      for (size_t b = 0; b < 24; ++b) {
+        brand.push_back(hierarchy->AddClass("brand" + std::to_string(b))
+                            .value());
+      }
+      for (size_t i = 0; i < skus.size(); ++i) {
+        (void)hierarchy->AddEdge(brand[i % brand.size()], skus[i]);
+      }
+    }
     for (NodeId sku : skus) (void)relation->Insert({sku}, Truth::kPositive);
     for (NodeId level1 : hierarchy->Children(hierarchy->root())) {
       for (NodeId level2 : hierarchy->Children(level1)) {
         (void)relation->Insert({level2}, Truth::kNegative);
       }
     }
-    // Probes by depth below the root: a level-2 class, a level-4 (leaf)
-    // class, and a sku (depth 5).
+    // Probes by depth below the root: a level-1 and a level-2 class, a
+    // level-4 (leaf) class, and a sku (depth 5).
     NodeId node = hierarchy->root();
     for (size_t depth = 1; depth <= 5; ++depth) {
       node = hierarchy->Children(node)[0];
@@ -84,6 +98,16 @@ struct CatalogSetup {
 
 void BM_HierarchicalSelectCatalog(benchmark::State& state) {
   CatalogSetup setup;
+  NodeId probe = setup.probe_at_depth[state.range(0)];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SelectEquals(*setup.relation, 0, probe).value().size());
+  }
+}
+
+/// The same catalogue with a brand class as every sku's second parent.
+void BM_HierarchicalSelectCatalogDag(benchmark::State& state) {
+  CatalogSetup setup(/*brands=*/true);
   NodeId probe = setup.probe_at_depth[state.range(0)];
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -157,8 +181,10 @@ void BM_ExplicateThenFlatJoin(benchmark::State& state) {
 
 BENCHMARK(BM_HierarchicalSelect)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_HierarchicalSelectCatalog)->ArgName("depth")->Arg(2)->Arg(4)
-    ->Arg(5)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HierarchicalSelectCatalog)->ArgName("depth")->Arg(1)->Arg(2)
+    ->Arg(4)->Arg(5)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HierarchicalSelectCatalogDag)->ArgName("depth")->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ExplicateThenFlatSelect)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HierarchicalUnion)->Arg(8)->Arg(32)->Arg(128)

@@ -121,8 +121,6 @@ void LayoutBytes(benchmark::State& state) {
   state.counters["tuples"] = static_cast<double>(setup.relation->size());
   state.counters["bytes"] =
       static_cast<double>(setup.relation->ApproxBytes());
-  state.counters["chunks"] =
-      static_cast<double>(setup.relation->num_chunks());
 }
 
 /// Binding-style candidate scan: every probe hits the one-class taxonomy,
@@ -139,23 +137,6 @@ void LayoutSubsumingScan(benchmark::State& state) {
       static_cast<double>(setup.relation->ApproxBytes());
 }
 
-/// Full pass over all live tuples through the chunk iteration the parallel
-/// kernels use.
-void LayoutChunkScan(benchmark::State& state) {
-  size_t tuples = static_cast<size_t>(state.range(0));
-  LayoutSetup setup(tuples);
-  const HierarchicalRelation& r = *setup.relation;
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    for (size_t c = 0; c < r.num_chunks(); ++c) {
-      r.ForEachLiveInChunk(c, [&](TupleId id) { sum += r.Component(id, 0); });
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.counters["tuples"] = static_cast<double>(r.size());
-  state.counters["chunks"] = static_cast<double>(r.num_chunks());
-}
-
 BENCHMARK(LayoutBytes)
     ->Name("LayoutBytes/row")
     ->Args({1000})
@@ -164,10 +145,6 @@ BENCHMARK(LayoutBytes)
 BENCHMARK(LayoutSubsumingScan)
     ->Name("LayoutSubsumingScan/row")
     ->Args({1000})
-    ->Args({10000})
-    ->Args({100000});
-BENCHMARK(LayoutChunkScan)
-    ->Name("LayoutChunkScan/row")
     ->Args({10000})
     ->Args({100000});
 

@@ -149,19 +149,6 @@ class HierarchicalRelation {
   /// Ids of live tuples whose item `item` binds at or above, ascending.
   std::vector<TupleId> TuplesBindingBelow(ItemView item) const;
 
-  // ----- Chunked iteration --------------------------------------------------
-
-  /// Number of fixed-size scan chunks (TupleStore::kChunkTuples ids each)
-  /// covering every slot, live or dead. A pure function of the append
-  /// count.
-  size_t num_chunks() const { return store_.num_chunks(); }
-
-  /// Invokes `fn` for every live id in chunk `chunk`, ascending.
-  void ForEachLiveInChunk(size_t chunk,
-                          const std::function<void(TupleId)>& fn) const {
-    store_.ForEachLiveInChunk(chunk, fn);
-  }
-
   /// Total number of atomic items covered by positive tuples (an upper
   /// bound on the extension size, ignoring exceptions). Used by storage
   /// accounting in benchmarks.

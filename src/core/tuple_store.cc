@@ -310,15 +310,6 @@ std::vector<TupleId> TupleStore::TuplesBindingBelow(const Schema& schema,
       [&](ItemView other) { return ItemBindsBelow(schema, item, other); });
 }
 
-void TupleStore::ForEachLiveInChunk(
-    size_t chunk, const std::function<void(TupleId)>& fn) const {
-  size_t lo = chunk * kChunkTuples;
-  size_t hi = std::min(capacity_, lo + kChunkTuples);
-  for (size_t id = lo; id < hi; ++id) {
-    if (alive_.Test(id)) fn(static_cast<TupleId>(id));
-  }
-}
-
 // ----- Accounting ----------------------------------------------------------
 
 size_t TupleStore::ApproxBytes() const {

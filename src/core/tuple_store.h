@@ -13,13 +13,11 @@
 //    dead slots included. Ids are never reused.
 //  * LiveIds and the four subsumption/binding scans return ascending ids.
 //  * Copies preserve ids, dead slots, and iteration order exactly.
-//  * Chunk boundaries are a pure function of capacity() and kChunkTuples.
 
 #ifndef HIREL_CORE_TUPLE_STORE_H_
 #define HIREL_CORE_TUPLE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,10 +54,6 @@ struct StorageColumnInfo {
 /// fix up.
 class TupleStore {
  public:
-  /// Tuples per scan chunk. Chunk c covers ids
-  /// [c * kChunkTuples, min(capacity, (c + 1) * kChunkTuples)).
-  static constexpr size_t kChunkTuples = 1024;
-
   explicit TupleStore(size_t arity) : arity_(arity), postings_(arity) {}
 
   /// Slots allocated so far (live + dead); the next Append returns this.
@@ -140,15 +134,6 @@ class TupleStore {
   /// Per-column (and per-index) byte breakdown for SHOW STORAGE; sums to
   /// ApproxBytes().
   std::vector<StorageColumnInfo> ColumnInfo(const Schema& schema) const;
-
-  /// Number of fixed-size scan chunks covering [0, capacity()).
-  size_t num_chunks() const {
-    return (capacity() + kChunkTuples - 1) / kChunkTuples;
-  }
-
-  /// Invokes `fn` for every live id in chunk `chunk`, ascending.
-  void ForEachLiveInChunk(size_t chunk,
-                          const std::function<void(TupleId)>& fn) const;
 
  private:
   /// One attribute's inverted index: component node -> ascending ids of

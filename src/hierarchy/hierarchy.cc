@@ -388,6 +388,32 @@ DynamicBitset Hierarchy::OverlapCone(NodeId n) const {
   return cone;
 }
 
+std::shared_ptr<const DynamicBitset> Hierarchy::JoinAncestors() const {
+  std::lock_guard<std::mutex> lock(join_ancestors_.mutex);
+  if (join_ancestors_.bits != nullptr && join_ancestors_.version == version_) {
+    return join_ancestors_.bits;
+  }
+  // Walk up from every join node; a node is marked, and its parents
+  // queued, at most once.
+  auto bits = std::make_shared<DynamicBitset>(dag_.capacity());
+  std::vector<NodeId> queue;
+  for (NodeId n = 0; n < dag_.capacity(); ++n) {
+    if (dag_.alive(n) && IsJoinNode(n)) queue.push_back(n);
+  }
+  while (!queue.empty()) {
+    NodeId cur = queue.back();
+    queue.pop_back();
+    for (NodeId p : dag_.Parents(cur)) {
+      if (bits->Test(p)) continue;
+      bits->Set(p);
+      queue.push_back(p);
+    }
+  }
+  join_ancestors_.bits = std::move(bits);
+  join_ancestors_.version = version_;
+  return join_ancestors_.bits;
+}
+
 const std::vector<NodeId>& Hierarchy::NoNodes() {
   static const std::vector<NodeId> kNone;
   return kNone;

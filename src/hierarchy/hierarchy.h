@@ -24,6 +24,8 @@
 #define HIREL_HIERARCHY_HIERARCHY_H_
 
 #include <deque>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -209,6 +211,19 @@ class Hierarchy {
   /// Subsumption edges only; empty if n is not alive.
   DynamicBitset OverlapCone(NodeId n) const;
 
+  /// True when n has two or more subsumption parents. A maximal common
+  /// descendant m of two incomparable nodes is always one: were p its only
+  /// parent, every path into m would pass through p, so p would be a larger
+  /// common descendant.
+  bool IsJoinNode(NodeId n) const { return dag_.Parents(n).size() >= 2; }
+
+  /// The nodes with a join node strictly below them, as a bitset over
+  /// dag().capacity(). Two incomparable nodes share a descendant only when
+  /// both are in it, so in a tree (no join node) incomparable means
+  /// disjoint. Subsumption edges only. Built once per version() and shared
+  /// like reachability(); safe to call from concurrent readers.
+  std::shared_ptr<const DynamicBitset> JoinAncestors() const;
+
   /// True when a and b are incomparable and one of them has no children.
   /// A childless node's only descendant is itself, so the two share no
   /// descendant and MaximalCommonDescendants(a, b) is empty. Allocation-free;
@@ -318,6 +333,21 @@ class Hierarchy {
   std::deque<RecordedEdit> edits_;
   /// Stamp of the newest dropped edit; versions below it are uncovered.
   uint64_t edit_floor_version_ = 0;
+
+  /// JoinAncestors() for one version. Copies and assignments start empty,
+  /// so a copied hierarchy builds its own on first use.
+  struct JoinAncestorMemo {
+    JoinAncestorMemo() = default;
+    JoinAncestorMemo(const JoinAncestorMemo&) {}
+    JoinAncestorMemo& operator=(const JoinAncestorMemo&) {
+      bits.reset();
+      return *this;
+    }
+    std::mutex mutex;
+    uint64_t version = 0;
+    std::shared_ptr<const DynamicBitset> bits;
+  };
+  mutable JoinAncestorMemo join_ancestors_;
 };
 
 }  // namespace hirel

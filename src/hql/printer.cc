@@ -88,7 +88,7 @@ std::string HelpText() {
     sys.cache      -- subsumption-cache entries with version stamps
     sys.queries    -- per-query accounting (ok, wall, wait, rows, probes, peak bytes)
     sys.waits      -- wait-event aggregates with p50/p90/p99; site hierarchy classed by
-                   -- cpu_queue/latch/lock/io, so WHERE site = ALL latch works
+                   -- latch/lock/io, so WHERE site = ALL latch works
     sys.metrics_history -- the telemetry sampler's rings; name shares the
                    -- sys.metrics hierarchy, so WHERE name = ALL cache works
     sys.alerts     -- alert rules + state; severity chain info>warn>crit,

@@ -264,7 +264,7 @@ class SysRelationsProvider : public SysProviderBase {
       if (!r.ok()) continue;
       HIREL_RETURN_IF_ERROR(AddRow(
           rel, Item{Label(stored), stored_kind, Num((*r)->size()),
-                    Num((*r)->num_chunks()), Num((*r)->ApproxBytes())}));
+                    Num((*r)->ApproxBytes())}));
     }
     NodeId virt = Label("virtual");
     for (const std::string& name : db_->VirtualRelationNames()) {
@@ -272,7 +272,7 @@ class SysRelationsProvider : public SysProviderBase {
       if (provider == nullptr) continue;
       HIREL_RETURN_IF_ERROR(AddRow(
           rel, Item{Label(name), virt, Num(provider->EstimatedRows()),
-                    Num(0), Num(0)}));
+                    Num(0)}));
     }
     return rel;
   }
@@ -732,7 +732,6 @@ void RegisterSystemCatalog(Database& db, const QueryHistoryRing* history,
       MakeSchema({{"relation", domains.label},
                   {"kind", domains.label},
                   {"tuples", domains.num},
-                  {"chunks", domains.num},
                   {"bytes", domains.num}}),
       domains, &db));
   (void)db.RegisterVirtualRelation(std::make_unique<SysColumnsProvider>(

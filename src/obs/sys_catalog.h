@@ -17,7 +17,7 @@
 //                  ring; levels form the severity hierarchy debug ⊃ info ⊃
 //                  warn ⊃ error, so `WHERE level = ALL warn` returns every
 //                  event covered by warn (warn and error).
-//   sys.relations  (relation, kind, tuples, chunks, bytes)   stored and
+//   sys.relations  (relation, kind, tuples, bytes)   stored and
 //                  virtual relations (kind "stored" or "virtual"; virtual
 //                  rows carry provider row-count hints).
 //   sys.columns    (relation, column, col_bytes)   per-column byte
@@ -32,7 +32,7 @@
 //   sys.waits      (site, wait_class, waits, total_us, max_us, p50_us,
 //                  p90_us, p99_us)   wait-event aggregates with histogram
 //                  percentiles; sites live in a hierarchy whose classes
-//                  are the wait classes (cpu_queue, latch, lock, io), so
+//                  are the wait classes (latch, lock, io), so
 //                  `WHERE site = ALL latch` selects every latch site.
 //   sys.metrics_history  (name, seq, ts_ms, epoch_ms, value)   the
 //                  TelemetrySampler rings (SET TELEMETRY ON); `name`

@@ -10,8 +10,6 @@ namespace obs {
 
 const char* WaitClassName(WaitClass cls) {
   switch (cls) {
-    case WaitClass::kCpuQueue:
-      return "cpu_queue";
     case WaitClass::kLatch:
       return "latch";
     case WaitClass::kLock:
@@ -35,13 +33,12 @@ WaitEventRegistry& WaitEventRegistry::Global() {
 }
 
 WaitEventRegistry::Site& WaitEventRegistry::RegisterSite(const char* name,
-                                                         WaitClass cls,
-                                                         bool attributed) {
+                                                         WaitClass cls) {
   std::lock_guard<std::mutex> lock(sites_mutex_);
   for (Site* site : sites_) {
     if (std::strcmp(site->name(), name) == 0) return *site;
   }
-  sites_.push_back(new Site(name, cls, attributed, this));
+  sites_.push_back(new Site(name, cls, this));
   return *sites_.back();
 }
 
@@ -66,9 +63,7 @@ void WaitEventRegistry::RecordForOwner(const Site& site, uint64_t start_ns,
   size_t cls = static_cast<size_t>(site.cls_);
   class_count_[cls].fetch_add(1, std::memory_order_relaxed);
   class_ns_[cls].fetch_add(dur_ns, std::memory_order_relaxed);
-  if (site.attributed_) {
-    attributed_ns_.fetch_add(dur_ns, std::memory_order_relaxed);
-  }
+  attributed_ns_.fetch_add(dur_ns, std::memory_order_relaxed);
   if (capture_enabled_.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(capture_mutex_);
     if (captured_.size() < kMaxCapturedWaits) {

@@ -4,10 +4,9 @@
 // disk flush) registers a WaitEventRegistry::Site once — typically as a
 // function-local static — and wraps the blocking region in a ScopedWait.
 // Sites aggregate count / total / max plus a fixed exponential latency
-// histogram (same bucket bounds as obs::Histogram), and roll up into four
+// histogram (same bucket bounds as obs::Histogram), and roll up into three
 // wait classes:
 //
-//   cpu_queue  waiting for CPU work to be scheduled (no site today)
 //   latch      short-term structure protection (subsumption-cache locks)
 //   lock       longer-held coordination locks (query-history ring)
 //   io         disk waits (WAL flush, snapshot save/load)
@@ -20,11 +19,7 @@
 // Attribution. The registry keeps a global attributed-wait counter that
 // the executor snapshots around statements and the plan walker around
 // nodes, giving per-query and per-node wait_ns deltas (the same
-// snapshot-diff scheme as tracked allocation peaks). Sites registered
-// with attributed=false — a background thread idling for work that may
-// belong to no query — still aggregate into sys.waits but are excluded
-// from the attribution counter so idle time is not billed to whatever
-// statement happens to be running.
+// snapshot-diff scheme as tracked allocation peaks).
 //
 // Capture. StartCapture/StopCapture bound-buffer individual wait spans so
 // EXPORT TRACE can draw waiting alongside working on one Chrome-trace
@@ -43,10 +38,10 @@
 namespace hirel {
 namespace obs {
 
-enum class WaitClass : uint8_t { kCpuQueue = 0, kLatch = 1, kLock = 2, kIo = 3 };
-inline constexpr size_t kNumWaitClasses = 4;
+enum class WaitClass : uint8_t { kLatch = 0, kLock = 1, kIo = 2 };
+inline constexpr size_t kNumWaitClasses = 3;
 
-/// Stable lower_snake name ("cpu_queue", "latch", "lock", "io") — used as
+/// Stable lower_snake name ("latch", "lock", "io") — used as
 /// hierarchy class names in sys.waits, so they must stay identifier-like.
 const char* WaitClassName(WaitClass cls);
 
@@ -69,13 +64,11 @@ class WaitEventRegistry {
 
    private:
     friend class WaitEventRegistry;
-    Site(const char* name, WaitClass cls, bool attributed,
-         WaitEventRegistry* owner)
-        : name_(name), cls_(cls), attributed_(attributed), owner_(owner) {}
+    Site(const char* name, WaitClass cls, WaitEventRegistry* owner)
+        : name_(name), cls_(cls), owner_(owner) {}
 
     const char* name_;
     WaitClass cls_;
-    bool attributed_;
     WaitEventRegistry* owner_;
     std::atomic<uint64_t> count_{0};
     std::atomic<uint64_t> total_ns_{0};
@@ -89,16 +82,15 @@ class WaitEventRegistry {
   static WaitEventRegistry& Global();
 
   /// Finds or creates the site; `name` must outlive the registry (string
-  /// literals). attributed=false keeps the site out of per-query and
-  /// per-node wait deltas (see file comment).
-  Site& RegisterSite(const char* name, WaitClass cls, bool attributed = true);
+  /// literals).
+  Site& RegisterSite(const char* name, WaitClass cls);
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Sum of attributed wait time; snapshot-diff this around a statement
+  /// Sum of all recorded wait time; snapshot-diff this around a statement
   /// or plan node for its wait_ns.
   uint64_t attributed_wait_ns() const {
     return attributed_ns_.load(std::memory_order_relaxed);
@@ -106,7 +98,7 @@ class WaitEventRegistry {
 
   struct SiteSnapshot {
     std::string name;
-    WaitClass cls = WaitClass::kCpuQueue;
+    WaitClass cls = WaitClass::kLatch;
     uint64_t count = 0;
     uint64_t total_ns = 0;
     uint64_t max_ns = 0;

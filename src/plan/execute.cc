@@ -158,7 +158,6 @@ class Walker {
         Result<const HierarchicalRelation*> rel =
             std::as_const(db_).GetRelation(node.relation);
         if (rel.ok()) {
-          if (ns != nullptr) ns->chunks = (*rel)->num_chunks();
           if (stats_ != nullptr) stats_->rows_scanned += (*rel)->size();
           Slot slot;
           slot.rel = *rel;
@@ -171,10 +170,7 @@ class Walker {
             db_.FindVirtualRelation(node.relation);
         if (provider == nullptr) return rel.status();
         HIREL_ASSIGN_OR_RETURN(Slot slot, Own(provider->Materialize()));
-        if (ns != nullptr) {
-          ns->chunks = slot.rel->num_chunks();
-          ns->virtual_scan = true;
-        }
+        if (ns != nullptr) ns->virtual_scan = true;
         if (stats_ != nullptr) stats_->rows_scanned += slot.rel->size();
         return slot;
       }

@@ -76,9 +76,6 @@ struct PlanNodeStats {
   /// Whether the cache's incremental patch path was enabled at lookup
   /// time (the SET INCREMENTAL switch); rendered as `incremental=on|off`.
   bool cache_incremental = false;
-  /// Fixed-size scan chunks covering the slots of the relation a Scan node
-  /// produced; EXPLAIN ANALYZE renders it on Scan lines only.
-  size_t chunks = 0;
   /// True for a Scan of a virtual (sys.*) relation, materialized by its
   /// provider for this execution; EXPLAIN ANALYZE renders `virtual=true`.
   bool virtual_scan = false;

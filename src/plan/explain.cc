@@ -74,9 +74,6 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
           out += " patched=false";
         }
       }
-      if (node.op == PlanOp::kScan) {
-        out += StrCat(" chunks=", ns.chunks);
-      }
       if (node.op == PlanOp::kAggregate) {
         out += StrCat(" rows_in=", ns.rows_in);
       }

@@ -99,11 +99,18 @@ std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
 /// Allocation-free; false proves nothing.
 bool ItemLeafDisjoint(const Schema& schema, ItemView a, ItemView b);
 
-/// Closes `items` under pairwise maximal common descendants, deduplicating.
-/// A set of asserted items closed under MCDs cannot harbour an off-path
-/// conflict at an unasserted site (see conflict.h); the derived relations
-/// produced by the algebra operators use this to stay consistent. Fails
-/// with kResourceExhausted if the closure would exceed `max_items`.
+/// Closes `items` under pairwise maximal common descendants, deduplicating;
+/// the order of the result is unspecified. A set of asserted items closed
+/// under MCDs cannot harbour an off-path conflict at an unasserted site (see
+/// conflict.h); the derived relations produced by the algebra operators use
+/// this to stay consistent. Fails with kResourceExhausted when the closure
+/// must add an item and the closed set would exceed `max_items`.
+///
+/// Only pairs that can share an MCD are visited. An item MCD is the product
+/// of per-attribute MCDs, so it needs the two items to overlap in every
+/// attribute; incomparable nodes overlap only below a join node
+/// (Hierarchy::IsJoinNode). With one attribute, a set with no join node
+/// below any item is already closed, as in any tree.
 Status CloseUnderMaximalCommonDescendants(const Schema& schema,
                                           std::vector<Item>& items,
                                           size_t max_items = 100'000);

@@ -1,14 +1,17 @@
 // Differential test for the pruned algebra read kernels: SelectEquals skips
-// tuples outside the selected node's overlap cone, and the pairwise loops
-// (the derived-relation MCD closure, the set-op cross pairs, the join pair
-// loop) skip pairs that Hierarchy::LeafDisjoint proves disjoint. Both prunes
-// must only drop work whose maximal-common-descendant set is empty, so the
-// rendered result must be byte-identical to the unpruned loops kept below:
-// every tuple clamped through Hierarchy::MaximalCommonDescendants, every
-// pair through ItemMaximalCommonDescendants.
+// tuples outside the selected node's overlap cone, the set-op cross pairs
+// and the join pair loop skip pairs that Hierarchy::LeafDisjoint proves
+// disjoint, and the derived-relation MCD closure pairs only items that
+// overlap in every attribute, found through join nodes
+// (Hierarchy::JoinAncestors). Every prune must only drop work whose
+// maximal-common-descendant set is empty, so results must equal the
+// unpruned loops kept below: every tuple clamped through
+// Hierarchy::MaximalCommonDescendants, every pair through
+// ItemMaximalCommonDescendants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <unordered_set>
@@ -31,12 +34,11 @@ using TruthFn = std::function<Result<Truth>(const Item&)>;
 
 // ----- Unpruned reference kernels ---------------------------------------
 
-/// The MCD closure with every incomparable pair sent through
-/// ItemMaximalCommonDescendants, followed by serial truth assignment.
-Result<HierarchicalRelation> ReferenceDerive(std::string name,
-                                             const Schema& schema,
-                                             std::vector<Item> items,
-                                             const TruthFn& truth_of) {
+/// The MCD closure with every incomparable pair, added items included,
+/// sent through ItemMaximalCommonDescendants. Fails when an added item
+/// would take the set past `max_items`.
+Status ReferenceClose(const Schema& schema, std::vector<Item>& items,
+                      size_t max_items = 100'000) {
   std::unordered_set<Item, ItemHash> seen(items.begin(), items.end());
   items.assign(seen.begin(), seen.end());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -44,10 +46,24 @@ Result<HierarchicalRelation> ReferenceDerive(std::string name,
       if (ItemComparable(schema, items[i], items[j])) continue;
       for (Item& mcd :
            ItemMaximalCommonDescendants(schema, items[i], items[j])) {
-        if (seen.insert(mcd).second) items.push_back(std::move(mcd));
+        if (!seen.insert(mcd).second) continue;
+        if (items.size() >= max_items) {
+          return Status::ResourceExhausted(
+              "maximal-common-descendant closure exceeds item cap");
+        }
+        items.push_back(std::move(mcd));
       }
     }
   }
+  return Status::OK();
+}
+
+/// ReferenceClose followed by serial truth assignment.
+Result<HierarchicalRelation> ReferenceDerive(std::string name,
+                                             const Schema& schema,
+                                             std::vector<Item> items,
+                                             const TruthFn& truth_of) {
+  HIREL_RETURN_IF_ERROR(ReferenceClose(schema, items));
   HierarchicalRelation result(std::move(name), schema);
   for (const Item& item : items) {
     HIREL_ASSIGN_OR_RETURN(Truth truth, truth_of(item));
@@ -312,6 +328,228 @@ TEST(PrunedKernelsTest, MatchUnprunedLoopsOnSharedMultiParentChild) {
   ExpectSetOpsMatch(*feeds, *likes, "feeds/likes");
   ExpectJoinMatches(*likes, *coat, "likes/coat");
   ExpectJoinMatches(*coat, *feeds, "coat/feeds");
+}
+
+// ----- The MCD closure against the all-pairs reference -------------------
+
+std::vector<Item> Sorted(std::vector<Item> items) {
+  std::sort(items.begin(), items.end());
+  return items;
+}
+
+/// What ExpectClosureMatches saw, so callers can check that their cases
+/// exercise the closure.
+struct ClosureShape {
+  size_t distinct = 0;  // distinct input items
+  size_t closed = 0;    // size of the closed set
+  bool needs_second_round = false;  // an added item had to pair again
+};
+
+/// Closes `items` with the kernel and the reference and expects the same
+/// set. When the closure adds items, it also expects the same status at
+/// `max_items` equal to the closed size, one below it and one above it.
+ClosureShape ExpectClosureMatches(const Schema& schema,
+                                  const std::vector<Item>& items,
+                                  const std::string& ctx) {
+  ClosureShape shape;
+  std::vector<Item> want = items;
+  EXPECT_TRUE(ReferenceClose(schema, want).ok()) << ctx;
+  std::vector<Item> got = items;
+  Status status = CloseUnderMaximalCommonDescendants(schema, got);
+  EXPECT_TRUE(status.ok()) << ctx << ": " << status.ToString();
+  EXPECT_EQ(Sorted(got), Sorted(want)) << ctx;
+
+  std::unordered_set<Item, ItemHash> distinct(items.begin(), items.end());
+  shape.distinct = distinct.size();
+  shape.closed = want.size();
+  // One round: the inputs and the MCDs of their pairs.
+  std::unordered_set<Item, ItemHash> one_round = distinct;
+  for (const Item& a : distinct) {
+    for (const Item& b : distinct) {
+      for (Item& mcd : ItemMaximalCommonDescendants(schema, a, b)) {
+        one_round.insert(std::move(mcd));
+      }
+    }
+  }
+  shape.needs_second_round = want.size() > one_round.size();
+
+  if (shape.closed == shape.distinct) return shape;
+  for (size_t cap : {shape.closed - 1, shape.closed, shape.closed + 1}) {
+    std::vector<Item> capped_want = items;
+    std::vector<Item> capped_got = items;
+    Status want_status = ReferenceClose(schema, capped_want, cap);
+    Status got_status =
+        CloseUnderMaximalCommonDescendants(schema, capped_got, cap);
+    EXPECT_EQ(got_status.ToString(), want_status.ToString())
+        << ctx << " max_items " << cap;
+    EXPECT_EQ(got_status.ok(), cap >= shape.closed)
+        << ctx << " max_items " << cap;
+  }
+  return shape;
+}
+
+/// `count` items with uniformly drawn components.
+std::vector<Item> RandomItems(const Schema& schema, Random& rng,
+                              size_t count) {
+  std::vector<Item> items;
+  for (size_t t = 0; t < count; ++t) {
+    Item item(schema.size());
+    for (size_t i = 0; i < schema.size(); ++i) {
+      std::vector<NodeId> nodes = schema.hierarchy(i)->Nodes();
+      item[i] = nodes[rng.Index(nodes.size())];
+    }
+    items.push_back(std::move(item));
+  }
+  return items;
+}
+
+TEST(ClosureOracleTest, MatchesAllPairsOnRandomDags) {
+  size_t added = 0;
+  size_t second_rounds = 0;
+  for (size_t attributes = 1; attributes <= 3; ++attributes) {
+    for (double p : {0.25, 0.5}) {
+      for (uint64_t seed = 0; seed < 100; ++seed) {
+        testing::RandomFixtureOptions options;
+        options.num_attributes = attributes;
+        options.num_classes = 10;
+        options.num_instances = 12;
+        options.num_tuples = 0;
+        options.extra_parent_p = p;
+        testing::RandomDatabase rdb(seed, options);
+        const Schema& schema = rdb.relation()->schema();
+        Random rng(seed * 7919 + attributes);
+        // Half the seeds also carry preference edges, which bias binding
+        // order but create no overlap.
+        if (seed % 2 == 1) {
+          for (size_t i = 0; i < attributes; ++i) {
+            Hierarchy* h = rdb.hierarchy(i);
+            std::vector<NodeId> nodes = h->Nodes();
+            for (int e = 0; e < 4; ++e) {
+              (void)h->AddPreferenceEdge(nodes[rng.Index(nodes.size())],
+                                         nodes[rng.Index(nodes.size())]);
+            }
+          }
+        }
+        std::vector<Item> items =
+            RandomItems(schema, rng, 4 + rng.Index(10));
+        ClosureShape shape = ExpectClosureMatches(
+            schema, items,
+            StrCat(attributes, " attribute(s), p ", p, ", seed ", seed));
+        if (shape.closed > shape.distinct) ++added;
+        if (shape.needs_second_round) ++second_rounds;
+      }
+    }
+  }
+  // The cases must exercise the closure, including items that only arise
+  // from pairing an added item again.
+  EXPECT_GT(added, 150u);
+  EXPECT_GE(second_rounds, 4u);
+}
+
+TEST(ClosureOracleTest, MatchesAllPairsOnRandomTreesAtTwoAttributes) {
+  size_t added = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    testing::RandomFixtureOptions options;
+    options.num_attributes = 2;
+    options.num_classes = 8;
+    options.num_instances = 10;
+    options.num_tuples = 0;
+    options.extra_parent_p = 0;
+    testing::RandomDatabase rdb(seed, options);
+    const Schema& schema = rdb.relation()->schema();
+    ASSERT_TRUE(rdb.hierarchy(0)->JoinAncestors()->None());
+    ASSERT_TRUE(rdb.hierarchy(1)->JoinAncestors()->None());
+    Random rng(seed + 101);
+    std::vector<Item> items = RandomItems(schema, rng, 4 + rng.Index(10));
+    ClosureShape shape =
+        ExpectClosureMatches(schema, items, StrCat("tree seed ", seed));
+    if (shape.closed > shape.distinct) ++added;
+  }
+  EXPECT_GT(added, 20u);
+}
+
+// Two trees: (a, B) and (A, b) with a < A and b < B meet at (a, b), although
+// neither hierarchy has a join node.
+TEST(ClosureOracleTest, TreesAtTwoAttributesMeetComponentWise) {
+  Database db;
+  Hierarchy* left = db.CreateHierarchy("left").value();
+  NodeId big_a = left->AddClass("A").value();
+  NodeId small_a = left->AddClass("a", big_a).value();
+  Hierarchy* right = db.CreateHierarchy("right").value();
+  NodeId big_b = right->AddClass("B").value();
+  NodeId small_b = right->AddClass("b", big_b).value();
+  Schema schema({{"l", left}, {"r", right}});
+  std::vector<Item> items{{small_a, big_b}, {big_a, small_b}};
+  ASSERT_TRUE(CloseUnderMaximalCommonDescendants(schema, items).ok());
+  EXPECT_EQ(Sorted(items),
+            Sorted({{small_a, big_b}, {big_a, small_b}, {small_a, small_b}}));
+  ExpectClosureMatches(schema, {{small_a, big_b}, {big_a, small_b}}, "A/B");
+}
+
+// A chain of join nodes: m joins a and b, x joins a and c, y joins b and c,
+// and n joins m, x and y. The inputs' pairwise MCDs are m, x and y; n is
+// the MCD of (m, c) and only appears once m is paired again.
+TEST(ClosureOracleTest, AddedJoinNodesPairAgain) {
+  Database db;
+  Hierarchy* h = db.CreateHierarchy("h").value();
+  NodeId a = h->AddClass("a").value();
+  NodeId b = h->AddClass("b").value();
+  NodeId c = h->AddClass("c").value();
+  NodeId m = h->AddClass("m", a).value();
+  ASSERT_TRUE(h->AddEdge(b, m).ok());
+  NodeId x = h->AddClass("x", a).value();
+  ASSERT_TRUE(h->AddEdge(c, x).ok());
+  NodeId y = h->AddClass("y", b).value();
+  ASSERT_TRUE(h->AddEdge(c, y).ok());
+  NodeId n = h->AddClass("n", m).value();
+  ASSERT_TRUE(h->AddEdge(x, n).ok());
+  ASSERT_TRUE(h->AddEdge(y, n).ok());
+  Schema schema({{"v", h}});
+
+  std::vector<Item> items{{a}, {b}, {c}};
+  ASSERT_TRUE(CloseUnderMaximalCommonDescendants(schema, items).ok());
+  EXPECT_EQ(Sorted(items), Sorted({{a}, {b}, {c}, {m}, {x}, {y}, {n}}));
+  ClosureShape shape = ExpectClosureMatches(schema, {{a}, {b}, {c}}, "chain");
+  EXPECT_TRUE(shape.needs_second_round);
+
+  // The cap counts the closed set: seven items fit in seven, not six.
+  std::vector<Item> capped{{a}, {b}, {c}};
+  Status status = CloseUnderMaximalCommonDescendants(schema, capped, 6);
+  EXPECT_TRUE(status.IsResourceExhausted());
+  EXPECT_EQ(status.message(),
+            "maximal-common-descendant closure exceeds item cap");
+}
+
+// Preference edges bias binding order only: a tree with preference edges
+// still has no join node, and a preference edge between overlapping classes
+// does not make them comparable for the closure.
+TEST(ClosureOracleTest, PreferenceEdgesNeitherJoinNorOrder) {
+  Database db;
+  Hierarchy* animal = db.CreateHierarchy("animal").value();
+  NodeId mammal = animal->AddClass("mammal").value();
+  NodeId pet = animal->AddClass("pet").value();
+  NodeId dog = animal->AddClass("dog", mammal).value();
+  NodeId parrot = animal->AddClass("parrot", pet).value();
+  ASSERT_TRUE(animal->AddPreferenceEdge(mammal, pet).ok());
+  ASSERT_TRUE(animal->AddPreferenceEdge(dog, parrot).ok());
+  EXPECT_TRUE(animal->JoinAncestors()->None());
+  Schema schema({{"who", animal}});
+  std::vector<Item> items{{mammal}, {pet}, {dog}, {parrot}};
+  ASSERT_TRUE(CloseUnderMaximalCommonDescendants(schema, items).ok());
+  EXPECT_EQ(items.size(), 4u);
+
+  // A shared subclass makes mammal and pet overlap; the preference edge
+  // between them must not hide their MCD.
+  NodeId house = animal->AddClass("house_mammal", mammal).value();
+  ASSERT_TRUE(animal->AddEdge(pet, house).ok());
+  EXPECT_TRUE(animal->JoinAncestors()->Test(mammal));
+  EXPECT_TRUE(animal->JoinAncestors()->Test(pet));
+  EXPECT_FALSE(animal->JoinAncestors()->Test(dog));
+  items = {{mammal}, {pet}};
+  ASSERT_TRUE(CloseUnderMaximalCommonDescendants(schema, items).ok());
+  EXPECT_EQ(Sorted(items), Sorted({{mammal}, {pet}, {house}}));
+  ExpectClosureMatches(schema, {{mammal}, {pet}, {dog}, {parrot}},
+                       "preferences");
 }
 
 }  // namespace

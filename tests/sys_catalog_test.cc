@@ -100,8 +100,7 @@ TEST(SysCatalogTest, StorageColumnsHaveNoLayoutDimension) {
   ASSERT_NE(flies, nullptr);
   EXPECT_EQ(flies->cells.at("kind"), "stored");
   EXPECT_EQ(columns(*flies), (std::set<std::string>{
-                                 "relation", "kind", "tuples", "chunks",
-                                 "bytes"}));
+                                 "relation", "kind", "tuples", "bytes"}));
   const json_rows::Row* metrics =
       json_rows::FindRow(relations, {{"relation", "sys.metrics"}});
   ASSERT_NE(metrics, nullptr);

@@ -83,6 +83,27 @@ for preset in "${presets[@]}"; do
       exit 1
     fi
     echo "browse-shaped store: ${footprint} B/tuple"
+    # The MCD closure pairs only items that can share a descendant, so a
+    # level-1 select on the 10^4-sku catalogue (about 6x the candidates of
+    # a level-2 one) costs roughly linearly more, not quadratically. A
+    # ratio of two runs on one host holds on any host.
+    echo "==== ${preset}: level-1 vs level-2 catalogue select (<= 10x) ===="
+    select_rows="$("build/${preset}/bench/bench_operators" \
+        --benchmark_filter='^BM_HierarchicalSelectCatalog/depth:[12]$' |
+        grep -o '{"bench".*')"
+    select_ns() {
+      echo "${select_rows}" |
+          sed -n "s/.*\"name\":\"BM_HierarchicalSelectCatalog\/depth:$1\".*\"ns_per_op\":\([0-9.e+]*\).*/\1/p"
+    }
+    depth1="$(select_ns 1)"
+    depth2="$(select_ns 2)"
+    if [ -z "${depth1}" ] || [ -z "${depth2}" ] ||
+        ! awk -v a="${depth1}" -v b="${depth2}" 'BEGIN { exit !(a <= 10 * b) }'; then
+      echo "FAIL: catalogue select depth:1 '${depth1}' ns vs depth:2 '${depth2}' ns, limit 10x" >&2
+      exit 1
+    fi
+    awk -v a="${depth1}" -v b="${depth2}" \
+        'BEGIN { printf "catalogue select: depth:1 / depth:2 = %.1fx\n", a / b }'
   fi
 
   echo "==== ${preset}: observability smoke ===="
