@@ -2,10 +2,12 @@
 // mutation, the journal patch path must answer the next graph-dependent
 // query at least an order of magnitude faster than a full rebuild.
 //
-// BM_MutateThenGetGraph/N/0  — mutate one tuple, rebuild the graph (OFF)
-// BM_MutateThenGetGraph/N/1  — mutate one tuple, patch the graph (ON)
+// BM_MutateThenGetGraph/N/0  — mutate one tuple, invalidate the cache
+//                              entry, rebuild the graph
+// BM_MutateThenGetGraph/N/1  — mutate one tuple, patch the graph
 // BM_HqlMutateCountLoop/N/i  — the same loop end-to-end through HQL:
-//                              RETRACT + ASSERT + COUNT per iteration
+//                              RETRACT + ASSERT + COUNT per iteration,
+//                              the entry invalidated first when i is 0
 // BM_BuildSubsumptionGraph/N — one full graph build of a browse-shaped
 //                              relation with N skus
 // BM_BuildSubsumptionGraphChain/N — one build over an N-deep chain of
@@ -55,15 +57,14 @@ HierarchicalRelation* BuildStock(Database& db, size_t n) {
 }
 
 /// Kernel-level loop: erase + re-insert one tuple, then fetch the graph
-/// from the cache. With incremental ON every fetch must take the patch
-/// path; with OFF every fetch is a from-scratch parallel build.
+/// from the cache. With /1 every fetch must take the patch path; with /0
+/// the entry is invalidated first, so every fetch is a from-scratch build.
 void BM_MutateThenGetGraph(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool incremental = state.range(1) != 0;
   Database db;
   HierarchicalRelation* rel = BuildStock(db, n);
   SubsumptionCache& cache = db.subsumption_cache();
-  cache.set_incremental(incremental);
   cache.Get(*rel);  // warm the entry
 
   TupleId victim = rel->TupleIds().back();
@@ -71,6 +72,7 @@ void BM_MutateThenGetGraph(benchmark::State& state) {
   for (auto _ : state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();
+    if (!incremental) cache.Invalidate(rel->name());
     SubsumptionCache::GetOutcome outcome = SubsumptionCache::GetOutcome::kNone;
     const SubsumptionGraph& graph = cache.Get(*rel, &outcome);
     benchmark::DoNotOptimize(graph.nodes.size());
@@ -105,12 +107,12 @@ void BM_FullRebuildReferenceXL(benchmark::State& state) {
   Database db;
   HierarchicalRelation* rel = BuildStock(db, n);
   SubsumptionCache& cache = db.subsumption_cache();
-  cache.set_incremental(false);
   TupleId victim = rel->TupleIds().back();
   Item item = rel->ItemAt(victim).ToItem();
   for (auto _ : state) {
     (void)rel->Erase(victim);
     victim = rel->Insert(item, Truth::kPositive).value();
+    cache.Invalidate(rel->name());
     const SubsumptionGraph& graph = cache.Get(*rel);
     benchmark::DoNotOptimize(graph.nodes.size());
   }
@@ -220,20 +222,16 @@ BENCHMARK(BM_BuildSubsumptionGraphPreferred)
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end loop through the HQL executor: one retract, one assert, one
-/// graph-dependent query (COUNT) per iteration, with SET INCREMENTAL
-/// toggling the cache's patch path.
+/// graph-dependent query (COUNT) per iteration. With /1 COUNT patches the
+/// cached graph; with /0 the entry is invalidated first, so COUNT rebuilds
+/// it (RETRACT and ASSERT fetch no graph).
 void BM_HqlMutateCountLoop(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool incremental = state.range(1) != 0;
   auto db = std::make_unique<Database>();
   BuildStock(*db, n);
   hql::Executor exec(std::move(db));
-  std::string toggle = std::string("SET INCREMENTAL ") +
-                       (incremental ? "ON" : "OFF") + ";";
-  if (!exec.Execute(toggle).ok()) {
-    state.SkipWithError("SET INCREMENTAL failed");
-    return;
-  }
+  SubsumptionCache& cache = exec.database().subsumption_cache();
   if (!exec.Execute("COUNT stock;").ok()) {  // warm the cache entry
     state.SkipWithError("warmup COUNT failed");
     return;
@@ -245,13 +243,22 @@ void BM_HqlMutateCountLoop(benchmark::State& state) {
   std::string sku = h->NodeName(rel->tuple(rel->TupleIds().back()).item[0]);
   std::string script = "RETRACT stock(" + sku + "); ASSERT stock(" + sku +
                        "); COUNT stock;";
+  const SubsumptionCache::Stats warm = cache.stats();
   for (auto _ : state) {
+    if (!incremental) cache.Invalidate("stock");
     Result<std::string> out = exec.Execute(script);
     if (!out.ok()) {
       state.SkipWithError("mutate+count loop failed");
       break;
     }
     benchmark::DoNotOptimize(out->size());
+  }
+  const SubsumptionCache::Stats done = cache.stats();
+  if (incremental && done.rebuilds != warm.rebuilds) {
+    state.SkipWithError("expected the patch path");
+  }
+  if (!incremental && done.patches != warm.patches) {
+    state.SkipWithError("expected a full rebuild");
   }
   state.counters["tuples"] = static_cast<double>(n);
 }

@@ -19,42 +19,20 @@ Result<HierarchicalRelation> SetOp(
         StrCat("set operation '", op_name, "': schemas of '", left.name(),
                "' and '", right.name(), "' are not domain-compatible"));
   }
-  const Schema& schema = left.schema();
-
+  // The MCD closure inside DeriveRelation adds the cross MCDs: where
+  // overlapping-but-incomparable classes from the two relations meet, the
+  // combined truth can differ from either default (e.g. an intersection is
+  // true only inside the overlap).
   std::vector<Item> candidates;
+  candidates.reserve(left.size() + right.size());
   for (TupleId id : left.TupleIds()) {
     candidates.push_back(left.ItemAt(id).ToItem());
   }
   for (TupleId id : right.TupleIds()) {
     candidates.push_back(right.ItemAt(id).ToItem());
   }
-  // Cross MCDs: where overlapping-but-incomparable classes from the two
-  // relations meet, the combined truth can differ from either default (e.g.
-  // an intersection is true only inside the overlap).
-  size_t left_count = left.size();
-  size_t initial = candidates.size();
-  for (size_t i = 0; i < left_count; ++i) {
-    for (size_t j = left_count; j < initial; ++j) {
-      if (ItemComparable(schema, candidates[i], candidates[j])) continue;
-      if (!ItemLeafDisjoint(schema, candidates[i], candidates[j])) {
-        // Copy: ItemMaximalCommonDescendants must not hold references into
-        // the vector we are appending to.
-        Item a = candidates[i];
-        Item b = candidates[j];
-        for (Item& mcd : ItemMaximalCommonDescendants(schema, a, b)) {
-          candidates.push_back(std::move(mcd));
-        }
-      }
-      if (candidates.size() > options.max_items) {
-        return Status::ResourceExhausted(
-            StrCat("set operation '", op_name, "' exceeds ",
-                   options.max_items, " candidate items"));
-      }
-    }
-  }
-
-  return DeriveRelation(
-      StrCat(left.name(), "_", op_name, "_", right.name()), schema,
+  Result<HierarchicalRelation> derived = DeriveRelation(
+      StrCat(left.name(), "_", op_name, "_", right.name()), left.schema(),
       std::move(candidates),
       [&](const Item& item) -> Result<Truth> {
         HIREL_ASSIGN_OR_RETURN(Truth lt,
@@ -66,6 +44,14 @@ Result<HierarchicalRelation> SetOp(
                    : Truth::kNegative;
       },
       options.max_items);
+  // The closure enforces the cap with a generic message; re-label it so
+  // HQL users see which set operation overflowed.
+  if (!derived.ok() && derived.status().IsResourceExhausted()) {
+    return Status::ResourceExhausted(StrCat("set operation '", op_name,
+                                            "' exceeds ", options.max_items,
+                                            " candidate items"));
+  }
+  return derived;
 }
 
 }  // namespace

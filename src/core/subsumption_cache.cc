@@ -88,7 +88,6 @@ const SubsumptionGraph& SubsumptionCache::Get(
   }
   bool journal_overflow = false;
   if (entry->relation_version != 0 &&
-      incremental_.load(std::memory_order_relaxed) &&
       TryPatch(*entry, relation, trace, &journal_overflow)) {
     ++entry->patches;
     {

@@ -16,9 +16,8 @@
 // name which nodes a CONNECT/PREFER may have re-related, and
 // PatchSubsumptionGraph re-places just those tuples — byte-identical to a
 // full rebuild at a fraction of the index scans. A full rebuild remains
-// the fallback whenever a journal no longer covers the stamp, the
-// delta is too large to be worth it, or patching is disabled
-// (set_incremental(false), the HQL SET INCREMENTAL OFF escape hatch).
+// the fallback whenever a journal no longer covers the stamp or the
+// delta is too large to be worth it; Invalidate or Clear forces one.
 //
 // A Database owns one cache; the plan executor consults it for graphs of
 // base (catalog) relations and bypasses it for operator intermediates.
@@ -26,7 +25,6 @@
 #ifndef HIREL_CORE_SUBSUMPTION_CACHE_H_
 #define HIREL_CORE_SUBSUMPTION_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -105,16 +103,6 @@ class SubsumptionCache {
     return Get(relation);
   }
 
-  /// Toggles the patch path (SET INCREMENTAL ON|OFF). Off, every stale
-  /// entry takes the full-rebuild path. Safe to flip concurrently with
-  /// Gets; in-flight calls may use either setting.
-  void set_incremental(bool on) {
-    incremental_.store(on, std::memory_order_relaxed);
-  }
-  bool incremental() const {
-    return incremental_.load(std::memory_order_relaxed);
-  }
-
   /// True iff a Get for `relation` right now would hit.
   bool Fresh(const HierarchicalRelation& relation) const;
 
@@ -160,7 +148,6 @@ class SubsumptionCache {
   mutable std::mutex mutex_;  // guards entries_ (the map) and stats_
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
   Stats stats_;
-  std::atomic<bool> incremental_{true};
 };
 
 }  // namespace hirel

@@ -46,8 +46,7 @@ Status Transaction::Commit(obs::Trace* trace) {
         rollback();
         return inserted.status();
       }
-      undo_log.push_back(Undo{OpKind::kInsert, op.item, op.truth, false,
-                              Truth::kPositive});
+      undo_log.push_back(Undo{OpKind::kInsert, op.item, op.truth});
     } else {
       std::optional<TupleId> id = relation_->FindItem(op.item);
       if (!id.has_value()) {
@@ -60,8 +59,7 @@ Status Transaction::Commit(obs::Trace* trace) {
         rollback();
         return erased;
       }
-      undo_log.push_back(
-          Undo{OpKind::kErase, op.item, prior, true, prior});
+      undo_log.push_back(Undo{OpKind::kErase, op.item, prior});
     }
   }
 

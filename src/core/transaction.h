@@ -71,8 +71,6 @@ class Transaction {
     OpKind kind;  // the *applied* operation to reverse
     Item item;
     Truth truth = Truth::kPositive;  // prior truth, for reversing erases
-    bool had_prior = false;          // for reversing upserts
-    Truth prior_truth = Truth::kPositive;
   };
 
   HierarchicalRelation* relation_;

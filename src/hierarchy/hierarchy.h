@@ -253,13 +253,6 @@ class Hierarchy {
     return dag_.reachability();
   }
 
-  /// See Dag::SetClosureNodeLimit. A structural mutation: bumps the
-  /// version stamp and invalidates the current snapshot.
-  void SetClosureNodeLimit(size_t limit) {
-    dag_.SetClosureNodeLimit(limit);
-    version_ = NextRevision();
-  }
-
   // ----- Edit journal --------------------------------------------------------
 
   /// Appends to `out` every node whose binding relations to *pre-existing*

@@ -244,14 +244,6 @@ struct ExportTraceStmt {
   std::string path;
 };
 
-/// SET INCREMENTAL ON|OFF: toggle incremental maintenance — the
-/// subsumption-graph cache's journal patch path, delta consolidation, and
-/// the DERIVE fixpoint's extension-append fast path. Results are identical
-/// either way; OFF forces the from-scratch paths for A/B comparison.
-struct SetIncrementalStmt {
-  bool on = true;
-};
-
 /// SET TELEMETRY ON|OFF|INTERVAL n|TICK: control the background sampler
 /// that records metric history into the sys.metrics_history rings. OFF
 /// stops the thread entirely (zero query-path cost); INTERVAL n sets the
@@ -308,7 +300,7 @@ using Statement =
                  RuleStmt, DeriveStmt, CountStmt, ShowBindingStmt,
                  EliminateStmt, ExplainPlanStmt,
                  ResetMetricsStmt, SetSlowQueryStmt, SetLogStmt,
-                 ExportTraceStmt, SetIncrementalStmt, SetTelemetryStmt,
+                 ExportTraceStmt, SetTelemetryStmt,
                  CreateAlertStmt, DropAlertStmt, ExportDiagnosticsStmt,
                  SetDiagnosticsDirStmt, SetWatchdogStmt>;
 

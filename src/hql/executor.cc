@@ -110,9 +110,6 @@ struct TraceName {
   const char* operator()(const ExportTraceStmt&) const {
     return "export trace";
   }
-  const char* operator()(const SetIncrementalStmt&) const {
-    return "set incremental";
-  }
   const char* operator()(const SetTelemetryStmt&) const {
     return "set telemetry";
   }
@@ -319,7 +316,6 @@ std::vector<obs::SessionSetting> Executor::SessionSettings() const {
   auto on_off = [](bool on) { return Value::String(on ? "on" : "off"); };
   std::string dir = alerts_.diagnostics_dir();
   return {
-      {"incremental", on_off(incremental_)},
       {"preemption",
        Value::String(PreemptionModeToString(options_.preemption))},
       {"telemetry", on_off(telemetry_.running())},
@@ -450,7 +446,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       }
       plan::ExecOptions exec;
       exec.inference = self.options_;
-      exec.cache = &db.subsumption_cache();
       exec.trace = self.active_trace_;
       // Arming the slow-query log collects per-node actuals for every
       // plan, so a statement that crosses the threshold can be logged
@@ -661,7 +656,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       // each node's actual rows, wall time, and subsumption probes.
       plan::ExecOptions exec;
       exec.inference = self.options_;
-      exec.cache = &db.subsumption_cache();
       exec.trace = self.active_trace_;
       exec.collect_node_stats = true;
       plan::ExecStats exec_stats;
@@ -735,15 +729,14 @@ Result<std::string> Executor::ExecuteStatementImpl(
     }
 
     /// The seed set for the delta form of CONSOLIDATE, or nullopt when a
-    /// full sweep is required: first consolidate of this relation, SET
-    /// INCREMENTAL OFF, non-offpath preemption (the redundancy rule delta
-    /// reasoning is stated for off-path inference), any hierarchy edit or
+    /// full sweep is required: first consolidate of this relation,
+    /// non-offpath preemption (the redundancy rule delta reasoning is
+    /// stated for off-path inference), any hierarchy edit or
     /// preference edge (erase seeding relies on dag-only TuplesSubsumedBy,
     /// which under-approximates successors once preferences exist), or a
     /// mutation journal that no longer covers the last consolidate.
     std::optional<std::vector<TupleId>> DeltaConsolidateSeeds(
         const std::string& name, const HierarchicalRelation& relation) {
-      if (!self.incremental_) return std::nullopt;
       if (self.options_.preemption != PreemptionMode::kOffPath) {
         return std::nullopt;
       }
@@ -1035,9 +1028,7 @@ Result<std::string> Executor::ExecuteStatementImpl(
       }
       RuleOptions options;
       options.inference = self.options_;
-      options.subsumption_cache = &db.subsumption_cache();
       options.trace = self.active_trace_;
-      options.incremental = self.incremental_;
       RuleStats stats;
       options.stats = &stats;
       Result<size_t> derived = [&]() {
@@ -1088,9 +1079,8 @@ Result<std::string> Executor::ExecuteStatementImpl(
       // The loaded database has no providers; re-register them so sys.*
       // keeps answering (the history ring itself survives the swap).
       self.InstallSystemCatalog();
-      // Fresh database, fresh cache: carry the session's incremental
-      // setting over and forget consolidate marks for the old catalog.
-      self.db_->subsumption_cache().set_incremental(self.incremental_);
+      // Fresh database, fresh cache: forget consolidate marks for the old
+      // catalog.
       self.last_consolidated_.clear();
       return StrCat("loaded '", stmt.path, "'\n");
     }
@@ -1109,15 +1099,6 @@ Result<std::string> Executor::ExecuteStatementImpl(
       if (stmt.threshold_ms < 0) return std::string("slow-query log: off\n");
       return StrCat("slow-query log: threshold ", stmt.threshold_ms,
                     " ms\n");
-    }
-
-    Result<std::string> operator()(const SetIncrementalStmt& stmt) {
-      self.incremental_ = stmt.on;
-      db.subsumption_cache().set_incremental(stmt.on);
-      HIREL_LOG(obs::LogLevel::kInfo, "cache", "set_incremental",
-                {{"on", stmt.on ? "true" : "false"}});
-      return StrCat("incremental maintenance: ", stmt.on ? "on" : "off",
-                    "\n");
     }
 
     Result<std::string> operator()(const SetTelemetryStmt& stmt) {

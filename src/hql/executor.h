@@ -161,12 +161,6 @@ class Executor {
   // a referenced relation disappears.
   std::vector<std::string> rule_texts_;
 
-  // SET INCREMENTAL ON|OFF: gates the subsumption-cache patch path (kept
-  // in sync with the cache's own flag), delta consolidation, and the
-  // DERIVE extension-append fast path. Re-applied to the cache after LOAD
-  // replaces the database.
-  bool incremental_ = true;
-
   // CONSOLIDATE bookkeeping for the delta form: the stamps at which each
   // relation was last fully consolidated in place. A later CONSOLIDATE
   // whose journal covers the recorded stamp re-examines only the mutated

@@ -565,20 +565,6 @@ class Parser {
         HIREL_ASSIGN_OR_RETURN(stmt.level, ExpectIdentifier());
         return Statement(std::move(stmt));
       }
-      if (AcceptKeyword("INCREMENTAL")) {
-        SetIncrementalStmt stmt;
-        if (AcceptKeyword("ON")) {
-          stmt.on = true;
-        } else if (Check(TokenType::kIdentifier) &&
-                   EqualsIgnoreCase(Peek().text, "off")) {
-          // OFF is not a reserved word (same treatment as SLOW_QUERY_MS).
-          Advance();
-          stmt.on = false;
-        } else {
-          return Error("SET INCREMENTAL expects ON or OFF");
-        }
-        return Statement(stmt);
-      }
       if (AcceptKeyword("TELEMETRY")) {
         SetTelemetryStmt stmt;
         if (AcceptKeyword("ON")) {

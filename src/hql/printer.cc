@@ -34,8 +34,6 @@ std::string HelpText() {
     COUNT r [BY attr];                           -- extension statistics
     COMPRESS r;                                  -- re-encode minimally
     SET PREEMPTION offpath;                      -- or onpath / none
-    SET INCREMENTAL on|off;                      -- journal-patched graphs, delta
-                                                 -- consolidate, semi-naive DERIVE
     SHOW STORAGE [JSON];                         -- sys.relations + sys.columns
 
   rules (Datalog layer)

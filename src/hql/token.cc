@@ -21,8 +21,8 @@ constexpr std::array kReservedWords = {
     "COUNT",       "BY",        "SUBSUMPTION", "BINDING",   "PLAN",
     "ANALYZE",     "METRICS",   "TRACE",     "RESET",     "JSON",
     "LOG",         "EXPORT",    "PROMETHEUS",
-    "SLOW_QUERY_MS", "STORAGE",   "QUERIES",   "INCREMENTAL",
-    "TELEMETRY",   "INTERVAL",
+    "SLOW_QUERY_MS", "STORAGE",   "QUERIES",   "TELEMETRY",
+    "INTERVAL",
 };
 
 }  // namespace

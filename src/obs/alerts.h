@@ -34,6 +34,7 @@
 #ifndef HIREL_OBS_ALERTS_H_
 #define HIREL_OBS_ALERTS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/wait.h"
 
 namespace hirel {
 namespace obs {
@@ -204,7 +206,7 @@ class AlertManager {
   // per-tick share deltas.
   uint64_t last_query_id_ = 0;
   bool have_prev_waits_ = false;
-  uint64_t prev_wait_ns_[4] = {0, 0, 0, 0};
+  std::array<uint64_t, kNumWaitClasses> prev_wait_ns_{};
   uint64_t prev_tick_steady_ns_ = 0;
   bool share_valid_ = false;       // per-tick, set by OnTick
   int64_t io_share_pct_ = 0;

@@ -49,8 +49,8 @@
 //                  per engine component (wal, cache, queries, telemetry)
 //                  derived from the firing alerts, plus an "overall" row
 //                  folding every firing alert.
-//   sys.session    (key, value)   the session settings (incremental,
-//                  preemption, telemetry, slow_query_ms, ...) and sampler
+//   sys.session    (key, value)   the session settings (preemption,
+//                  telemetry, slow_query_ms, ...) and sampler
 //                  state (telemetry_ticks, telemetry_ring_capacity);
 //                  numeric settings are Int values.
 //

@@ -117,10 +117,10 @@ class Walker {
   /// Cached subsumption graph for a base-relation slot; null for
   /// intermediates (their graphs are one-shot, caching buys nothing).
   const SubsumptionGraph* GraphFor(const Slot& slot, PlanNodeStats* ns) {
-    if (!slot.is_base() || options_.cache == nullptr) return nullptr;
+    if (!slot.is_base()) return nullptr;
     SubsumptionCache::GetOutcome outcome = SubsumptionCache::GetOutcome::kNone;
     const SubsumptionGraph* graph =
-        &options_.cache->Get(*slot.rel, &outcome, options_.trace);
+        &db_.subsumption_cache().Get(*slot.rel, &outcome, options_.trace);
     if (stats_ != nullptr) {
       if (outcome == SubsumptionCache::GetOutcome::kHit) {
         ++stats_->graph_cache_hits;
@@ -132,10 +132,7 @@ class Walker {
           ++stats_->graph_cache_patched;
         }
       }
-      if (ns != nullptr) {
-        ns->cache_outcome = outcome;
-        ns->cache_incremental = options_.cache->incremental();
-      }
+      if (ns != nullptr) ns->cache_outcome = outcome;
     }
     return graph;
   }

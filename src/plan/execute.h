@@ -30,10 +30,6 @@ struct ExecOptions {
   /// Preemption mode etc., forwarded to every kernel.
   InferenceOptions inference;
 
-  /// Subsumption-graph cache consulted for base-relation inputs; null
-  /// disables caching (each kernel builds its own graph).
-  SubsumptionCache* cache = nullptr;
-
   /// Trace receiving the cache's graph.build / graph.patch spans, as
   /// children of the innermost open span; null leaves them untraced.
   obs::Trace* trace = nullptr;
@@ -73,9 +69,6 @@ struct PlanNodeStats {
   /// `patched=true|false`.
   SubsumptionCache::GetOutcome cache_outcome =
       SubsumptionCache::GetOutcome::kNone;
-  /// Whether the cache's incremental patch path was enabled at lookup
-  /// time (the SET INCREMENTAL switch); rendered as `incremental=on|off`.
-  bool cache_incremental = false;
   /// True for a Scan of a virtual (sys.*) relation, materialized by its
   /// provider for this execution; EXPLAIN ANALYZE renders `virtual=true`.
   bool virtual_scan = false;

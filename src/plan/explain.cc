@@ -67,7 +67,6 @@ void Render(const PlanNode& node, size_t depth, const ExecStats* exec,
       if (ns.graph_cache_hits + ns.graph_cache_misses > 0) {
         out += StrCat(" graph_cache=", ns.graph_cache_hits, "/",
                       ns.graph_cache_hits + ns.graph_cache_misses, " hit");
-        out += StrCat(" incremental=", ns.cache_incremental ? "on" : "off");
         if (ns.cache_outcome == SubsumptionCache::GetOutcome::kPatched) {
           out += " patched=true";
         } else if (ns.cache_outcome == SubsumptionCache::GetOutcome::kRebuilt) {

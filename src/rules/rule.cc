@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "common/str_util.h"
-#include "core/explicate.h"
 #include "core/integrity.h"
 #include "plan/execute.h"
 #include "plan/plan_node.h"
@@ -522,9 +521,6 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
   }
 
   // --- Bottom-up fixpoint per stratum ---------------------------------------
-  ExplicateOptions explicate_options;
-  explicate_options.inference = options.inference;
-
   std::unordered_map<std::string, RelationFacts> facts;
   // Semi-naive evaluation: per IDB relation, the extension rows that are
   // new since the previous round. Recursive rules re-join only against
@@ -550,28 +546,23 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
     }
     *atomic_positive = all_atomic_positive;
     if (all_atomic_positive) return rows;
-    if (options.subsumption_cache != nullptr) {
-      // Slow path, cached: run the extension plan through the plan
-      // executor, which reuses the relation's subsumption graph across
-      // fixpoint rounds that left it untouched.
-      plan::PlanPtr p =
-          plan::MakeExplicate(plan::MakeScan(name), {},
-                              /*consolidate_after=*/true);
-      HIREL_RETURN_IF_ERROR(plan::AnnotatePlan(*p, *db_));
-      plan::ExecOptions exec;
-      exec.inference = options.inference;
-      exec.cache = options.subsumption_cache;
-      HIREL_ASSIGN_OR_RETURN(plan::PlanOutput out,
-                             plan::ExecutePlan(*p, *db_, exec));
-      std::vector<Item> items;
-      items.reserve(out.relation->size());
-      for (TupleId id : out.relation->TupleIds()) {
-        items.push_back(out.relation->ItemAt(id).ToItem());
-      }
-      std::sort(items.begin(), items.end());
-      return items;
+    // Slow path: run the extension plan through the plan executor, which
+    // reuses the relation's cached subsumption graph across fixpoint
+    // rounds that left it untouched.
+    plan::PlanPtr p = plan::MakeExplicate(plan::MakeScan(name), {},
+                                          /*consolidate_after=*/true);
+    HIREL_RETURN_IF_ERROR(plan::AnnotatePlan(*p, *db_));
+    plan::ExecOptions exec;
+    exec.inference = options.inference;
+    HIREL_ASSIGN_OR_RETURN(plan::PlanOutput out,
+                           plan::ExecutePlan(*p, *db_, exec));
+    std::vector<Item> items;
+    items.reserve(out.relation->size());
+    for (TupleId id : out.relation->TupleIds()) {
+      items.push_back(out.relation->ItemAt(id).ToItem());
     }
-    return Extension(relation, explicate_options);
+    std::sort(items.begin(), items.end());
+    return items;
   };
   auto refresh = [&](const std::string& name,
                      bool track_delta) -> Status {
@@ -582,8 +573,7 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
     // mid-evaluation): the delta stays empty, exactly as a rescan would
     // leave it — no live row can be fresh when the index already holds
     // every row.
-    if (options.incremental && slot.version != 0 &&
-        slot.version == relation->version()) {
+    if (slot.version != 0 && slot.version == relation->version()) {
       return Status::OK();
     }
     slot.partial.clear();
@@ -591,7 +581,7 @@ Result<size_t> RuleEngine::Evaluate(const RuleOptions& options) {
     // journal shows only positive inserts since (rule rounds only ever
     // insert), the new rows are the journalled tuples in id order —
     // identical to the suffix a full rescan would produce.
-    if (options.incremental && slot.version != 0 && slot.atomic_positive) {
+    if (slot.version != 0 && slot.atomic_positive) {
       std::optional<std::vector<MutationJournal::Record>> records =
           relation->journal().Since(slot.version);
       bool appendable = records.has_value();

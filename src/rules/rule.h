@@ -28,7 +28,6 @@
 #include "catalog/database.h"
 #include "common/result.h"
 #include "core/binding.h"
-#include "core/subsumption_cache.h"
 #include "obs/trace.h"
 
 namespace hirel {
@@ -80,12 +79,6 @@ struct RuleOptions {
   size_t max_derived_facts = 1'000'000;
   /// Cap on fixpoint rounds per stratum.
   size_t max_rounds = 10'000;
-  /// Subsumption-graph cache (normally the Database's). Every fixpoint
-  /// round re-explicates each referenced relation; with the cache, rounds
-  /// that did not change a relation skip rebuilding its graph. Null
-  /// disables caching.
-  SubsumptionCache* subsumption_cache = nullptr;
-
   /// When non-null, Evaluate records one child span per fixpoint round
   /// ("derive round N" with stratum/derived/scanned/probes notes) under
   /// the innermost open span. Null leaves evaluation untraced.
@@ -93,15 +86,6 @@ struct RuleOptions {
 
   /// When non-null, Evaluate adds its join work here.
   RuleStats* stats = nullptr;
-
-  /// Incremental extension bookkeeping between fixpoint rounds: a head
-  /// relation whose version stamp is unchanged since its last refresh is
-  /// not re-scanned at all, and one holding only positive atomic tuples
-  /// (the shape derived relations converge to) has its extension extended
-  /// by the journalled inserts instead of a full rescan. Results are
-  /// byte-identical either way — rows, deltas, and probe totals; SET
-  /// INCREMENTAL OFF clears this for A/B comparison.
-  bool incremental = true;
 };
 
 /// A set of rules bound to a database, evaluated bottom-up to fixpoint.
@@ -138,6 +122,12 @@ class RuleEngine {
   /// probe, a partly known one is looked up in a lazily built partial
   /// index, and the rest are scanned. Derived facts come out in the order
   /// of a nested scan over every body row.
+  ///
+  /// Between fixpoint rounds a relation whose version stamp is unchanged is
+  /// not re-scanned, and one holding only positive atomic tuples (the shape
+  /// derived relations converge to) is extended by its journalled inserts.
+  /// Any other extension is read through the plan executor, which reuses
+  /// the Database's cached subsumption graphs.
   Result<size_t> Evaluate(const RuleOptions& options = {});
 
  private:

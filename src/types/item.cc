@@ -89,14 +89,6 @@ std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
   }
 }
 
-bool ItemLeafDisjoint(const Schema& schema, ItemView a, ItemView b) {
-  assert(a.size() == schema.size() && b.size() == schema.size());
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (schema.hierarchy(i)->LeafDisjoint(a[i], b[i])) return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// One attribute as the closure sees it: its hierarchy and the nodes with a

@@ -94,11 +94,6 @@ size_t ItemExtensionSize(const Schema& schema, ItemView item);
 std::vector<Item> ItemMaximalCommonDescendants(const Schema& schema,
                                                ItemView a, ItemView b);
 
-/// True when some attribute's components pass Hierarchy::LeafDisjoint, which
-/// proves ItemMaximalCommonDescendants(a, b) empty without computing it.
-/// Allocation-free; false proves nothing.
-bool ItemLeafDisjoint(const Schema& schema, ItemView a, ItemView b);
-
 /// Closes `items` under pairwise maximal common descendants, deduplicating;
 /// the order of the result is unspecified. A set of asserted items closed
 /// under MCDs cannot harbour an off-path conflict at an unasserted site (see

@@ -1,7 +1,8 @@
 // Incremental maintenance: the mutation journal, the hierarchy edit
 // journal, the subsumption-graph patch path, delta consolidate, and the
 // semi-naive DERIVE fast path must all be byte-identical to their
-// from-scratch counterparts — the whole feature is an invisible
+// from-scratch counterparts (BuildSubsumptionGraph, ConsolidateInPlace,
+// the naive reference evaluator) — the whole feature is an invisible
 // optimisation, so every test here is an equivalence test plus the
 // bookkeeping (outcomes, stats, invalidation) that makes it observable.
 
@@ -20,6 +21,7 @@
 #include "core/subsumption.h"
 #include "core/subsumption_cache.h"
 #include "hql/executor.h"
+#include "reference_rules.h"
 #include "reference_subsumption.h"
 #include "rules/rule.h"
 #include "testing/fixtures.h"
@@ -215,18 +217,6 @@ TEST(SubsumptionCachePatchTest, HierarchyEditPatchesByteIdentically) {
   ExpectGraphEq(patched2, BuildSubsumptionGraph(*f.flies), "after PREFER");
 }
 
-TEST(SubsumptionCachePatchTest, IncrementalOffForcesRebuild) {
-  testing::FlyingFixture f;
-  SubsumptionCache& cache = f.db.subsumption_cache();
-  cache.Get(*f.flies);
-  cache.set_incremental(false);
-  (void)f.flies->Insert({f.tweety}, Truth::kPositive);
-  GetOutcome outcome = GetOutcome::kNone;
-  cache.Get(*f.flies, &outcome);
-  EXPECT_EQ(outcome, GetOutcome::kRebuilt);
-  EXPECT_EQ(cache.stats().journal_overflows, 0u);
-}
-
 TEST(SubsumptionCachePatchTest, JournalOverflowForcesRebuild) {
   testing::FlyingFixture f;
   SubsumptionCache& cache = f.db.subsumption_cache();
@@ -351,77 +341,73 @@ TEST(ConsolidateDeltaTest, MatchesFullConsolidateOnSeededChanges) {
 }
 
 TEST(ConsolidateDeltaTest, ExecutorUsesDeltaPathAndMatchesFull) {
-  // Two executors run an identical script; A keeps incremental on, B
-  // turns it off. A's second CONSOLIDATE must take the delta path (the
-  // " (delta)" suffix) and leave the relation byte-identical to B's.
-  const std::string setup =
-      "CREATE HIERARCHY d;"
-      "CREATE CLASS c1 IN d; CREATE CLASS c2 IN d UNDER c1;"
-      "CREATE INSTANCE i1 IN d UNDER c2;"
-      "CREATE INSTANCE i2 IN d UNDER c2;"
-      "CREATE RELATION r (a: d);"
-      "ASSERT r(ALL c1); DENY r(ALL c2); ASSERT r(i1);"
-      "CONSOLIDATE r;";
-  const std::string mutate = "RETRACT r(i1); ASSERT r(i1); ASSERT r(i2);";
+  // Each CONSOLIDATE after the first must take the delta path (the
+  // " (delta)" suffix) and leave the relation as a full ConsolidateInPlace
+  // leaves a copy taken just before it. The first batch re-asserts and
+  // adds tuples; the second only erases the denial that shielded them, so
+  // only the erase records can seed their removal.
+  hql::Executor exec;
+  ASSERT_TRUE(exec
+                  .Execute("CREATE HIERARCHY d;"
+                           "CREATE CLASS c1 IN d; CREATE CLASS c2 IN d UNDER c1;"
+                           "CREATE INSTANCE i1 IN d UNDER c2;"
+                           "CREATE INSTANCE i2 IN d UNDER c2;"
+                           "CREATE RELATION r (a: d);"
+                           "ASSERT r(ALL c1); DENY r(ALL c2); ASSERT r(i1);"
+                           "CONSOLIDATE r;")
+                  .ok());
+  const HierarchicalRelation* r =
+      std::as_const(exec.database()).GetRelation("r").value();
+  for (const char* mutate : {"RETRACT r(i1); ASSERT r(i1); ASSERT r(i2);",
+                             "RETRACT r(ALL c2);"}) {
+    ASSERT_TRUE(exec.Execute(mutate).ok()) << mutate;
+    HierarchicalRelation full(*r);
+    size_t removed = ConsolidateInPlace(full).value();
 
-  hql::Executor on, off;
-  ASSERT_TRUE(off.Execute("SET INCREMENTAL OFF;").ok());
-  ASSERT_TRUE(on.Execute(setup).ok());
-  ASSERT_TRUE(off.Execute(setup).ok());
-  ASSERT_TRUE(on.Execute(mutate).ok());
-  ASSERT_TRUE(off.Execute(mutate).ok());
-
-  Result<std::string> con = on.Execute("CONSOLIDATE r;");
-  ASSERT_TRUE(con.ok());
-  EXPECT_NE(con->find(" (delta)"), std::string::npos) << *con;
-  Result<std::string> coff = off.Execute("CONSOLIDATE r;");
-  ASSERT_TRUE(coff.ok());
-  EXPECT_EQ(coff->find(" (delta)"), std::string::npos) << *coff;
-
-  const HierarchicalRelation* ra =
-      std::as_const(on.database()).GetRelation("r").value();
-  const HierarchicalRelation* rb =
-      std::as_const(off.database()).GetRelation("r").value();
-  EXPECT_EQ(Content(*ra), Content(*rb));
+    Result<std::string> con = exec.Execute("CONSOLIDATE r;");
+    ASSERT_TRUE(con.ok()) << mutate;
+    EXPECT_NE(con->find(" (delta)"), std::string::npos) << *con;
+    EXPECT_NE(con->find("removed " + std::to_string(removed) + " "),
+              std::string::npos)
+        << mutate << ": " << *con;
+    EXPECT_EQ(Content(*r), Content(full)) << mutate;
+    ExpectGraphEq(exec.database().subsumption_cache().Get(*r),
+                  BuildSubsumptionGraph(*r), mutate);
+  }
+  // The shielded tuples became redundant under +c1 and went.
+  EXPECT_EQ(r->size(), 1u);
 }
 
 // ----- Semi-naive DERIVE -----------------------------------------------------
 
 TEST(DeriveIncrementalTest, SemiNaiveMatchesNaive) {
-  auto build = [](bool incremental) {
+  // The engine against the naive reference evaluator, which rescans every
+  // extension in full, over two evaluations with an insert between them.
+  auto build = [](bool reference) {
     auto f = std::make_unique<testing::FlyingFixture>();
     HierarchicalRelation* far =
         f->db.CreateRelation("travels_far", {{"who", "animal"}}).value();
     RuleEngine engine(&f->db);
     EXPECT_TRUE(engine.AddRule("travels_far(?x) :- flies(?x).").ok());
-    RuleOptions options;
-    options.incremental = incremental;
-    EXPECT_TRUE(engine.Evaluate(options).ok());
-    // A second round over mutated input exercises the append fast path
-    // (an all-new-atomic-positive journal) on the incremental side.
+    auto evaluate = [&]() {
+      return reference ? testing::ReferenceEvaluate(f->db, engine.rules())
+                       : engine.Evaluate();
+    };
+    EXPECT_TRUE(evaluate().ok());
     EXPECT_TRUE(f->flies->Insert({f->tweety}, Truth::kPositive).ok());
-    EXPECT_TRUE(engine.Evaluate(options).ok());
+    EXPECT_TRUE(evaluate().ok());
     return Content(*far);
   };
-  EXPECT_EQ(build(true), build(false));
+  EXPECT_EQ(build(false), build(true));
 }
 
-// ----- SET INCREMENTAL and metrics surfacing ---------------------------------
+// ----- HQL surface and metrics ----------------------------------------------
 
-TEST(IncrementalHqlTest, SetIncrementalTogglesTheCache) {
+TEST(IncrementalHqlTest, SetIncrementalIsAParseError) {
+  // Maintenance has one path, so there is no switch to set.
   hql::Executor exec;
-  EXPECT_TRUE(exec.database().subsumption_cache().incremental());
-  Result<std::string> off = exec.Execute("SET INCREMENTAL OFF;");
-  ASSERT_TRUE(off.ok());
-  EXPECT_NE(off->find("off"), std::string::npos);
-  EXPECT_FALSE(exec.database().subsumption_cache().incremental());
-  ASSERT_TRUE(exec.Execute("SET INCREMENTAL ON;").ok());
-  EXPECT_TRUE(exec.database().subsumption_cache().incremental());
-  EXPECT_TRUE(
-      exec.Execute("SET INCREMENTAL banana;").status().IsParseError());
-  EXPECT_TRUE(exec.Execute("set incremental off;").ok())
-      << "keywords are case-insensitive";
-  EXPECT_FALSE(exec.database().subsumption_cache().incremental());
+  EXPECT_TRUE(exec.Execute("SET INCREMENTAL ON;").status().IsParseError());
+  EXPECT_TRUE(exec.Execute("set incremental off;").status().IsParseError());
 }
 
 TEST(IncrementalHqlTest, ShowMetricsSurfacesPatchCounters) {
@@ -451,7 +437,7 @@ TEST(IncrementalHqlTest, ExplainAnalyzeAnnotatesThePatchPath) {
                   .ok());
   Result<std::string> plan = exec.Execute("EXPLAIN ANALYZE COUNT r;");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("incremental=on"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("incremental="), std::string::npos) << *plan;
   EXPECT_NE(plan->find("patched=true"), std::string::npos) << *plan;
 }
 
@@ -507,39 +493,57 @@ TEST_P(IncrementalEquivalence, PatchedGraphMatchesRebuildUnderRandomChurn) {
   EXPECT_GT(stats.patches, 0u) << "churn this small should mostly patch";
 }
 
-/// The same trace fed to two executors — incremental on vs. off — must
-/// leave byte-identical relations, consolidation results, and derived
-/// facts.
+/// One executor runs a random trace over the maintained paths. Each
+/// CONSOLIDATE must leave its relation as a full ConsolidateInPlace leaves a
+/// copy taken just before it, reach must hold exactly the atoms of every
+/// extension of r a DERIVE saw, and the cached graphs must equal
+/// from-scratch builds. CONNECT and PREFER edit only r's hierarchy, so s
+/// keeps taking the delta CONSOLIDATE that any hierarchy edit turns off.
 TEST_P(IncrementalEquivalence, ExecutorTraceMatchesWithIncrementalOff) {
-  hql::Executor on, off;
-  ASSERT_TRUE(off.Execute("SET INCREMENTAL OFF;").ok());
-  std::string setup = "CREATE HIERARCHY d;"
-                      "CREATE CLASS c0 IN d; CREATE CLASS c1 IN d;"
-                      "CREATE CLASS c2 IN d UNDER c0;"
-                      "CREATE CLASS c3 IN d UNDER c1;"
-                      "CREATE INSTANCE i0 IN d UNDER c2;"
-                      "CREATE INSTANCE i1 IN d UNDER c2;"
-                      "CREATE INSTANCE i2 IN d UNDER c3;"
-                      "CREATE INSTANCE i3 IN d UNDER c3;"
-                      "CREATE RELATION r (a: d);"
-                      "CREATE RELATION reach (a: d);"
-                      "RULE 'reach(?x) :- r(?x).';";
-  ASSERT_TRUE(on.Execute(setup).ok());
-  ASSERT_TRUE(off.Execute(setup).ok());
+  hql::Executor exec;
+  for (const char* h : {"d", "e"}) {
+    ASSERT_TRUE(exec
+                    .Execute(std::string("CREATE HIERARCHY ") + h + ";" +
+                             "CREATE CLASS c0 IN " + h + ";" +
+                             "CREATE CLASS c1 IN " + h + ";" +
+                             "CREATE CLASS c2 IN " + h + " UNDER c0;" +
+                             "CREATE CLASS c3 IN " + h + " UNDER c1;" +
+                             "CREATE INSTANCE i0 IN " + h + " UNDER c2;" +
+                             "CREATE INSTANCE i1 IN " + h + " UNDER c2;" +
+                             "CREATE INSTANCE i2 IN " + h + " UNDER c3;" +
+                             "CREATE INSTANCE i3 IN " + h + " UNDER c3;")
+                    .ok());
+  }
+  ASSERT_TRUE(exec
+                  .Execute("CREATE RELATION r (a: d);"
+                           "CREATE RELATION s (a: e);"
+                           "CREATE RELATION reach (a: d);"
+                           "RULE 'reach(?x) :- r(?x).';")
+                  .ok());
+  const Database& db = std::as_const(exec.database());
+  const HierarchicalRelation* r = db.GetRelation("r").value();
+  const HierarchicalRelation* s = db.GetRelation("s").value();
+  const HierarchicalRelation* reach = db.GetRelation("reach").value();
+  SubsumptionCache& cache = exec.database().subsumption_cache();
+  std::vector<std::pair<Item, Truth>> derived;
+  size_t delta_runs = 0;
 
   std::vector<std::string> targets = {"ALL c0", "ALL c1", "ALL c2",
                                       "ALL c3", "i0", "i1", "i2", "i3"};
   Random rng(GetParam() * 31 + 7);
-  for (int step = 0; step < 60; ++step) {
-    size_t roll = rng.Index(12);
+  for (int step = 0; step < 120; ++step) {
+    const HierarchicalRelation* rel = rng.Bernoulli(0.5) ? r : s;
+    const std::string name = rel->name();
+    size_t roll = rng.Index(13);
     std::string stmt;
     if (roll < 4) {
-      stmt = (rng.Bernoulli(0.3) ? "DENY r(" : "ASSERT r(") +
+      stmt = (rng.Bernoulli(0.3) ? "DENY " : "ASSERT ") + name + "(" +
              targets[rng.Index(targets.size())] + ");";
     } else if (roll < 6) {
-      stmt = "RETRACT r(" + targets[rng.Index(targets.size())] + ");";
+      stmt = "RETRACT " + name + "(" + targets[rng.Index(targets.size())] +
+             ");";
     } else if (roll < 8) {
-      stmt = "SELECT * FROM r WHERE a = " +
+      stmt = "SELECT * FROM " + name + " WHERE a = " +
              targets[rng.Index(targets.size())] + ";";
     } else if (roll < 9) {
       stmt = "CONNECT c" + std::to_string(rng.Index(4)) + " TO i" +
@@ -547,29 +551,35 @@ TEST_P(IncrementalEquivalence, ExecutorTraceMatchesWithIncrementalOff) {
     } else if (roll < 10) {
       stmt = "PREFER c" + std::to_string(rng.Index(4)) + " OVER c" +
              std::to_string(rng.Index(4)) + " IN d;";
-    } else if (roll < 11) {
-      stmt = "CONSOLIDATE r;";
+    } else if (roll < 12) {
+      stmt = "CONSOLIDATE " + name + ";";
     } else {
       stmt = "DERIVE;";
     }
-    Result<std::string> ra = on.Execute(stmt);
-    Result<std::string> rb = off.Execute(stmt);
-    ASSERT_EQ(ra.ok(), rb.ok())
-        << "seed " << GetParam() << " step " << step << ": " << stmt;
-    if (ra.ok() && stmt[0] == 'S') {  // SELECTs must render identically
-      EXPECT_EQ(*ra, *rb) << stmt;
+    std::string context = "seed " + std::to_string(GetParam()) + " step " +
+                          std::to_string(step) + ": " + stmt;
+    HierarchicalRelation before(*rel);
+    Result<std::string> out = exec.Execute(stmt);
+    if (!out.ok()) continue;
+    if (stmt.rfind("CONSOLIDATE", 0) == 0) {
+      delta_runs += out->find(" (delta)") != std::string::npos;
+      ASSERT_TRUE(ConsolidateInPlace(before).ok()) << context;
+      EXPECT_EQ(Content(*rel), Content(before)) << context;
+      ExpectGraphEq(cache.Get(*rel), BuildSubsumptionGraph(*rel), context);
+    } else if (stmt == "DERIVE;") {
+      for (Item& item : Extension(*r).value()) {
+        derived.emplace_back(std::move(item), Truth::kPositive);
+      }
+      std::sort(derived.begin(), derived.end());
+      derived.erase(std::unique(derived.begin(), derived.end()),
+                    derived.end());
+      EXPECT_EQ(Content(*reach), derived) << context;
     }
   }
-  for (const char* name : {"r", "reach"}) {
-    const HierarchicalRelation* ra =
-        std::as_const(on.database()).GetRelation(name).value();
-    const HierarchicalRelation* rb =
-        std::as_const(off.database()).GetRelation(name).value();
-    EXPECT_EQ(Content(*ra), Content(*rb))
-        << name << " diverged (seed " << GetParam() << ")";
-    ExpectGraphEq(on.database().subsumption_cache().Get(*ra),
-                  BuildSubsumptionGraph(*ra),
-                  std::string(name) + " cached graph (seed " +
+  EXPECT_GT(delta_runs, 0u) << "seed " << GetParam();
+  for (const HierarchicalRelation* rel : {r, s, reach}) {
+    ExpectGraphEq(cache.Get(*rel), BuildSubsumptionGraph(*rel),
+                  rel->name() + " cached graph (seed " +
                       std::to_string(GetParam()) + ")");
   }
 }

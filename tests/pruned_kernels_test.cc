@@ -1,7 +1,8 @@
 // Differential test for the pruned algebra read kernels: SelectEquals skips
-// tuples outside the selected node's overlap cone, the set-op cross pairs
-// and the join pair loop skip pairs that Hierarchy::LeafDisjoint proves
-// disjoint, and the derived-relation MCD closure pairs only items that
+// tuples outside the selected node's overlap cone, the join pair loop
+// skips pairs that Hierarchy::LeafDisjoint proves disjoint, and the
+// derived-relation MCD closure (which also supplies the set operations'
+// cross MCDs) pairs only items that
 // overlap in every attribute, found through join nodes
 // (Hierarchy::JoinAncestors). Every prune must only drop work whose
 // maximal-common-descendant set is empty, so results must equal the

@@ -4,8 +4,10 @@
 // delta, for the semi-naive position), and every relation a rule mentions,
 // head included, gets a snapshot. The one change from that evaluator is the
 // §3.1 guard on class-level head facts, which the compiled evaluator
-// shares. The compiled joins must derive the same facts in the same order,
-// with the same per-round notes and the same errors.
+// shares. Each refresh is naive: it rescans the relation's whole extension
+// through Extension, with no subsumption cache and no mutation journal.
+// The compiled joins must derive the same facts in the same order, with
+// the same per-round notes and the same errors.
 //
 // A negated atom is checked where it stands in the body, so it must come
 // after the atoms that bind its variables (the old evaluator stopped on an
@@ -23,8 +25,6 @@
 #include "common/str_util.h"
 #include "core/explicate.h"
 #include "core/integrity.h"
-#include "plan/execute.h"
-#include "plan/plan_node.h"
 #include "rules/rule.h"
 
 namespace hirel {
@@ -38,8 +38,6 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
   struct RelationFacts {
     std::vector<Item> rows;
     ExtensionSet index;
-    uint64_t version = 0;
-    bool atomic_positive = false;
   };
 
   std::unordered_set<std::string> idb;
@@ -76,83 +74,26 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
   explicate_options.inference = options.inference;
   std::unordered_map<std::string, RelationFacts> facts;
   std::unordered_map<std::string, std::vector<Item>> delta;
+  // A relation holding only positive atomic tuples is its own extension,
+  // in tuple-id order, as the compiled evaluator reads it.
   auto extension_of =
-      [&](const std::string& name, const HierarchicalRelation& relation,
-          bool* atomic_positive) -> Result<std::vector<Item>> {
-    bool all_atomic_positive = true;
+      [&](const HierarchicalRelation& relation) -> Result<std::vector<Item>> {
     std::vector<Item> rows;
     for (TupleId id : relation.TupleIds()) {
       TupleView t = relation.tuple(id);
       if (t.truth != Truth::kPositive ||
           !ItemIsAtomic(relation.schema(), t.item)) {
-        all_atomic_positive = false;
-        break;
+        return Extension(relation, explicate_options);
       }
       rows.push_back(t.item.ToItem());
     }
-    *atomic_positive = all_atomic_positive;
-    if (all_atomic_positive) return rows;
-    if (options.subsumption_cache != nullptr) {
-      plan::PlanPtr p = plan::MakeExplicate(plan::MakeScan(name), {},
-                                            /*consolidate_after=*/true);
-      HIREL_RETURN_IF_ERROR(plan::AnnotatePlan(*p, db));
-      plan::ExecOptions exec;
-      exec.inference = options.inference;
-      exec.cache = options.subsumption_cache;
-      HIREL_ASSIGN_OR_RETURN(plan::PlanOutput out,
-                             plan::ExecutePlan(*p, db, exec));
-      std::vector<Item> items;
-      for (TupleId id : out.relation->TupleIds()) {
-        items.push_back(out.relation->ItemAt(id).ToItem());
-      }
-      std::sort(items.begin(), items.end());
-      return items;
-    }
-    return Extension(relation, explicate_options);
+    return rows;
   };
   auto refresh = [&](const std::string& name, bool track_delta) -> Status {
     HIREL_ASSIGN_OR_RETURN(const HierarchicalRelation* relation,
                            std::as_const(db).GetRelation(name));
     RelationFacts& slot = facts[name];
-    if (options.incremental && slot.version != 0 &&
-        slot.version == relation->version()) {
-      return Status::OK();
-    }
-    if (options.incremental && slot.version != 0 && slot.atomic_positive) {
-      std::optional<std::vector<MutationJournal::Record>> records =
-          relation->journal().Since(slot.version);
-      bool appendable = records.has_value();
-      std::vector<Item> appended;
-      if (appendable) {
-        for (const MutationJournal::Record& r : *records) {
-          if (r.kind != MutationJournal::Record::Kind::kInsert ||
-              r.truth != Truth::kPositive) {
-            appendable = false;
-            break;
-          }
-          Item item = relation->ItemAt(r.id).ToItem();
-          if (!ItemIsAtomic(relation->schema(), item)) {
-            appendable = false;
-            break;
-          }
-          appended.push_back(std::move(item));
-        }
-      }
-      if (appendable) {
-        for (Item& row : appended) {
-          if (track_delta && !slot.index.contains(row)) {
-            delta[name].push_back(row);
-          }
-          slot.index.insert(row);
-          slot.rows.push_back(std::move(row));
-        }
-        slot.version = relation->version();
-        return Status::OK();
-      }
-    }
-    bool atomic_positive = false;
-    HIREL_ASSIGN_OR_RETURN(std::vector<Item> rows,
-                           extension_of(name, *relation, &atomic_positive));
+    HIREL_ASSIGN_OR_RETURN(std::vector<Item> rows, extension_of(*relation));
     if (track_delta) {
       std::vector<Item>& fresh = delta[name];
       for (const Item& row : rows) {
@@ -161,8 +102,6 @@ inline Result<size_t> ReferenceEvaluate(Database& db,
     }
     slot.rows = std::move(rows);
     slot.index = ExtensionSet(slot.rows.begin(), slot.rows.end());
-    slot.version = relation->version();
-    slot.atomic_positive = atomic_positive;
     return Status::OK();
   };
 

@@ -139,6 +139,34 @@ TEST(SetOpsTest, IntersectionOfOverlappingIncomparableClasses) {
   ExpectMatchesFlat(Op::kIntersect, *r, *s);
 }
 
+TEST(SetOpsTest, CandidateCapNamesTheSetOperation) {
+  // R: A+, S: B+ over an overlap class M: the two stored items close to
+  // three under maximal common descendants, one past a cap of 2.
+  Database db;
+  Hierarchy* h = db.CreateHierarchy("d").value();
+  NodeId a = h->AddClass("a").value();
+  NodeId b = h->AddClass("b").value();
+  NodeId m = h->AddClass("m", a).value();
+  ASSERT_TRUE(h->AddEdge(b, m).ok());
+  HierarchicalRelation* r = db.CreateRelation("r", {{"v", "d"}}).value();
+  HierarchicalRelation* s = db.CreateRelation("s", {{"v", "d"}}).value();
+  ASSERT_TRUE(r->Insert({a}, Truth::kPositive).ok());
+  ASSERT_TRUE(s->Insert({b}, Truth::kPositive).ok());
+  SetOpOptions options;
+  options.max_items = 2;
+  Status status = Union(*r, *s, options).status();
+  EXPECT_TRUE(status.IsResourceExhausted()) << status;
+  EXPECT_EQ(status.message(), "set operation 'union' exceeds 2 candidate items");
+  status = Intersect(*r, *s, options).status();
+  EXPECT_EQ(status.message(),
+            "set operation 'intersect' exceeds 2 candidate items");
+  status = Difference(*r, *s, options).status();
+  EXPECT_EQ(status.message(),
+            "set operation 'difference' exceeds 2 candidate items");
+  options.max_items = 3;
+  EXPECT_TRUE(Intersect(*r, *s, options).ok());
+}
+
 TEST(SetOpsTest, AttributeNamesMayDifferWhenDomainsMatch) {
   LovesFixture f;
   HierarchicalRelation* renamed =

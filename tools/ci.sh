@@ -70,6 +70,20 @@ for preset in "${presets[@]}"; do
     echo "==== ${preset}: 10^5-tuple subsumption-graph build ===="
     "build/${preset}/bench/bench_incremental" \
         --benchmark_filter='BM_BuildSubsumptionGraph/100000' > /dev/null
+    # The patched (/1) and rebuilt (/0) arms of the maintenance benchmarks
+    # assert how each graph fetch was served and report an error row when
+    # it was served the other way; every arm must report a measurement.
+    echo "==== ${preset}: patched and rebuilt graph fetches ===="
+    for filter in 'BM_MutateThenGetGraph/1000/[01]$' \
+        'BM_HqlMutateCountLoop/1000/[01]$'; do
+      rows="$("build/${preset}/bench/bench_incremental" \
+          --benchmark_filter="${filter}" --benchmark_min_time=0 |
+          grep -c '{"bench"' || true)"
+      if [ "${rows}" != 2 ]; then
+        echo "FAIL: ${filter}: ${rows} of 2 arms reported without error" >&2
+        exit 1
+      fi
+    done
     # The store's footprint on a browse-shaped relation. Byte counts are
     # deterministic, so the gate holds on any host.
     echo "==== ${preset}: browse-shaped store footprint (<= 80 B/tuple) ===="
